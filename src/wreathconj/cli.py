@@ -103,8 +103,9 @@ def _parse_ring(text: str) -> int:
 
 
 def _default_budget(ring: int) -> int:
-    # ideal enumeration over Z grows superexponentially with the index,
-    # so the default keeps the Z side inside interactive territory
+    # Z-side enumeration at 24 takes tens of milliseconds; a larger Z
+    # default would change the answer of queries that 24 reports as
+    # exceeding the budget
     return 24 if ring == 0 else 64
 
 

@@ -178,8 +178,8 @@ def _subgroup_stream(ring: int, budget: int) -> list:
 def _staged_subgroups(ring: int, budget: int):
     """Subgroups in nondecreasing index order, enumerated in doubling
     stages so a caller that stops early never pays for the full budget.
-    Enumeration cost grows superexponentially over Z, so the stages are
-    worth the duplicated scans (block scans are cached anyway)."""
+    Each stage enumerates afresh; the earlier stages together cost less
+    than the last one."""
     lo = 0
     stage = min(budget, 8)
     while True:

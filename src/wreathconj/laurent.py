@@ -618,42 +618,130 @@ class ZSplitSubgroup:
         )
 
 
-def _canonical_ideal(d: int, t0: int, V: frozenset) -> bool:
-    # characteristic is really d: no smaller positive constant in the ideal
-    for c in range(1, d):
-        if (c,) + (0,) * (t0 - 1) in V:
-            return False
-    # period is really t0: x^s - 1 outside the ideal for proper divisors s
-    for r in _prime_factors(t0):
-        s = t0 // r
-        vec = [0] * t0
-        vec[s] = 1
-        vec[0] = (vec[0] - 1) % d
-        if tuple(vec) in V:
-            return False
-    return True
+# Ideals of Z[x]/(x^t0 - 1) of finite co-index are found through their
+# duals. Under the pairing <v, w> = sum v_i w_i mod q on (Z/q)^t0, the
+# annihilator W of a rotation-closed subgroup V is rotation-closed and
+# |W| = q^t0 / |V|, so the co-index of the ideal V is the order of W.
+# The characteristic of the quotient ring is the exponent of W, and
+# x^s - 1 lies in V iff rotating by s fixes W. The ideals of co-index
+# <= M are thus dual to the rotation-closed subgroups of order <= M,
+# which are grown bottom-up and never past M. The quotient ring is the
+# product of its p-parts (CRT), so W is found one prime at a time.
 
 
-@functools.lru_cache(maxsize=None)
-def _ideals_mod(d: int, t0: int) -> list[frozenset]:
-    """All rotation-closed subgroups of (Z/d)^t0, i.e. ideals of
-    (Z/d)[x]/(x^t0 - 1). The scan is expensive, so results are kept
-    for the life of the process; callers must not mutate them."""
-    zero = (0,) * t0
-    vectors = list(itertools.product(range(d), repeat=t0))
-    base = frozenset({zero})
-    found = {base}
-    queue = [base]
+def _add(a: tuple, b: tuple, q: int) -> tuple:
+    return tuple((x + y) % q for x, y in zip(a, b))
+
+
+def _grow(W: frozenset, w: tuple, q: int, bound: int) -> Optional[frozenset]:
+    """Smallest rotation-closed subgroup of (Z/q)^t0 containing W and w,
+    or None if it has more than `bound` elements."""
+    span = W
+    for _ in range(len(w)):
+        if w not in span:
+            bigger, coset = set(span), w
+            while coset not in span:
+                if len(bigger) + len(span) > bound:
+                    return None
+                bigger.update(_add(coset, u, q) for u in span)
+                coset = _add(coset, w, q)
+            span = bigger
+        w = _rotate(w)
+    return frozenset(span)
+
+
+def _p_ideals(p: int, t0: int, bound: int) -> list[tuple]:
+    """(co-index, period, characteristic m, dual W in (Z/m)^t0) for every
+    ideal of Z[x]/(x^t0 - 1) whose quotient ring has order p^k with
+    1 < p^k <= bound.
+
+    The duals are grown inside (Z/q)^t0, q the largest power of p not
+    above bound, by steps W -> closure of W and w with pw in W. Every
+    dual is reached this way: the factors of its composition series
+    are simple, so p kills them."""
+    q = p
+    while q * p <= bound:
+        q *= p
+    step = q // p
+    zero = frozenset({(0,) * t0})
+    found = {zero}
+    queue = [zero]
     while queue:
-        ideal = queue.pop()
-        for v in vectors:
-            if v in ideal:
+        W = queue.pop()
+        if len(W) * p > bound:
+            continue
+        tried = set()
+        for u in W:
+            if any(c % p for c in u):
                 continue
-            bigger = _close_vectors(ideal | {v}, d, t0)
-            if bigger not in found:
-                found.add(bigger)
-                queue.append(bigger)
-    return sorted(found, key=lambda V: (len(V), tuple(sorted(V))))
+            for lift in itertools.product(range(0, q, step), repeat=t0):
+                w = tuple(c // p + e for c, e in zip(u, lift))
+                if w in W or w in tried:
+                    continue
+                # unit multiples and rotations of w generate the same subgroup
+                for k in range(1, p):
+                    v = tuple(k * c % q for c in w)
+                    for _ in range(t0):
+                        tried.add(v := _rotate(v))
+                bigger = _grow(W, w, q, bound)
+                if bigger is not None and bigger not in found:
+                    found.add(bigger)
+                    queue.append(bigger)
+    found.remove(zero)
+    out = []
+    for W in found:
+        period = min(
+            s for s in range(1, t0 + 1) if all(w[s:] + w[:s] == w for w in W)
+        )
+        g = functools.reduce(math.gcd, (c for w in W for c in w), q)
+        W = frozenset(tuple(c // g for c in w) for w in W)
+        out.append((len(W), period, q // g, W))
+    return out
+
+
+def _annihilator(W: frozenset, m: int) -> frozenset:
+    """The ideal dual to a nonzero subgroup W of (Z/m)^t0."""
+    t0 = len(next(iter(W)))
+    return frozenset(
+        v
+        for v in itertools.product(range(m), repeat=t0)
+        if all(sum(a * b for a, b in zip(v, w)) % m == 0 for w in W)
+    )
+
+
+def _crt_ideal(parts) -> tuple[int, frozenset]:
+    """(d, V): the ideal mod d = prod m whose reduction mod each m is U,
+    for (m, U) in parts with pairwise coprime m."""
+    parts = iter(parts)
+    d, V = next(parts)
+    for m, U in parts:
+        e1, e2 = m * pow(m, -1, d), d * pow(d, -1, m)
+        d *= m
+        V = frozenset(
+            tuple((a * e1 + b * e2) % d for a, b in zip(u, v)) for u in V for v in U
+        )
+    return d, V
+
+
+def _ideals_of_period(t0: int, bound: int) -> list[tuple[int, frozenset]]:
+    """(d, V) for every ideal of Z[x]/(x^t0 - 1) with least period t0
+    and co-index in 2..bound: d the characteristic of the quotient
+    ring, V the ideal inside (Z/d)^t0. The p-parts are combined only
+    while the product of their co-indices stays within bound."""
+    combos = [(1, 1, ())]
+    for p in range(2, bound + 1):
+        if is_prime(p):
+            combos += [
+                (Q * Qp, math.lcm(s, sp), parts + ((m, W),))
+                for Qp, sp, m, W in _p_ideals(p, t0, bound)
+                for Q, s, parts in combos
+                if Q * Qp <= bound
+            ]
+    return [
+        _crt_ideal((m, _annihilator(W, m)) for m, W in parts)
+        for _, s, parts in combos
+        if parts and s == t0
+    ]
 
 
 def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup]:
@@ -706,41 +794,29 @@ def _bounded_factorization(p: int, t: int, dmax: int) -> list[tuple[list, int]]:
     return out
 
 
-def enumerate_split_subgroups_z(
-    max_index: int, ceiling: int = 1 << 20
-) -> list[ZSplitSubgroup]:
+def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
     """Every subgroup J x| tZ of Z[x, x^-1] x| Z of index <= max_index,
     each exactly once, sorted by nondecreasing index.
 
-    Ideals are scanned inside (Z/d)^t0; a block whose scan would exceed
-    `ceiling` vectors is refused. Each ideal is kept only in its
-    canonical presentation: d the true characteristic of the quotient
-    and t0 the least period, so no subgroup appears twice.
+    Each ideal is built directly in its canonical presentation, d the
+    characteristic of the quotient ring and t0 the least period, and
+    only if its co-index is at most max_index // t0; the cost grows
+    with the ideals returned, not with d^t0.
     """
     if max_index < 1:
         raise ValueError("max_index must be positive")
     subs = []
     for t in range(1, max_index + 1):
         subs.append(ZSplitSubgroup(1, 1, frozenset({(0,)}), t))
-    for d in range(2, max_index + 1):
-        t0 = 1
-        # any subgroup from block (d, t0) has index >= t0 * max(d, t0 + 1):
-        # the quotient ring contains Z/d and a unit of multiplicative order t0
-        while t0 * max(d, t0 + 1) <= max_index:
-            if d**t0 > ceiling:
-                raise ValueError(
-                    f"ideal scan for d={d}, period {t0} needs {d**t0} vectors,"
-                    f" above the ceiling {ceiling}"
-                )
-            for V in _ideals_mod(d, t0):
-                if not _canonical_ideal(d, t0, V):
-                    continue
-                quot = d**t0 // len(V)
-                t = t0
-                while t * quot <= max_index:
-                    subs.append(ZSplitSubgroup(d, t0, V, t))
-                    t += t0
-            t0 += 1
+    t0 = 1
+    # a quotient ring of least period t0 > 1 holds 0 and t0 distinct
+    # powers of x, so its order is at least t0 + 1
+    while t0 * (t0 + 1) <= max_index:
+        for d, V in _ideals_of_period(t0, max_index // t0):
+            quot = d**t0 // len(V)
+            for t in range(t0, max_index // quot + 1, t0):
+                subs.append(ZSplitSubgroup(d, t0, V, t))
+        t0 += 1
     subs.sort(key=lambda N: (N.index, N.d, N.t0, N.t, tuple(sorted(N.vectors))))
     return subs
 

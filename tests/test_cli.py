@@ -171,6 +171,17 @@ def test_depth_z_default_budget(capsys):
     assert doc["subgroup"].startswith("Z: d=3")
 
 
+def test_depth_z_default_budget_past_18(capsys):
+    # this pair exhausts budget 18; its depth 21 lies within the default 24
+    pair = ("depth", "--group", "Z wr Z", "--x", "(1 - x^-1, 0)", "--y", "(-1 + x^-1, 0)")
+    rc, out, _ = run(capsys, *pair, "--budget", "18")
+    assert rc == 2
+    assert out == "split_depth: exceeds budget\n"
+    rc, out, _ = run(capsys, *pair)
+    assert rc == 0
+    assert out == "split_depth: 21\nsubgroup: Z: d=7, t0=3, |V|=49, t=3\n"
+
+
 def test_depth_needs_laurent_group(capsys):
     rc, out, err = run(
         capsys,

@@ -41,6 +41,7 @@ from wreathconj.laurent import (
     xt_minus_1,
     zero_poly,
 )
+from wreathconj.laurent import _close_vectors, _crt_ideal, _prime_factors
 from wreathconj.wreath import conjugate, conjugate_test, multiply
 
 
@@ -379,9 +380,170 @@ def test_enumerate_z_against_subset_scan():
     assert got == expected
 
 
-def test_enumerate_z_ceiling_refusal():
-    with pytest.raises(ValueError):
-        enumerate_split_subgroups_z(100, ceiling=2**8)
+# Oracle: the full-block scan the enumerator replaced. It closes every
+# vector of (Z/d)^t0 into every ideal found so far, keeps the ideals in
+# canonical presentation, and only then applies the index bound.
+
+
+def block_scan_ideals(d, t0):
+    """All ideals of (Z/d)[x]/(x^t0 - 1), as rotation-closed subgroups."""
+    zero = (0,) * t0
+    vectors = list(itertools.product(range(d), repeat=t0))
+    base = frozenset({zero})
+    found = {base}
+    queue = [base]
+    while queue:
+        ideal = queue.pop()
+        for v in vectors:
+            if v in ideal:
+                continue
+            bigger = _close_vectors(ideal | {v}, d, t0)
+            if bigger not in found:
+                found.add(bigger)
+                queue.append(bigger)
+    return sorted(found, key=lambda V: (len(V), tuple(sorted(V))))
+
+
+def block_scan_canonical(d, t0, V):
+    # characteristic is really d: no smaller positive constant in the ideal
+    for c in range(1, d):
+        if (c,) + (0,) * (t0 - 1) in V:
+            return False
+    # period is really t0: x^s - 1 outside the ideal for proper divisors s
+    for r in _prime_factors(t0):
+        s = t0 // r
+        vec = [0] * t0
+        vec[s] = 1
+        vec[0] = (vec[0] - 1) % d
+        if tuple(vec) in V:
+            return False
+    return True
+
+
+def block_scan_z(max_index, blocks):
+    subs = [ZSplitSubgroup(1, 1, frozenset({(0,)}), t) for t in range(1, max_index + 1)]
+    for d in range(2, max_index + 1):
+        t0 = 1
+        while t0 * max(d, t0 + 1) <= max_index:
+            if (d, t0) not in blocks:
+                blocks[d, t0] = block_scan_ideals(d, t0)
+            for V in blocks[d, t0]:
+                if not block_scan_canonical(d, t0, V):
+                    continue
+                quot = d**t0 // len(V)
+                t = t0
+                while t * quot <= max_index:
+                    subs.append(ZSplitSubgroup(d, t0, V, t))
+                    t += t0
+            t0 += 1
+    subs.sort(key=lambda N: (N.index, N.d, N.t0, N.t, tuple(sorted(N.vectors))))
+    return subs
+
+
+def test_enumerate_z_matches_block_scan():
+    blocks = {}
+    for b in range(1, 17):
+        assert enumerate_split_subgroups_z(b) == block_scan_z(b, blocks)
+
+
+# Oracle: shift-invariant sublattices dZ^t0 <= L <= Z^t0 of index n, listed
+# by their Hermite normal forms (upper triangular, 0 <= h_ij < h_jj).
+
+
+def hnf_bases(k, n):
+    def diagonals(k, n):
+        if k == 1:
+            yield (n,)
+            return
+        for a in range(1, n + 1):
+            if n % a == 0:
+                for rest in diagonals(k - 1, n // a):
+                    yield (a,) + rest
+
+    slots = [(i, j) for j in range(k) for i in range(j)]
+    for diag in diagonals(k, n):
+        for entries in itertools.product(*(range(diag[j]) for _, j in slots)):
+            H = [[0] * k for _ in range(k)]
+            for i in range(k):
+                H[i][i] = diag[i]
+            for (i, j), e in zip(slots, entries):
+                H[i][j] = e
+            yield H
+
+
+def in_lattice(H, v):
+    v = list(v)
+    for i, row in enumerate(H):
+        if v[i] % row[i]:
+            return False
+        c = v[i] // row[i]
+        v = [a - c * b for a, b in zip(v, row)]
+    return True
+
+
+def hnf_split_subgroups_z(max_index):
+    subs = {(1, 1, frozenset({(0,)}), t) for t in range(1, max_index + 1)}
+    for t0 in range(1, max_index + 1):
+        for n in range(2, max_index // t0 + 1):
+            for H in hnf_bases(t0, n):
+                if not all(in_lattice(H, row[-1:] + row[:-1]) for row in H):
+                    continue
+                # least period t0: x^s - 1 outside L for 0 < s < t0
+                if any(
+                    in_lattice(H, [-1] + [int(i == s) for i in range(1, t0)])
+                    for s in range(1, t0)
+                ):
+                    continue
+                d = min(c for c in range(1, n + 1) if in_lattice(H, [c] + [0] * (t0 - 1)))
+                V = frozenset(
+                    v for v in itertools.product(range(d), repeat=t0) if in_lattice(H, v)
+                )
+                subs.update((d, t0, V, t) for t in range(t0, max_index // n + 1, t0))
+    return subs
+
+
+def test_enumerate_z_matches_hnf_lattices():
+    subs = enumerate_split_subgroups_z(24)
+    assert {(N.d, N.t0, N.vectors, N.t) for N in subs} == hnf_split_subgroups_z(24)
+
+
+def index_counts(subs, lo, hi):
+    return [sum(1 for N in subs if N.index == i) for i in range(lo, hi + 1)]
+
+
+def test_enumerate_z_frozen_counts():
+    # subgroups per index as the block scan counted them
+    subs = enumerate_split_subgroups_z(24)
+    assert len(subs) == 119
+    assert index_counts(subs, 1, 24) == [
+        1, 2, 2, 3, 2, 5, 2, 6, 3, 5, 2, 9, 2, 5, 4, 11, 2, 9, 2, 10, 6, 5, 2, 19,
+    ]
+
+
+def test_enumerate_z_budget_32():
+    # counts confirmed by hnf_split_subgroups_z(32), which takes seconds
+    subs = enumerate_split_subgroups_z(32)
+    assert len(subs) == 179
+    assert index_counts(subs, 25, 32) == [3, 5, 7, 8, 2, 13, 2, 20]
+    assert [N.index for N in subs] == sorted(N.index for N in subs)
+    for N in subs:
+        assert N.contains(xt_minus_1(0, N.t))
+
+
+def test_enumerate_z_crt_block_6_4():
+    # the 40 ideals of (Z/6)[x]/(x^4 - 1) are the CRT products of its
+    # 5 ideals mod 2 and 8 ideals mod 3
+    mod2, mod3 = block_scan_ideals(2, 4), block_scan_ideals(3, 4)
+    assert (len(mod2), len(mod3)) == (5, 8)
+    mod6 = set()
+    for U in mod2:
+        for W in mod3:
+            d, V = _crt_ideal([(2, U), (3, W)])
+            assert d == 6 and _close_vectors(V, 6, 4) == V
+            assert {tuple(c % 2 for c in v) for v in V} == U
+            assert {tuple(c % 3 for c in v) for v in V} == W
+            mod6.add(V)
+    assert len(mod6) == 40
 
 
 def test_split_subgroup_validation():
