@@ -256,16 +256,34 @@ def _dgcd(a, b, p):
 
 
 def _dpow_x(e: int, mod, p):
-    """x^e reduced mod `mod` over F_p."""
-    result = _ddivmod([1], mod, p)[1]
-    base = _ddivmod([0, 1], mod, p)[1]
-    while e:
-        if e & 1:
-            result = _ddivmod(_dmul(result, base, p), mod, p)[1]
-        e >>= 1
-        if e:
-            base = _ddivmod(_dmul(base, base, p), mod, p)[1]
-    return result
+    """x^e reduced mod `mod` over F_p, by square-and-multiply from the
+    top bit; multiplying by x is a shift and one reduction step."""
+    mod = _trim(list(mod), p)
+    n = len(mod) - 1
+    if n < 1:
+        return []
+    inv = pow(mod[-1], -1, p)
+    # x^n = sum tail[i] x^i mod `mod`
+    tail = [-c * inv % p for c in mod[:-1]]
+    result = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * n - 1)
+        for i, a in enumerate(result):
+            if a:
+                for j, b in enumerate(result):
+                    sq[i + j] += a * b
+        for k in range(2 * n - 2, n - 1, -1):
+            c = sq[k] % p
+            if c:
+                for i, tc in enumerate(tail, k - n):
+                    sq[i] += c * tc
+        result = [c % p for c in sq[:n]]
+        if bit == "1":
+            top = result.pop()
+            result.insert(0, 0)
+            if top:
+                result = [(a + top * tc) % p for a, tc in zip(result, tail)]
+    return _trim(result, p)
 
 
 def _dirreducible(g, p) -> bool:
@@ -502,7 +520,8 @@ class FpSplitSubgroup:
             raise ValueError("generator needs a nonzero constant term")
         if g.coeffs[-1][1] != 1:
             raise ValueError("generator must be monic")
-        if not self.contains(xt_minus_1(self.p, self.t)):
+        _, gd = _normalize(g)
+        if len(gd) > 1 and _dpow_x(self.t, gd, self.p) != [1]:
             raise ValueError("x^t - 1 must lie in the ideal")
 
     @property
@@ -737,8 +756,11 @@ def _ideals_of_period(t0: int, bound: int) -> list[tuple[int, frozenset]]:
                 for Q, s, parts in combos
                 if Q * Qp <= bound
             ]
+    # a p-part recurs in many combinations; its ideal is scanned once,
+    # and only if some combination of least period t0 uses it
+    ideal = functools.cache(_annihilator)
     return [
-        _crt_ideal((m, _annihilator(W, m)) for m, W in parts)
+        _crt_ideal((m, ideal(W, m)) for m, W in parts)
         for _, s, parts in combos
         if parts and s == t0
     ]
@@ -746,51 +768,79 @@ def _ideals_of_period(t0: int, bound: int) -> list[tuple[int, frozenset]]:
 
 def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup]:
     """Every (t, monic P | x^t - 1, P(0) != 0) with t * p^deg P <= max_index,
-    sorted by nondecreasing index."""
+    sorted by nondecreasing index.
+
+    The generators are products of irreducible factors of x^t - 1
+    (cyclotomic cosets; Lidl & Niederreiter, Finite Fields, ch. 3). An
+    irreducible f of order e has degree ord_e(p), and with t = p^a * t',
+    p not dividing t', f divides x^t - 1 iff e | t', with multiplicity
+    exactly p^a. The least index at which f can occur is e * p^deg f,
+    so the factors listed once by `_irreducibles_by_order` are all that
+    any t needs. Each t then multiplies its usable factors, with each
+    power capped at p^a and the degree at the budget's limit for t.
+    """
     if not is_prime(p):
         raise ValueError("p must be prime")
     if max_index < 1:
         raise ValueError("max_index must be positive")
+    factors = _irreducibles_by_order(p, max_index)
     subs = []
     for t in range(1, max_index + 1):
         dmax = 0
         while t * p ** (dmax + 1) <= max_index:
             dmax += 1
-        factors = _bounded_factorization(p, t, dmax)
-        for exps in itertools.product(*(range(m + 1) for _, m in factors)):
-            deg = sum(e * (len(f) - 1) for (f, _), e in zip(factors, exps))
+        mult, tp = 1, t
+        while tp % p == 0:
+            mult, tp = mult * p, tp // p
+        gens = [(0, [1])]
+        for e, f in factors:
+            deg = len(f) - 1
             if deg > dmax:
+                break
+            if tp % e:
                 continue
-            gen = [1]
-            for (f, _), e in zip(factors, exps):
-                for _ in range(e):
-                    gen = _dmul(gen, f, p)
-            subs.append(FpSplitSubgroup(p, t, _from_dense(p, 0, gen)))
+            powers = []
+            for g_deg, g in gens:
+                for k in range(1, min(mult, (dmax - g_deg) // deg) + 1):
+                    g = _dmul(g, f, p)
+                    powers.append((g_deg + k * deg, g))
+            gens += powers
+        subs += (FpSplitSubgroup(p, t, _from_dense(p, 0, g)) for _, g in gens)
     subs.sort(key=lambda N: (N.index, N.t, N.gen.degree, N.gen.coeffs))
     return subs
 
 
-def _bounded_factorization(p: int, t: int, dmax: int) -> list[tuple[list, int]]:
-    """Irreducible factors of x^t - 1 over F_p of degree <= dmax, with
-    multiplicity."""
-    target = [p - 1] + [0] * (t - 1) + [1]
+def _irreducibles_by_order(p: int, max_index: int) -> list[tuple[int, list]]:
+    """(e, f) for every monic irreducible f != x over F_p of order e with
+    e * p^deg f <= max_index, by nondecreasing degree.
+
+    The candidates for order e are the monic polynomials of degree
+    ord_e(p) with x^e = 1 and x^(e/r) != 1 mod f for each prime r | e.
+    A reducible candidate can pass those tests when its factors' orders
+    have lcm e and its degree happens to equal ord_e(p), as
+    (x + 1)(x^2 + x + 1)(x^3 + x + 1) does for e = 21 over F_2, so
+    irreducibility is tested as well."""
     out = []
-    for deg in range(1, dmax + 1):
+    for e in range(1, max_index // p + 1):
+        if e % p == 0:
+            continue
+        # deg = ord_e(p), given up once e * p^deg exceeds the budget
+        deg, power = 1, p % e
+        while power != 1 % e and e * p ** (deg + 1) <= max_index:
+            deg, power = deg + 1, power * p % e
+        if power != 1 % e:
+            continue
+        proper = [e // r for r in _prime_factors(e)]
         for tail in itertools.product(range(p), repeat=deg - 1):
             for c0 in range(1, p):
-                cand = [c0, *tail, 1]
-                if not _dirreducible(cand, p):
-                    continue
-                mult = 0
-                cur = target
-                while True:
-                    q, r = _ddivmod(cur, cand, p)
-                    if r:
-                        break
-                    mult += 1
-                    cur = q
-                if mult:
-                    out.append((cand, mult))
+                f = [c0, *tail, 1]
+                if (
+                    _dpow_x(e, f, p) == [1]
+                    and all(_dpow_x(s, f, p) != [1] for s in proper)
+                    and _dirreducible(f, p)
+                ):
+                    out.append((e, f))
+    out.sort(key=lambda ef: len(ef[1]))
     return out
 
 

@@ -96,6 +96,15 @@ def test_lamplighter_depth_q5_exact():
     assert res.paper_lower <= res.split_depth <= res.paper_upper
 
 
+def test_lamplighter_depth_p3_q7_exact():
+    # F_3: q = 7, the trial-division enumerator gave the same depth
+    pair = family_lamplighter(3, 2)
+    assert (pair.q, pair.paper_lower, pair.paper_upper) == (7, 2187, 5103)
+    res = family_depth(pair)
+    assert res.split_depth == 5103
+    assert res.subgroup is not None and res.subgroup.t == 7
+
+
 def test_lamplighter_conjugate_below_lower_bound():
     # every split quotient cheaper than the lower bound fails to separate
     for i, bound in ((1, 8), (2, 32)):

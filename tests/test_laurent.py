@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -41,7 +42,7 @@ from wreathconj.laurent import (
     xt_minus_1,
     zero_poly,
 )
-from wreathconj.laurent import _close_vectors, _crt_ideal, _prime_factors
+from wreathconj.laurent import _close_vectors, _crt_ideal, _dpow_x, _prime_factors
 from wreathconj.wreath import conjugate, conjugate_test, multiply
 
 
@@ -280,22 +281,73 @@ def test_enumerate_fp_contract():
 
 def test_enumerate_fp_against_trial_division():
     # oracle: try every monic polynomial with nonzero constant term directly
-    p, max_index = 2, 16
-    expected = set()
-    for t in range(1, max_index + 1):
-        dmax = 0
-        while t * p ** (dmax + 1) <= max_index:
-            dmax += 1
-        expected.add((t, one_poly(p).coeffs))
+    for p, max_index in ((2, 16), (3, 27), (5, 25)):
+        expected = set()
+        for t in range(1, max_index + 1):
+            dmax = 0
+            while t * p ** (dmax + 1) <= max_index:
+                dmax += 1
+            expected.add((t, one_poly(p).coeffs))
+            for deg in range(1, dmax + 1):
+                for c0 in range(1, p):
+                    for tail in itertools.product(range(p), repeat=deg - 1):
+                        cand = LaurentPoly(
+                            p,
+                            ((0, c0), *((i + 1, c) for i, c in enumerate(tail)), (deg, 1)),
+                        )
+                        quot, rem = divmod_oracle(xt_minus_1(p, t), cand, p)
+                        if rem:
+                            continue
+                        expected.add((t, cand.coeffs))
+        got = {(N.t, N.gen.coeffs) for N in enumerate_split_subgroups_fp(p, max_index)}
+        assert got == expected
+
+
+def test_enumerate_fp_frozen_lists():
+    # lengths and SHA-256 of [(t, gen.coeffs), ...] as the trial-division
+    # enumerator (one irreducibility test per monic polynomial and t)
+    # produced them; these budgets reach reducible polynomials whose
+    # degree equals ord_e(p) for the lcm e of their factors' orders
+    frozen = {
+        (2, 2048): (3999, "675589a9b90773efd618f5e2bbbb9b7a2a7b8de939e21c7d62a9148d5778c23b"),
+        (3, 2187): (3914, "5da9b251364d8dc01b9426de4eed1e1446e4a93de88fa10adfc14a50001b107c"),
+        (5, 1024): (1579, "a75f0b58bafd74c3bba48371b2ec27c9a9c165f788067539cc1b6a5419728d53"),
+    }
+    for (p, max_index), (count, digest) in frozen.items():
+        subs = enumerate_split_subgroups_fp(p, max_index)
+        listed = repr([(N.t, N.gen.coeffs) for N in subs]).encode()
+        assert (len(subs), hashlib.sha256(listed).hexdigest()) == (count, digest)
+
+
+def test_fp_subgroup_membership_against_division():
+    # the constructor accepts (t, P) iff P divides x^t - 1
+    for p, dmax, tmax in ((2, 5, 24), (3, 3, 12)):
         for deg in range(1, dmax + 1):
-            for tail in itertools.product(range(p), repeat=deg - 1):
-                cand = LaurentPoly(p, ((0, 1), *((i + 1, c) for i, c in enumerate(tail)), (deg, 1)))
-                quot, rem = divmod_oracle(xt_minus_1(p, t), cand, p)
-                if rem:
-                    continue
-                expected.add((t, cand.coeffs))
-    got = {(N.t, N.gen.coeffs) for N in enumerate_split_subgroups_fp(p, max_index)}
-    assert got == expected
+            for c0 in range(1, p):
+                for tail in itertools.product(range(p), repeat=deg - 1):
+                    gen = LaurentPoly(
+                        p, ((0, c0), *((i + 1, c) for i, c in enumerate(tail)), (deg, 1))
+                    )
+                    for t in range(1, tmax + 1):
+                        _, rem = divmod_oracle(xt_minus_1(p, t), gen, p)
+                        if rem:
+                            with pytest.raises(ValueError):
+                                FpSplitSubgroup(p, t, gen)
+                        else:
+                            assert FpSplitSubgroup(p, t, gen).contains(xt_minus_1(p, t))
+
+
+def test_dpow_x_against_division():
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7):
+        for _ in range(150):
+            deg = rng.randrange(0, 7)
+            mod = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+            e = rng.randrange(300)
+            den = LaurentPoly(p, tuple(enumerate(mod)))
+            _, rem = divmod_oracle(LaurentPoly(p, ((e, 1),)), den, p)
+            expected = [rem.get(i, 0) for i in range(max(rem, default=-1) + 1)]
+            assert _dpow_x(e, mod, p) == expected
 
 
 def divmod_oracle(num, den, p):
