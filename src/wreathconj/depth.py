@@ -15,7 +15,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -23,10 +22,6 @@ from .laurent import (
     FpSplitSubgroup,
     SemidirectElement,
     ZSplitSubgroup,
-    _close_vectors,
-    _ddivmod,
-    _dgcd,
-    _normalize,
     conjugate_in_split_quotient,
     enumerate_split_subgroups_fp,
     enumerate_split_subgroups_z,
@@ -36,6 +31,7 @@ from .laurent import (
     poly_add,
     poly_sub,
     primitive_root_primes,
+    quotient_class_key,
     same_conjugacy_class,
     to_wreath,
     wreath_group_for_ring,
@@ -256,7 +252,10 @@ def conjugacy_class_key(g: WreathElement):
     the minimal rotation is canonical. For b = 0 conjugation is exactly
     translation of the support.
     """
-    r, _ = reduce(g)
+    return _reduced_class_key(reduce(g)[0])
+
+
+def _reduced_class_key(r: WreathElement):
     b = r.b.coords[0]
     if b == 0:
         if not r.pairs:
@@ -275,6 +274,11 @@ def conjugacy_class_key(g: WreathElement):
 
 def ball_elements(ring: int, n: int, ceiling: int = 200000) -> list:
     """Every element of word length at most n, exactly filtered."""
+    return [g for g, _ in _ball(ring, n, ceiling)]
+
+
+def _ball(ring: int, n: int, ceiling: int) -> list:
+    """(g, word length of g) for every g in Ball(n)."""
     W = wreath_group_for_ring(ring)
     if ring == 0:
         values = [v for a in range(1, n + 1) for v in (a, -a)]
@@ -288,7 +292,7 @@ def ball_elements(ring: int, n: int, ceiling: int = 200000) -> list:
         wl, exact = word_length_info(g)
         assert exact
         if wl <= n:
-            out.append(g)
+            out.append((g, wl))
             if len(out) > ceiling:
                 raise RuntimeError(f"ball ceiling {ceiling} exceeded")
 
@@ -315,10 +319,9 @@ def conjugacy_classes(ring: int, n: int, ceiling: int = 200000) -> list:
     """Deterministic list of (class_key, reduced representative,
     least word length) for Ball(n), sorted by class key."""
     classes = {}
-    for g in ball_elements(ring, n, ceiling):
-        key = conjugacy_class_key(g)
-        wl = word_length_info(g)[0]
+    for g, wl in _ball(ring, n, ceiling):
         r, _ = reduce(g)
+        key = _reduced_class_key(r)
         rank = (wl, r.b.coords, tuple((k.coords, v.coords) for k, v in r.pairs))
         prev = classes.get(key)
         if prev is None or rank < prev[0]:
@@ -327,62 +330,8 @@ def conjugacy_classes(ring: int, n: int, ceiling: int = 200000) -> list:
 
 
 # ---------------------------------------------------------------------------
-# per-quotient class keys, so sweep pairs cost a tuple comparison
-
-
-def _fp_quotient_key(s: SemidirectElement, N: FpSplitSubgroup):
-    p, t = N.p, N.t
-    mbar = s.shift % t
-    gen = tuple(N.gen.coeff(e) for e in range(N.gen.degree + 1))
-    if mbar == 0:
-        g0 = gen
-    else:
-        xm = tuple([p - 1] + [0] * (mbar - 1) + [1])
-        g0 = _dgcd(gen, xm, p)
-    if len(g0) == 1:
-        return (mbar, ())
-    low, dense = _normalize(s.poly)
-    _, rem = _ddivmod(dense, g0, p)
-    best = tuple(rem)
-    cur = list(rem)
-    for _ in range(t - 1):
-        cur = [0] + cur
-        _, cur = _ddivmod(tuple(cur), g0, p)
-        cur = list(cur)
-        best = min(best, tuple(cur))
-    return (mbar, best)
-
-
-def _z_quotient_key(s: SemidirectElement, N: ZSplitSubgroup):
-    d, t0, t = N.d, N.t0, N.t
-    mbar = s.shift % t
-    mb = s.shift % t0
-    gens = set(N.vectors)
-    if mb:
-        gens.add(N.vec(xt_minus_1(0, mb)))
-    U = sorted(_close_vectors(frozenset(gens), d, t0))
-    v = N.vec(s.poly)
-
-    def coset_min(w):
-        return min(tuple((a + b) % d for a, b in zip(w, u)) for u in U)
-
-    best = None
-    cur = tuple(v)
-    for _ in range(t0):
-        cm = coset_min(cur)
-        if best is None or cm < best:
-            best = cm
-        cur = cur[-1:] + cur[:-1]
-    return (mbar, best)
-
-
-def quotient_class_key(s: SemidirectElement, N: SplitSubgroup):
-    """Canonical conjugacy-class label of the image in the split
-    quotient: two elements map to conjugate images exactly when their
-    keys agree."""
-    if isinstance(N, FpSplitSubgroup):
-        return _fp_quotient_key(s, N)
-    return _z_quotient_key(s, N)
+# sweeps: one class key per (class, subgroup), so a pair costs a tuple
+# comparison per subgroup
 
 
 def _key_rows(args):
@@ -427,6 +376,8 @@ def depth_sweep(
         parts = [
             (reps[i : i + chunk], subgroups) for i in range(0, len(reps), chunk)
         ]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             matrix = [row for part in pool.map(_key_rows, parts) for row in part]
 

@@ -255,35 +255,55 @@ def _dgcd(a, b, p):
     return a
 
 
+# Residues modulo a fixed polynomial of degree n >= 1 over F_p are tuples
+# of n coefficients; the modulus enters through its tail, the n
+# coefficients with x^n = sum tail[i] x^i modulo it.
+
+
+def _dtail(mod, p) -> tuple:
+    inv = pow(mod[-1], -1, p)
+    return tuple(-c * inv % p for c in mod[:-1])
+
+
+def _dreduce(cs: list, tail, p) -> tuple:
+    """The residue of the dense polynomial cs, reduced in place."""
+    n = len(tail)
+    for k in range(len(cs) - 1, n - 1, -1):
+        c = cs[k] % p
+        if c:
+            for i, tc in enumerate(tail, k - n):
+                cs[i] += c * tc
+    del cs[n:]
+    return tuple([c % p for c in cs] + [0] * (n - len(cs)))
+
+
+def _dtimes_x(r, tail, p) -> tuple:
+    """x * r for a residue r: a shift and one multiple of the modulus."""
+    top = r[-1]
+    if not top:
+        return (0, *r[:-1])
+    return tuple([(a + top * tc) % p for a, tc in zip((0, *r[:-1]), tail)])
+
+
 def _dpow_x(e: int, mod, p):
     """x^e reduced mod `mod` over F_p, by square-and-multiply from the
-    top bit; multiplying by x is a shift and one reduction step."""
+    top bit."""
     mod = _trim(list(mod), p)
     n = len(mod) - 1
     if n < 1:
         return []
-    inv = pow(mod[-1], -1, p)
-    # x^n = sum tail[i] x^i mod `mod`
-    tail = [-c * inv % p for c in mod[:-1]]
-    result = [1] + [0] * (n - 1)
+    tail = _dtail(mod, p)
+    result = (1,) + (0,) * (n - 1)
     for bit in bin(e)[2:]:
         sq = [0] * (2 * n - 1)
         for i, a in enumerate(result):
             if a:
                 for j, b in enumerate(result):
                     sq[i + j] += a * b
-        for k in range(2 * n - 2, n - 1, -1):
-            c = sq[k] % p
-            if c:
-                for i, tc in enumerate(tail, k - n):
-                    sq[i] += c * tc
-        result = [c % p for c in sq[:n]]
+        result = _dreduce(sq, tail, p)
         if bit == "1":
-            top = result.pop()
-            result.insert(0, 0)
-            if top:
-                result = [(a + top * tc) % p for a, tc in zip(result, tail)]
-    return _trim(result, p)
+            result = _dtimes_x(result, tail, p)
+    return _trim(list(result), p)
 
 
 def _dirreducible(g, p) -> bool:
@@ -523,6 +543,34 @@ class FpSplitSubgroup:
         _, gd = _normalize(g)
         if len(gd) > 1 and _dpow_x(self.t, gd, self.p) != [1]:
             raise ValueError("x^t - 1 must lie in the ideal")
+        # tails of the quotient-test moduli by gcd(m, t); not a field
+        object.__setattr__(self, "_tails", {})
+
+    def _tail(self, m: int) -> tuple:
+        """Tail of the monic g0 = gcd(gen, x^m - 1), the modulus of the
+        quotient test at shift residue m. As gen divides x^t - 1, g0 is
+        gcd(gen, x^k - 1) with k = gcd(m, t), computed once per k."""
+        k = math.gcd(m, self.t)
+        tail = self._tails.get(k)
+        if tail is None:
+            _, g0 = _normalize(self.gen)
+            if k < self.t:
+                xk = _dsub(_dpow_x(k, g0, self.p), [1], self.p)
+                g0 = _dgcd(g0, xk, self.p)
+            tail = self._tails[k] = _dtail(g0, self.p)
+        return tail
+
+    def _orbit(self, P: LaurentPoly, m: int):
+        """The residues of x^l P modulo g0 for l = 0, 1, ... until they
+        repeat. g0(0) != 0 and g0 divides x^t - 1, so x is a unit mod
+        g0 and the orbit is a cycle whose length divides t; the factor
+        x^low of P only moves its start, so it is dropped."""
+        p, tail = self.p, self._tail(m)
+        start = r = _dreduce(_normalize(P)[1], tail, p)
+        yield r
+        if tail:
+            while (r := _dtimes_x(r, tail, p)) != start:
+                yield r
 
     @property
     def ring(self) -> int:
@@ -606,6 +654,21 @@ class ZSplitSubgroup:
                 raise ValueError("vector width must equal the ideal period")
         if vs != _close_vectors(vs, self.d, self.t0):
             raise ValueError("ideal data must be closed under sums and x-shifts")
+        # J + (x^m - 1) by gcd(m, t0); not a field
+        object.__setattr__(self, "_reachable_sets", {})
+
+    def _reachable(self, m: int) -> frozenset:
+        """J + (x^m - 1) as vectors. J holds x^t0 - 1, so this is
+        J + (x^k - 1) with k = gcd(m, t0), closed once per k."""
+        k = math.gcd(m, self.t0)
+        if k == self.t0:
+            return self.vectors
+        U = self._reachable_sets.get(k)
+        if U is None:
+            extra = self.vec(xt_minus_1(0, k))
+            U = _close_vectors(self.vectors | {extra}, self.d, self.t0)
+            self._reachable_sets[k] = U
+        return U
 
     @property
     def ring(self) -> int:
@@ -882,36 +945,43 @@ def conjugate_in_split_quotient(
     quotient by N.
 
     The image criterion: shifts agree mod t, and P2 - x^l P1 lies in
-    J + (x^{m mod t} - 1) for some l below the period.
+    J + (x^{m mod t} - 1) for some l. Over F_p that ideal is (g0), so
+    P2 mod g0 must lie in the x-orbit of P1 mod g0; over Z, l runs over
+    the period t0.
     """
     if g1.poly.ring != N.ring or g2.poly.ring != N.ring:
         raise ValueError("ring mismatch")
     if (g1.shift - g2.shift) % N.t:
         return False
-    mprime = g1.shift % N.t
+    m = g1.shift % N.t
     if isinstance(N, FpSplitSubgroup):
-        p = N.p
-        _, gd = _normalize(N.gen)
-        if mprime:
-            xm = [p - 1] + [0] * (mprime - 1) + [1]
-            g0 = _dgcd(gd, xm, p)
-        else:
-            g0 = gd
-        for ell in range(N.t):
-            D = poly_sub(g2.poly, poly_shift(g1.poly, ell))
-            if D.is_zero():
-                return True
-            _, cs = _normalize(D)
-            if not _ddivmod(cs, g0, p)[1]:
-                return True
-        return False
-    extra = N.vec(xt_minus_1(0, mprime))
-    reachable = _close_vectors(N.vectors | {extra}, N.d, N.t0)
-    for ell in range(N.t0):
-        D = poly_sub(g2.poly, poly_shift(g1.poly, ell))
-        if N.vec(D) in reachable:
+        target = next(N._orbit(g2.poly, m))
+        return any(r == target for r in N._orbit(g1.poly, m))
+    reachable = N._reachable(m)
+    v2, w = N.vec(g2.poly), N.vec(g1.poly)
+    for _ in range(N.t0):
+        if tuple((a - b) % N.d for a, b in zip(v2, w)) in reachable:
             return True
+        w = _rotate(w)
     return False
+
+
+def quotient_class_key(s: SemidirectElement, N):
+    """Canonical conjugacy-class label of the image in the split
+    quotient: two elements map to conjugate images exactly when their
+    keys agree. The label is the shift mod t with the least residue of
+    the x-orbit (F_p) or the least vector of the rotated cosets (Z)."""
+    if s.poly.ring != N.ring:
+        raise ValueError("ring mismatch")
+    m = s.shift % N.t
+    if isinstance(N, FpSplitSubgroup):
+        return m, min(N._orbit(s.poly, m))
+    w, rotations = N.vec(s.poly), []
+    for _ in range(N.t0):
+        rotations.append(w)
+        w = _rotate(w)
+    reachable = N._reachable(m)
+    return m, min(_add(r, u, N.d) for r in rotations for u in reachable)
 
 
 def image_in_split_quotient(g: SemidirectElement, N):

@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -362,6 +366,32 @@ def test_sweep_deterministic_across_workers():
                 for r in base] == \
                [(r.n, r.max_split_depth, r.witness_pair_id, r.subgroup_descriptor)
                 for r in other]
+
+
+def test_import_leaves_multiprocessing_out():
+    # the worker pool is imported only by sweeps with jobs > 1
+    code = "import sys, wreathconj; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_sweep_frozen_digests():
+    # SHA-256 of the rows of the four sweeps the benchmark times, as the
+    # code before the shared quotient kernel computed them
+    frozen = {
+        (2, 8, 256): "341233eb5c9ebf2365b1dfceec18c9e047c8e71e03ab7f7d3fc3f80638a44074",
+        (3, 5, 243): "3a6cda05d4788a33022be640d425a18f8c2bfa409c701b381d80fbbc6c425ec0",
+        (5, 4, 125): "159f9f729e2d4ae695873483c13c8b5c989562ee55dae1c563de8a3cb3649983",
+        (0, 3, 16): "f06715766ff5984230cdc6166f59a7676854170cb615d6915b37a67bd643e730",
+    }
+    for (ring, n_max, budget), digest in frozen.items():
+        rows = depth_sweep(ring, n_max, budget)
+        listed = repr([(r.n, r.max_split_depth, r.witness_pair_id, r.subgroup_descriptor)
+                       for r in rows]).encode()
+        assert hashlib.sha256(listed).hexdigest() == digest, (ring, n_max, budget)
 
 
 def test_sweep_budget_exhaustion_row():

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -30,6 +32,7 @@ from wreathconj.laurent import (
     poly_sub,
     primitive_root_primes,
     psi_poly,
+    quotient_class_key,
     same_conjugacy_class,
     semidirect_conjugate,
     semidirect_identity,
@@ -655,6 +658,118 @@ def test_conjugate_in_split_quotient_invariance():
         assert conjugate_in_split_quotient(g1, g1, N)
         if same_conjugacy_class(g1, g2) is not None:
             assert base
+
+
+def gcd_oracle(a, b, p):
+    """gcd over F_p by Euclid on schoolbook division, up to a unit."""
+    while not b.is_zero():
+        a, b = b, LaurentPoly(p, tuple(divmod_oracle(a, b, p)[1].items()))
+    return a
+
+
+def quotient_conjugate_oracle(g1, g2, N):
+    """The quotient test by its definition: shifts agree mod t, and
+    P2 - x^l P1 lies in J + (x^m - 1), m the shift mod t, for some l
+    below t. Over F_p that ideal is (gcd(gen, x^m - 1)); over Z it is
+    the closure of J's vectors with the vector of x^m - 1."""
+    if (g1.shift - g2.shift) % N.t:
+        return False
+    m = g1.shift % N.t
+    E = xt_minus_1(N.ring, m)
+    if N.ring:
+        g0 = gcd_oracle(N.gen, E, N.p)
+
+        def inside(D):
+            # x is a unit mod g0, so D may be moved to start at x^0
+            return D.is_zero() or not divmod_oracle(poly_shift(D, -D.low), g0, N.p)[1]
+    else:
+        reachable = _close_vectors(N.vectors | {N.vec(E)}, N.d, N.t0)
+
+        def inside(D):
+            return N.vec(D) in reachable
+
+    return any(
+        inside(poly_sub(g2.poly, poly_shift(g1.poly, ell))) for ell in range(N.t)
+    )
+
+
+def is_mixed(m, N):
+    period = N.t if N.ring else N.t0
+    return 1 < math.gcd(m, period) < period
+
+
+def oracle_pair(rng, N):
+    """g1 with a shift m such that 1 < gcd(m, period) < period where the
+    period (t over F_p, t0 over Z) has such residues, and g2 either
+    unrelated or a conjugate of g1 moved by an element of N (so
+    conjugate in the quotient)."""
+    ring, t = N.ring, N.t
+    mixed = [m for m in range(-2 * t, 2 * t + 1) if is_mixed(m, N)]
+    if mixed and rng.random() < 0.7:
+        shift = rng.choice(mixed)
+    else:
+        shift = rng.randrange(-2 * t, 2 * t + 1)
+    g1 = SemidirectElement(random_poly(rng, ring, span=5, terms=4, coeff=3), shift)
+    if rng.random() < 0.5:
+        return g1, SemidirectElement(
+            random_poly(rng, ring, span=5, terms=4, coeff=3), shift + t * rng.randrange(-2, 3)
+        )
+    z = SemidirectElement(random_poly(rng, ring, span=3, terms=3, coeff=3), rng.randrange(-4, 5))
+    g2 = semidirect_conjugate(z, g1)
+    if ring:
+        inJ = poly_mul(N.gen, random_poly(rng, ring, span=3, terms=2))
+    else:
+        u = rng.choice(sorted(N.vectors))
+        inJ = poly_add(
+            LaurentPoly(0, tuple((i + N.t0 * rng.randrange(-1, 2), c) for i, c in enumerate(u))),
+            poly_mul(LaurentPoly(0, ((0, N.d),)), random_poly(rng, 0, span=3, terms=2, coeff=2)),
+        )
+        inJ = poly_add(inJ, poly_mul(xt_minus_1(0, N.t0), random_poly(rng, 0, span=3, terms=1, coeff=2)))
+    if rng.random() < 0.5:
+        # then a small change, which usually leaves the class
+        inJ = poly_add(inJ, x_power(ring, rng.randrange(-3, 4)))
+    return g1, SemidirectElement(poly_add(g2.poly, inJ), g2.shift + t * rng.randrange(-2, 3))
+
+
+def test_quotient_test_and_key_against_per_shift_oracle():
+    # the quotient test and the class key share one kernel (the x-orbit
+    # mod g0 over F_p, the set J + (x^m - 1) over Z); both are checked
+    # here against the per-shift definition, on every split subgroup up
+    # to index 27 over F_2, F_3, F_5 and up to 9 over Z, and on the Z
+    # ones of period t0 > 2 up to 24 (below 12 all have t0 <= 2, so
+    # none has a shift with 1 < gcd(m, t0) < t0)
+    rng = random.Random(4242)
+    cases = [(enumerate_split_subgroups_fp(p, 27), 40) for p in (2, 3, 5)]
+    z_wide = [N for N in enumerate_split_subgroups_z(24) if N.t0 > 2]
+    cases.append((enumerate_split_subgroups_z(9) + z_wide, 8))
+    for subs, min_mixed in cases:
+        seen = {True: 0, False: 0}
+        mixed = 0
+        for N in subs:
+            for _ in range(12):
+                g1, g2 = oracle_pair(rng, N)
+                expected = quotient_conjugate_oracle(g1, g2, N)
+                assert conjugate_in_split_quotient(g1, g2, N) == expected, (g1, g2, N)
+                same_key = quotient_class_key(g1, N) == quotient_class_key(g2, N)
+                assert same_key == expected, (g1, g2, N)
+                seen[expected] += 1
+                mixed += is_mixed(g1.shift, N)
+        assert min(seen.values()) > 50 and mixed > min_mixed, (seen, mixed)
+
+
+def test_split_subgroup_memo_is_not_a_field():
+    # the per-subgroup moduli and reachable sets leave eq, hash, repr
+    # and asdict as they were
+    g = parse_semidirect("(x^-2 + x + 1, 2)", 2)
+    N = FpSplitSubgroup(2, 4, parse_laurent("x^2 + 1", 2))
+    M = enumerate_split_subgroups_z(9)[-1]
+    h = parse_semidirect("(x^-1 - 2*x^2, 2)", 0)
+    before = [(repr(S), hash(S), dataclasses.asdict(S)) for S in (N, M)]
+    assert quotient_class_key(g, N) == quotient_class_key(g, N)
+    assert conjugate_in_split_quotient(h, h, M)
+    assert [(repr(S), hash(S), dataclasses.asdict(S)) for S in (N, M)] == before
+    assert N == FpSplitSubgroup(2, 4, parse_laurent("x^2 + 1", 2))
+    assert M == ZSplitSubgroup(M.d, M.t0, M.vectors, M.t)
 
 
 def test_mod_ideal_example():
