@@ -1,0 +1,100 @@
+"""Time split conjugacy depth on the lamplighter family.
+
+For each (p, i) the script builds `family_lamplighter(p, i)` and times
+`family_depth` on it at the family's default budget, its upper bound
+q * p^(q - 1), in this process (the pair's construction is not timed).
+It counts the quotient tests each query runs by wrapping
+`conjugate_in_split_quotient` as `wreathconj.depth` binds it. Each row
+holds p, i, q, the depth, the separating subgroup, the median seconds
+over the runs, the candidates tested, the Python version, and the
+commit and source digest of the checkout the script sits in. The rows
+are added to the JSON list in --out, so one file can hold rows from two
+checkouts. Run from the repository root:
+
+    python3 benchmarks/bench_depth.py --out BENCH_depth.json
+"""
+
+import argparse
+import hashlib
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from wreathconj import depth  # noqa: E402
+
+PAIRS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
+
+
+def checkout() -> dict:
+    def git(*args):
+        run = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+        return run.stdout.strip() if run.returncode == 0 else None
+
+    src = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "wreathconj").glob("*.py")):
+        src.update(path.name.encode() + b"\0" + path.read_bytes())
+    status = git("status", "--porcelain", "--", "src")
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "src_modified": bool(status) if status is not None else None,
+        "src_sha256": src.hexdigest(),
+    }
+
+
+def measure(p: int, i: int, runs: int) -> dict:
+    tests = 0
+    test = depth.conjugate_in_split_quotient
+
+    def counted(*args):
+        nonlocal tests
+        tests += 1
+        return test(*args)
+
+    pair = depth.family_lamplighter(p, i)
+    seconds = []
+    depth.conjugate_in_split_quotient = counted
+    try:
+        for _ in range(runs):
+            tests = 0
+            start = time.perf_counter()
+            res = depth.family_depth(pair)
+            seconds.append(time.perf_counter() - start)
+    finally:
+        depth.conjugate_in_split_quotient = test
+    return {
+        "p": p,
+        "i": i,
+        "q": pair.q,
+        "split_depth": res.split_depth,
+        "subgroup": depth.describe_subgroup(res.subgroup) if res.found() else None,
+        "seconds": round(statistics.median(seconds), 6),
+        "runs": runs,
+        "candidates_tested": tests,
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, help="JSON list the rows are added to")
+    ap.add_argument("--runs", type=int, default=3, help="timed runs per pair")
+    args = ap.parse_args()
+    env = {"python": platform.python_version(), **checkout()}
+    rows = []
+    for p, i in PAIRS:
+        row = {**measure(p, i, args.runs), **env}
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    if args.out:
+        old = json.loads(args.out.read_text()) if args.out.exists() else []
+        args.out.write_text(json.dumps(old + rows, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -31,6 +31,7 @@ from .depth import (
     sweep_to_csv,
 )
 from .laurent import (
+    ContractError,
     format_semidirect,
     from_wreath,
     parse_semidirect,
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (WitnessContractError, AssertionError) as exc:
+    except (ContractError, WitnessContractError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -28,6 +28,7 @@ from .laurent import (
     format_semidirect,
     from_wreath,
     is_prime,
+    pair_split_subgroups_fp,
     poly_add,
     poly_sub,
     primitive_root_primes,
@@ -195,10 +196,22 @@ def describe_subgroup(N: SplitSubgroup) -> str:
 
 
 def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
-    """Least index of a split subgroup separating the pair, streaming
+    """Least index of a split subgroup separating the pair, testing
     candidates in nondecreasing index order; the index (not the
     subgroup) is what the answer means, so same-index ties are
-    harmless."""
+    harmless.
+
+    Over F_p with shifts a1, a2 not both 0, only the candidates of
+    `pair_split_subgroups_fp` are tested: (D) x| t0(D)Z for the monic
+    D | x^g - 1, g = gcd(a1, a2), with t0(D) | a1 - a2, and, if
+    a1 != a2, (1) x| tZ for the least t not dividing a1 - a2. The first
+    separator is the one the full stream finds. A subgroup (J) x| tZ
+    with t not dividing a1 - a2 has index at least that least t. One
+    with t | a1 - a2 tests membership in J' = J + (x^(a1 mod t) - 1),
+    which contains x^gcd(a1, t) - 1 and hence x^g - 1; (J') x| t0(J')Z
+    gives the same test at no larger index, and at equal index it is
+    the same subgroup. Otherwise, and over Z, every split subgroup is
+    streamed in doubling stages."""
     if budget < 1:
         raise ValueError("budget must be positive")
     s1, s2 = _as_semidirect(g1), _as_semidirect(g2)
@@ -206,7 +219,12 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
         raise ValueError("elements must share a ring")
     if same_conjugacy_class(s1, s2) is not None:
         raise ValueError("inputs are conjugate; depth undefined")
-    for N in _staged_subgroups(s1.poly.ring, budget):
+    ring = s1.poly.ring
+    if ring and (s1.shift or s2.shift):
+        candidates = pair_split_subgroups_fp(ring, s1.shift, s2.shift, budget)
+    else:
+        candidates = _staged_subgroups(ring, budget)
+    for N in candidates:
         if not conjugate_in_split_quotient(s1, s2, N):
             return DepthResult((s1, s2), N.index, N)
     return DepthResult((s1, s2), EXCEEDS_BUDGET, None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -285,6 +286,26 @@ def _dtimes_x(r, tail, p) -> tuple:
     return tuple([(a + top * tc) % p for a, tc in zip((0, *r[:-1]), tail)])
 
 
+def _dmulmod(a, b, tail, p) -> tuple:
+    """The residue of a * b for residues a, b."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                prod[i + j] += ca * cb
+    return _dreduce(prod, tail, p)
+
+
+def _dpowmod(a, e: int, tail, p) -> tuple:
+    """The residue of a^e, by square-and-multiply from the top bit."""
+    result = (1,) + (0,) * (len(tail) - 1)
+    for bit in bin(e)[2:]:
+        result = _dmulmod(result, result, tail, p)
+        if bit == "1":
+            result = _dmulmod(result, a, tail, p)
+    return result
+
+
 def _dpow_x(e: int, mod, p):
     """x^e reduced mod `mod` over F_p, by square-and-multiply from the
     top bit."""
@@ -295,12 +316,7 @@ def _dpow_x(e: int, mod, p):
     tail = _dtail(mod, p)
     result = (1,) + (0,) * (n - 1)
     for bit in bin(e)[2:]:
-        sq = [0] * (2 * n - 1)
-        for i, a in enumerate(result):
-            if a:
-                for j, b in enumerate(result):
-                    sq[i + j] += a * b
-        result = _dreduce(sq, tail, p)
+        result = _dmulmod(result, result, tail, p)
         if bit == "1":
             result = _dtimes_x(result, tail, p)
     return _trim(list(result), p)
@@ -869,8 +885,12 @@ def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup
                     powers.append((g_deg + k * deg, g))
             gens += powers
         subs += (FpSplitSubgroup(p, t, _from_dense(p, 0, g)) for _, g in gens)
-    subs.sort(key=lambda N: (N.index, N.t, N.gen.degree, N.gen.coeffs))
+    subs.sort(key=_fp_order)
     return subs
+
+
+def _fp_order(N: FpSplitSubgroup) -> tuple:
+    return N.index, N.t, N.gen.degree, N.gen.coeffs
 
 
 def _irreducibles_by_order(p: int, max_index: int) -> list[tuple[int, list]]:
@@ -905,6 +925,159 @@ def _irreducibles_by_order(p: int, max_index: int) -> list[tuple[int, list]]:
                     out.append((e, f))
     out.sort(key=lambda ef: len(ef[1]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the split subgroups a depth query over F_p needs: divisors of x^g - 1
+
+
+class ContractError(RuntimeError):
+    """A construction failed its own re-check."""
+
+
+def _ord_mod(p: int, e: int) -> int:
+    """The multiplicative order of p mod e, for p prime to e."""
+    k, power = 1, p % e
+    while power != 1 % e:
+        k, power = k + 1, power * p % e
+    return k
+
+
+def _split_equal_degree(f, d: int, p: int, rng) -> list:
+    """The irreducible factors of a monic squarefree f over F_p whose
+    irreducible factors all have degree d (Cantor and Zassenhaus; von zur
+    Gathen and Gerhard, Modern Computer Algebra, 14.3). For a random
+    residue a mod f, b = a^((p^d - 1)/2) - 1, or over F_2 the trace
+    a + a^2 + ... + a^(2^(d-1)), is 0 modulo some factors and a unit
+    modulo others with probability at least 1/2, and then gcd(f, b)
+    splits f."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    tail = _dtail(f, p)
+    while True:
+        a = tuple(rng.randrange(p) for _ in range(n))
+        if p == 2:
+            b = s = a
+            for _ in range(d - 1):
+                s = _dmulmod(s, s, tail, p)
+                b = tuple(u ^ v for u, v in zip(b, s))
+        else:
+            b = _dpowmod(a, (p**d - 1) // 2, tail, p)
+            b = (b[0] - 1, *b[1:])
+        h = _dgcd(f, b, p)
+        if 1 < len(h) < len(f):
+            return _split_equal_degree(h, d, p, rng) + _split_equal_degree(
+                _ddivmod(f, h, p)[0], d, p, rng
+            )
+
+
+def _xg_minus_1_factors(
+    p: int, g: int, max_index: int
+) -> list[tuple[int, list, int]]:
+    """(e, f, k) for every monic irreducible factor f of x^g - 1 over
+    F_p that a divisor D of index t0(D) * p^deg D <= max_index can hold:
+    f has order e, and k is the highest power of f that such a D holds.
+
+    With g = p^a * g', p not dividing g', x^g - 1 = (x^g' - 1)^(p^a), and
+    x^g' - 1 is the product of the cyclotomic polynomials Phi_e, e | g'.
+    Over F_p, Phi_e is the product of phi(e) / ord_e(p) irreducibles of
+    degree ord_e(p), all of order e (Lidl and Niederreiter, Finite
+    Fields, 2.47). f^k has order e times the least power of p at least
+    k, so k is the largest power up to p^a with e * p^ceil(log_p k) *
+    p^(k ord_e(p)) <= max_index, and Phi_e is left out when not even
+    k = 1 fits; the cost grows with the budget, not with g. Phi_e is
+    split by `_split_equal_degree` unless it is irreducible, with a
+    fixed seed and its factors sorted, so every call returns the same
+    list; the factors of each Phi_e are multiplied back to it as a
+    check."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if g < 1:
+        raise ValueError("g must be positive")
+    k, g1 = 1, g
+    while g1 % p == 0:
+        k, g1 = k * p, g1 // p
+    cyclotomic = {}
+    out = []
+    for e in range(1, min(g1, max_index // p) + 1):
+        if g1 % e:
+            continue
+        deg = _ord_mod(p, e)
+        mult, power = 0, 1
+        while mult < k:
+            if power < mult + 1:
+                power *= p
+            if e * power * p ** ((mult + 1) * deg) > max_index:
+                break
+            mult += 1
+        if not mult:
+            # nor does a multiple of e, whose order is no smaller, so no
+            # Phi_e that is kept is divided by this one
+            continue
+        phi = _trim([-1] + [0] * (e - 1) + [1], p)
+        for d, phi_d in cyclotomic.items():
+            phi = _ddivmod(phi, phi_d, p)[0] if e % d == 0 else phi
+        cyclotomic[e] = phi
+        factors = sorted(_split_equal_degree(phi, deg, p, random.Random(e)))
+        product = [1]
+        for f in factors:
+            product = _dmul(product, f, p)
+        if product != phi:
+            raise ContractError(f"factors of Phi_{e} over F{p} do not multiply back")
+        out += ((e, f, mult) for f in factors)
+    return out
+
+
+def pair_split_subgroups_fp(
+    p: int, a1: int, a2: int, max_index: int
+) -> list[FpSplitSubgroup]:
+    """The split subgroups of index <= max_index that can be the least
+    separator of a pair over F_p with shifts a1, a2, not both 0, sorted
+    as `enumerate_split_subgroups_fp` sorts them:
+    - (D) x| t0(D)Z for every monic D | x^g - 1, g = gcd(a1, a2), whose
+      order t0(D) divides a1 - a2;
+    - when a1 != a2, (1) x| tZ for the least t not dividing a1 - a2.
+
+    The order of D = prod f^k, f of order e, is the lcm of the e times
+    the least power of p that is at least every k (Lidl and
+    Niederreiter, 3.8). Both index and order only grow as factors are
+    multiplied in, so a divisor past the budget or with order not
+    dividing a1 - a2 is not extended, and x^g - 1 is factored only as
+    far as max_index reaches."""
+    g = math.gcd(a1, a2)
+    if g == 0:
+        raise ValueError("the shifts must not both be 0")
+    if max_index < 1:
+        raise ValueError("max_index must be positive")
+    diff = a1 - a2
+    # (lcm of the orders e, power of p, dense divisor); the order is the product
+    divs = [(1, 1, [1])]
+    for e, f, mult in _xg_minus_1_factors(p, g, max_index):
+        more = []
+        for orders, power, D in divs:
+            orders = math.lcm(orders, e)
+            for k in range(1, mult + 1):
+                if power < k:
+                    power *= p
+                D = _dmul(D, f, p)
+                t0 = orders * power
+                if diff % t0 or t0 * p ** (len(D) - 1) > max_index:
+                    break
+                more.append((orders, power, D))
+        divs += more
+    subs = [
+        FpSplitSubgroup(p, orders * power, _from_dense(p, 0, D))
+        for orders, power, D in divs
+    ]
+    if diff:
+        t = 2
+        while diff % t == 0:
+            t += 1
+        if t <= max_index:
+            subs.append(FpSplitSubgroup(p, t, one_poly(p)))
+    subs.sort(key=_fp_order)
+    return subs
 
 
 def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
@@ -1088,13 +1261,7 @@ def primitive_root_primes(p: int, count: int) -> list[int]:
     q = p
     while len(out) < count:
         q += 1
-        if not is_prime(q):
-            continue
-        order, cur = 1, p % q
-        while cur != 1:
-            cur = cur * p % q
-            order += 1
-        if order == q - 1:
+        if is_prime(q) and _ord_mod(p, q) == q - 1:
             assert is_irreducible_fp(psi_poly(q, p))
             out.append(q)
     return out

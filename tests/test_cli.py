@@ -91,6 +91,15 @@ def test_family_lamplighter_json(capsys):
     assert doc["split_depth"] == 12
 
 
+def test_family_lamplighter_p2_i8(capsys):
+    # q = 53: the depth is the family's upper bound 53 * 2^52
+    rc, out, _ = run(capsys, "family", "--tag", "lamplighter", "--p", "2", "--i", "8")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["q"] == 53
+    assert doc["split_depth"] == doc["upper"] == 238690780250636288
+
+
 def test_family_budget_exceeded_exit_2(capsys):
     rc, out, _ = run(
         capsys, "family", "--tag", "zwrz", "--i", "2", "--budget", "3"
@@ -156,6 +165,18 @@ def test_depth_budget_exceeded_exit_2(capsys):
     )
     assert rc == 2
     assert out == "split_depth: exceeds budget\n"
+
+
+def test_depth_large_shifts(capsys):
+    # x^65536 - 1 = (x + 1)^65536 over F2 is factored only as far as the
+    # default budget 64 reaches
+    rc, out, _ = run(
+        capsys,
+        "depth", "--group", "F2 wr Z",
+        "--x", "(0, 65536)", "--y", "(0, 131072)",
+    )
+    assert rc == 0
+    assert out == "split_depth: 3\nsubgroup: F2: t=3, gen=1\n"
 
 
 def test_depth_z_default_budget(capsys):

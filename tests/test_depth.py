@@ -31,6 +31,7 @@ from wreathconj.laurent import (
     format_semidirect,
     from_wreath,
     poly_add,
+    same_conjugacy_class,
     wreath_group_for_ring,
     x_power,
     zero_poly,
@@ -107,6 +108,86 @@ def test_lamplighter_depth_p3_q7_exact():
     res = family_depth(pair)
     assert res.split_depth == 5103
     assert res.subgroup is not None and res.subgroup.t == 7
+
+
+@pytest.mark.parametrize(
+    "p, i, q",
+    [(2, 4, 13), (2, 5, 19), (2, 6, 29), (2, 7, 37), (2, 8, 53),
+     (3, 3, 17), (3, 4, 19), (5, 1, 7), (5, 2, 17), (5, 3, 23), (5, 4, 37)],
+)
+def test_lamplighter_depth_reaches_upper_bound(p, i, q):
+    # (2, 4) = 53248 is what the full enumeration gave in 16.7 s; the
+    # rest were checked by testing the four divisors of x^q - 1 in order
+    pair = family_lamplighter(p, i)
+    assert pair.q == q
+    res = family_depth(pair)
+    assert res.split_depth == q * p ** (q - 1) == pair.paper_upper
+    psi = " + ".join(f"x^{k}" for k in range(q - 1, 1, -1)) + " + x + 1"
+    assert describe_subgroup(res.subgroup) == f"F{p}: t={q}, gen={psi}"
+
+
+def test_pair_aware_depth_against_full_enumeration():
+    # split_conjugacy_depth tests only the divisors of x^g - 1 (and one
+    # shift-only quotient); the answer and the subgroup must be the first
+    # separator in the full enumeration's order
+    def rand_poly(rng, p):
+        P = zero_poly(p)
+        for _ in range(rng.randint(0, 6)):
+            P = poly_add(P, x_power(p, rng.randint(-8, 8), rng.randint(1, p - 1)))
+        return P
+
+    # +-7, +-14, +-21 bring in Phi_7, which splits into two cubics over F2
+    nonzero = [a for a in range(-6, 7) if a] + [-21, -14, -7, 7, 14, 21]
+    # shifts far past the budget, unequal so the pair is nonconjugate at
+    # once: p^k, a large prime, and 7 * p^k; x^g - 1 is factored only as
+    # far as the budget reaches
+    large = [(2**16, 3 * 2**16), (-1000003, 2000006), (7 * 2**16, -7 * 2**17)]
+    large = {
+        p: large + [(p**k, -2 * p**k), (7 * p**k, 14 * p**k)]
+        for p, k in ((2, 20), (3, 12), (5, 9))
+    }
+    found = set()
+    for p, budget in ((2, 512), (3, 243), (5, 125)):
+        full = enumerate_split_subgroups_fp(p, budget)
+        rng = random.Random(p)
+        seen = set()
+        # lamplighter pairs past the budget, with shift q and with -q
+        s1, s2 = family_lamplighter(p, 3 if p == 2 else 1).semidirect()
+        pairs = [(s1, s2), (s1.inv(), s2.inv())]
+        pairs += (
+            (SemidirectElement(rand_poly(rng, p), a1), SemidirectElement(rand_poly(rng, p), a2))
+            for a1, a2 in large[p]
+            for _ in range(3)
+        )
+        for n in range(450):
+            kind = ("equal", "unequal", "one zero")[n % 3]
+            if kind == "equal":
+                a1 = a2 = rng.choice(nonzero)
+            elif kind == "unequal":
+                a1, a2 = rng.sample(nonzero, 2)
+            else:
+                a1, a2 = rng.choice([(rng.choice(nonzero), 0), (0, rng.choice(nonzero))])
+            pairs.append(
+                (SemidirectElement(rand_poly(rng, p), a1), SemidirectElement(rand_poly(rng, p), a2))
+            )
+        for s1, s2 in pairs:
+            if same_conjugacy_class(s1, s2) is not None:
+                continue
+            first = next((N for N in full if not conjugate_in_split_quotient(s1, s2, N)), None)
+            res = split_conjugacy_depth(s1, s2, budget)
+            if first is None:
+                assert res.split_depth == EXCEEDS_BUDGET and res.subgroup is None
+            else:
+                assert res.split_depth == first.index
+                assert describe_subgroup(res.subgroup) == describe_subgroup(first)
+            kind = "equal" if s1.shift == s2.shift else "unequal"
+            seen.add((kind, s1.shift == 0 or s2.shift == 0, res.found()))
+            if res.found():
+                found.add((p, res.subgroup.t, res.subgroup.gen.degree))
+        assert {("equal", False, True), ("equal", False, False)} <= seen
+        assert {("unequal", False, True), ("unequal", True, True)} <= seen
+    # an answer generated by one of Phi_7's cubic factors over F2
+    assert (2, 7, 3) in found
 
 
 def test_lamplighter_conjugate_below_lower_bound():

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from wreathconj import laurent
 from wreathconj.laurent import (
+    ContractError,
     FpSplitSubgroup,
     LaurentPoly,
     SemidirectElement,
@@ -45,7 +47,14 @@ from wreathconj.laurent import (
     xt_minus_1,
     zero_poly,
 )
-from wreathconj.laurent import _close_vectors, _crt_ideal, _dpow_x, _prime_factors
+from wreathconj.laurent import (
+    _close_vectors,
+    _crt_ideal,
+    _dirreducible,
+    _dpow_x,
+    _prime_factors,
+    _xg_minus_1_factors,
+)
 from wreathconj.wreath import conjugate, conjugate_test, multiply
 
 
@@ -351,6 +360,81 @@ def test_dpow_x_against_division():
             _, rem = divmod_oracle(LaurentPoly(p, ((e, 1),)), den, p)
             expected = [rem.get(i, 0) for i in range(max(rem, default=-1) + 1)]
             assert _dpow_x(e, mod, p) == expected
+
+
+# a budget past the index of every divisor of x^g - 1 for g <= 60
+NO_BOUND = 10**100
+
+
+def test_xg_minus_1_factors():
+    irreducible = {}
+    for p in (2, 3, 5, 7):
+        for g in range(1, 61):
+            factors = _xg_minus_1_factors(p, g, NO_BOUND)
+            if g in (7, 21, 31, 60):
+                # the seeded splitting gives the same list on every call
+                assert _xg_minus_1_factors(p, g, NO_BOUND) == factors
+            product = one_poly(p)
+            for _, f, k in factors:
+                for _ in range(k):
+                    product = poly_mul(product, LaurentPoly(p, tuple(enumerate(f))))
+            assert product == xt_minus_1(p, g)
+            g1 = g
+            while g1 % p == 0:
+                g1 //= p
+            for e in range(1, g1 + 1):
+                if g1 % e:
+                    continue
+                of_e = [(f, k) for e2, f, k in factors if e2 == e]
+                order = next(d for d in range(1, e + 1) if pow(p, d, e) == 1 % e)
+                phi = sum(1 for r in range(1, e + 1) if math.gcd(r, e) == 1)
+                assert len(of_e) == phi // order
+                for f, k in of_e:
+                    assert k == g // g1 and f[-1] == 1 and len(f) - 1 == order
+                    assert _dpow_x(e, f, p) == [1]
+                    key = (p, tuple(f))
+                    if key not in irreducible:
+                        irreducible[key] = _dirreducible(f, p)
+                    assert irreducible[key]
+    # Phi_7 over F_2 is the product of the two irreducible cubics
+    assert _xg_minus_1_factors(2, 7, NO_BOUND) == [(1, [1, 1], 1), (7, [1, 0, 1, 1], 1), (7, [1, 1, 0, 1], 1)]
+    assert _xg_minus_1_factors(3, 6, NO_BOUND) == [(1, [2, 1], 3), (2, [1, 1], 3)]
+
+
+def test_xg_minus_1_factors_bounded_by_budget():
+    # with a budget, Phi_e is kept only while e * p^ord_e(p) fits, and
+    # f^k only while e * (least power of p >= k) * p^(k deg f) fits
+    for p in (2, 3, 5):
+        for g in range(1, 61):
+            factors = _xg_minus_1_factors(p, g, NO_BOUND)
+            for budget in (1, p, 8, 56, 125, 243, 512, 4096):
+                expected = []
+                for e, f, k in factors:
+                    fit = [
+                        j
+                        for j in range(1, k + 1)
+                        if e * next(p**a for a in range(j + 1) if p**a >= j)
+                        * p ** (j * (len(f) - 1)) <= budget
+                    ]
+                    if fit:
+                        expected.append((e, f, max(fit)))
+                assert _xg_minus_1_factors(p, g, budget) == expected
+    # the cost follows the budget, not g: (x + 1)^4 is all that fits in
+    # 64 for x^(2^20) - 1 over F2, and x - 1 alone for a prime g
+    assert _xg_minus_1_factors(2, 2**20, 64) == [(1, [1, 1], 4)]
+    assert _xg_minus_1_factors(3, 1000003, 243) == [(1, [2, 1], 1)]
+    assert _xg_minus_1_factors(2, 7 * 2**16, 512) == [
+        (1, [1, 1], 6),
+        (7, [1, 0, 1, 1], 1),
+        (7, [1, 1, 0, 1], 1),
+    ]
+
+
+def test_xg_minus_1_factors_check_raises(monkeypatch):
+    # a factor list that does not multiply back to x^g - 1 is refused
+    monkeypatch.setattr(laurent, "_split_equal_degree", lambda f, d, p, rng: [f, f])
+    with pytest.raises(ContractError):
+        _xg_minus_1_factors(2, 3, NO_BOUND)
 
 
 def divmod_oracle(num, den, p):
