@@ -1,15 +1,24 @@
-"""Time split conjugacy depth on the lamplighter family.
+"""Time split conjugacy depth on the lamplighter family, and depth sweeps.
 
-For each (p, i) the script builds `family_lamplighter(p, i)` and times
-`family_depth` on it at the family's default budget, its upper bound
-q * p^(q - 1), in this process (the pair's construction is not timed).
-It counts the quotient tests each query runs by wrapping
+Depth rows: for each (p, i) the script builds `family_lamplighter(p, i)`
+and times `family_depth` on it at the family's default budget, its upper
+bound q * p^(q - 1), in this process (the pair's construction is not
+timed). It counts the quotient tests each query runs by wrapping
 `conjugate_in_split_quotient` as `wreathconj.depth` binds it. Each row
 holds p, i, q, the depth, the separating subgroup, the median seconds
-over the runs, the candidates tested, the Python version, and the
-commit and source digest of the checkout the script sits in. The rows
-are added to the JSON list in --out, so one file can hold rows from two
-checkouts. Run from the repository root:
+over the runs and the candidates tested.
+
+Sweep rows (marked "section": "sweep"): for each (ring, n, budget) the
+script times `depth_sweep` in this process and counts the class keys it
+computes by wrapping `quotient_class_key` as `wreathconj.depth` binds
+it. Each row holds ring (0 for Z), n, budget, the rows' max depths, the
+median seconds over the runs and the class keys of one run. The first
+four are the sweeps of the benchmark's `sweep` workload.
+
+Every row also holds the Python version, and the commit and source
+digest of the checkout the script sits in. The rows are added to the
+JSON list in --out, so one file can hold rows from two checkouts. Run
+from the repository root:
 
     python3 benchmarks/bench_depth.py --out BENCH_depth.json
 """
@@ -30,6 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from wreathconj import depth  # noqa: E402
 
 PAIRS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
+SWEEPS = [(2, 8, 256), (3, 5, 243), (5, 4, 125), (0, 3, 16), (2, 10, 2048), (3, 7, 2187), (0, 5, 32)]
 
 
 def checkout() -> dict:
@@ -80,15 +90,49 @@ def measure(p: int, i: int, runs: int) -> dict:
     }
 
 
+def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
+    keys = 0
+    key = depth.quotient_class_key
+
+    def counted(*args):
+        nonlocal keys
+        keys += 1
+        return key(*args)
+
+    seconds = []
+    depth.quotient_class_key = counted
+    try:
+        for _ in range(runs):
+            keys = 0
+            start = time.perf_counter()
+            rows = depth.depth_sweep(ring, n, budget)
+            seconds.append(time.perf_counter() - start)
+    finally:
+        depth.quotient_class_key = key
+    return {
+        "section": "sweep",
+        "ring": ring,
+        "n": n,
+        "budget": budget,
+        "max_depths": [r.max_split_depth for r in rows],
+        "seconds": round(statistics.median(seconds), 6),
+        "runs": runs,
+        "class_keys": keys,
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, help="JSON list the rows are added to")
-    ap.add_argument("--runs", type=int, default=3, help="timed runs per pair")
+    ap.add_argument("--runs", type=int, default=3, help="timed runs per pair or sweep")
     args = ap.parse_args()
     env = {"python": platform.python_version(), **checkout()}
+
     rows = []
-    for p, i in PAIRS:
-        row = {**measure(p, i, args.runs), **env}
+    results = [measure(p, i, args.runs) for p, i in PAIRS]
+    results += [measure_sweep(*sweep, args.runs) for sweep in SWEEPS]
+    for result in results:
+        row = {**result, **env}
         print(json.dumps(row), flush=True)
         rows.append(row)
     if args.out:

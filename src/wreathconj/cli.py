@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 computed (a "nonconjugate" answer is a computation, not an
-error), 1 usage or parse problem, 2 budget exhausted, 3 internal
-contract violation (a verified construction failed its own re-check).
+error), 1 usage or parse problem, 2 budget exhausted (an index budget,
+or a sweep's ball ceiling), 3 internal contract violation (a verified
+construction failed its own re-check).
 
 Elements of F_p wr Z and Z wr Z are written in Laurent notation
 "(P, m)", e.g. "(x^3-1, 3)". Elements of any other A wr B are written
@@ -21,6 +22,7 @@ import sys
 from .abelian import AbelianGroup, format_element, parse_group
 from .depth import (
     EXCEEDS_BUDGET,
+    BudgetExceeded,
     depth_sweep,
     describe_subgroup,
     family_depth,
@@ -339,7 +341,9 @@ def _build_parser() -> _Parser:
         type=int,
         help="largest index to try (default 64 over Fp, 24 over Z)",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     common(p, fmt_default="csv")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -366,6 +370,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ContractError, WitnessContractError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .laurent import (
+    ContractError,
     FpSplitSubgroup,
     SemidirectElement,
     ZSplitSubgroup,
@@ -39,11 +40,23 @@ from .laurent import (
     x_power,
     xt_minus_1,
 )
-from .wreath import WreathElement, conjugate_test, reduce, word_length_info
+from .wreath import (
+    WreathElement,
+    conjugate_test,
+    reduce,
+    word_length_info,
+)
 
 SplitSubgroup = Union[FpSplitSubgroup, ZSplitSubgroup]
 
 EXCEEDS_BUDGET = "exceeds budget"
+
+# most elements a ball may hold before enumeration gives up
+BALL_CEILING = 200000
+
+
+class BudgetExceeded(RuntimeError):
+    """A size limit was reached before the answer."""
 
 
 def nth_prime(i: int) -> int:
@@ -103,6 +116,13 @@ class DepthResult:
         return isinstance(self.split_depth, int)
 
 
+def _check_nonconjugate(f, g, s1, s2) -> None:
+    if conjugate_test(f, g) is not None:
+        raise ContractError("family pair is conjugate by the wreath criterion")
+    if same_conjugacy_class(s1, s2) is not None:
+        raise ContractError("family pair is conjugate by the Laurent criterion")
+
+
 def family_lamplighter(p: int, i: int) -> FamilyPair:
     """The i-th pair (x^q - 1, q) vs (x - 1 + x^q - 1, q) over F_p wr Z,
     where q runs over the primes above p with p a primitive root."""
@@ -115,8 +135,7 @@ def family_lamplighter(p: int, i: int) -> FamilyPair:
     gpoly = poly_add(fpoly, poly_add(x_power(p, 1), x_power(p, 0, -1)))
     s1, s2 = SemidirectElement(fpoly, q), SemidirectElement(gpoly, q)
     f, g = to_wreath(s1), to_wreath(s2)
-    assert conjugate_test(f, g) is None
-    assert same_conjugacy_class(s1, s2) is None
+    _check_nonconjugate(f, g, s1, s2)
     pair = FamilyPair(
         "lamplighter",
         p,
@@ -146,8 +165,7 @@ def family_zwrz(i: int) -> FamilyPair:
     gpoly = poly_add(fpoly, poly_sub(x_power(0, t // 2, alpha), x_power(0, 0, alpha)))
     s1, s2 = SemidirectElement(fpoly, t), SemidirectElement(gpoly, t)
     f, g = to_wreath(s1), to_wreath(s2)
-    assert conjugate_test(f, g) is None
-    assert same_conjugacy_class(s1, s2) is None
+    _check_nonconjugate(f, g, s1, s2)
     return FamilyPair(
         "z-wr-z",
         None,
@@ -270,91 +288,127 @@ def conjugacy_class_key(g: WreathElement):
     the minimal rotation is canonical. For b = 0 conjugation is exactly
     translation of the support.
     """
-    return _reduced_class_key(reduce(g)[0])
+    r = reduce(g)[0]
+    return _reduced_class_key(
+        r.b.coords[0], tuple((k.coords[0], v.coords) for k, v in r.pairs)
+    )
 
 
-def _reduced_class_key(r: WreathElement):
-    b = r.b.coords[0]
+def _reduced_class_key(b: int, pairs: tuple):
+    """The class key of a reduced element (pairs, b): pairs holds
+    (position, lamp coordinates) by increasing position."""
     if b == 0:
-        if not r.pairs:
+        if not pairs:
             return (0, ())
-        p0 = r.pairs[0][0].coords[0]
-        return (0, tuple((k.coords[0] - p0, v.coords) for k, v in r.pairs))
+        p0 = pairs[0][0]
+        return (0, tuple((k - p0, v) for k, v in pairs))
     n = abs(b)
     vec = [()] * n
-    for k, v in r.pairs:
-        vec[k.coords[0] % n] = v.coords
-    best = min(
-        tuple(vec[(i + s) % n] for i in range(n)) for s in range(n)
-    )
-    return (b, best)
+    for k, v in pairs:
+        vec[k % n] = v
+    return (b, min(tuple(vec[s:] + vec[:s]) for s in range(n)))
 
 
-def ball_elements(ring: int, n: int, ceiling: int = 200000) -> list:
+def _reduce_line(ring: int, pairs: tuple, b: int) -> tuple:
+    """The reduced form of a ball element (pairs, b), as `reduce` gives
+    it: every lamp value of a coset k mod |b| summed onto the coset's
+    least support point, zero sums dropped. pairs holds (position,
+    value) ints by increasing position; the result holds (position,
+    (value,)), the form the class key reads. For b = 0 every coset is a
+    single point, so the element is already reduced."""
+    if b == 0:
+        return tuple((k, (v,)) for k, v in pairs)
+    n = abs(b)
+    least, total = {}, {}
+    for k, v in pairs:
+        c = k % n
+        if c in least:
+            total[c] += v
+        else:
+            least[c], total[c] = k, v
+    out = []
+    for c, k in least.items():
+        v = total[c] % ring if ring else total[c]
+        if v:
+            out.append((k, (v,)))
+    out.sort()
+    return tuple(out)
+
+
+def ball_elements(ring: int, n: int, ceiling: Optional[int] = None) -> list:
     """Every element of word length at most n, exactly filtered."""
-    return [g for g, _ in _ball(ring, n, ceiling)]
-
-
-def _ball(ring: int, n: int, ceiling: int) -> list:
-    """(g, word length of g) for every g in Ball(n)."""
     W = wreath_group_for_ring(ring)
+    return [
+        W.element([((k,), (v,)) for k, v in pairs], (b,))
+        for pairs, b, _ in _ball(ring, n, ceiling)
+    ]
+
+
+def _ball(ring: int, n: int, ceiling: Optional[int]) -> list:
+    """(pairs, b, word length) for every element of Ball(n), pairs the
+    (position, value) ints of its lamps by increasing position.
+
+    On a line the shortest walk from 0 past every lamp to b covers
+    [lo, hi], the hull of the lamps, 0 and b, and costs
+    2 (hi - lo) - |b|; a branch is cut once hi - lo plus its lamp cost
+    exceeds n."""
+    if ceiling is None:
+        ceiling = BALL_CEILING
     if ring == 0:
         values = [v for a in range(1, n + 1) for v in (a, -a)]
     else:
         values = [v for v in range(1, ring) if _lamp_cost(ring, v) <= n]
-    positions = list(range(-n, n + 1))
+    costs = [(v, _lamp_cost(ring, v)) for v in values]
+    positions = range(-n, n + 1)
     out = []
 
-    def emit(pairs, b):
-        g = W.element({(p,): (v,) for p, v in pairs}, (b,))
-        wl, exact = word_length_info(g)
-        assert exact
-        if wl <= n:
-            out.append((g, wl))
-            if len(out) > ceiling:
-                raise RuntimeError(f"ball ceiling {ceiling} exceeded")
-
-    def rec(i, pairs, lampcost, b):
-        pts = [p for p, _ in pairs] + [0, b]
-        if max(pts) - min(pts) + lampcost > n:
+    def rec(i, pairs, lampcost, lo, hi, b):
+        if hi - lo + lampcost > n:
             return
         if i == len(positions):
-            emit(pairs, b)
+            wl = 2 * (hi - lo) - abs(b) + lampcost
+            if wl <= n:
+                out.append((tuple(pairs), b, wl))
+                if len(out) > ceiling:
+                    raise BudgetExceeded(f"ball ceiling {ceiling} exceeded")
             return
-        rec(i + 1, pairs, lampcost, b)
+        rec(i + 1, pairs, lampcost, lo, hi, b)
         p = positions[i]
-        for v in values:
-            c = _lamp_cost(ring, v)
+        for v, c in costs:
             if lampcost + c <= n:
-                rec(i + 1, pairs + [(p, v)], lampcost + c, b)
+                pairs.append((p, v))
+                rec(i + 1, pairs, lampcost + c, min(lo, p), max(hi, p), b)
+                pairs.pop()
 
     for b in range(-n, n + 1):
-        rec(0, [], 0, b)
+        rec(0, [], 0, min(0, b), max(0, b), b)
     return out
 
 
-def conjugacy_classes(ring: int, n: int, ceiling: int = 200000) -> list:
+def conjugacy_classes(ring: int, n: int, ceiling: Optional[int] = None) -> list:
     """Deterministic list of (class_key, reduced representative,
-    least word length) for Ball(n), sorted by class key."""
+    least word length) for Ball(n), sorted by class key.
+
+    Each class keeps the ball element whose reduced form ranks least by
+    (word length, acting part, lamps); only that winner is built as a
+    `WreathElement`."""
     classes = {}
-    for g, wl in _ball(ring, n, ceiling):
-        r, _ = reduce(g)
-        key = _reduced_class_key(r)
-        rank = (wl, r.b.coords, tuple((k.coords, v.coords) for k, v in r.pairs))
+    for pairs, b, wl in _ball(ring, n, ceiling):
+        r = _reduce_line(ring, pairs, b)
+        key = _reduced_class_key(b, r)
+        rank = (wl, b, r)
         prev = classes.get(key)
-        if prev is None or rank < prev[0]:
-            classes[key] = (rank, r)
-    return [(key, rep, rank[0]) for key, (rank, rep) in sorted(classes.items())]
+        if prev is None or rank < prev:
+            classes[key] = rank
+    W = wreath_group_for_ring(ring)
+    return [
+        (key, W.element([((k,), v) for k, v in r], (b,)), wl)
+        for key, (wl, b, r) in sorted(classes.items())
+    ]
 
 
 # ---------------------------------------------------------------------------
-# sweeps: one class key per (class, subgroup), so a pair costs a tuple
-# comparison per subgroup
-
-
-def _key_rows(args):
-    reps, subgroups = args
-    return [[quotient_class_key(s, N) for N in subgroups] for s in reps]
+# sweeps: partition refinement of the classes, one subgroup at a time
 
 
 @dataclass(frozen=True)
@@ -370,62 +424,88 @@ def _pair_id(s1: SemidirectElement, s2: SemidirectElement) -> str:
     return f"{format_semidirect(s1)} | {format_semidirect(s2)}"
 
 
+def _first_separators(reps: list, subgroups) -> list:
+    """sep[i][j], for i < j, the first subgroup of the stream whose
+    quotient separates reps[i] and reps[j], or None if none does.
+
+    Partition refinement (Paige and Tarjan, SIAM J. Comput. 1987): the
+    blocks hold classes whose keys agree on every subgroup read so far.
+    Each subgroup's keys are computed only for classes in blocks of two
+    or more; a block whose keys differ splits, and each pair across its
+    parts was first separated by that subgroup. The stream is read no
+    further once every block is a single class."""
+    sep = [[None] * len(reps) for _ in reps]
+    if len(reps) < 2:
+        return sep
+    blocks = [list(range(len(reps)))]
+    for N in subgroups:
+        refined = []
+        for block in blocks:
+            parts = {}
+            for i in block:
+                parts.setdefault(quotient_class_key(reps[i], N), []).append(i)
+            groups = list(parts.values())
+            for a, A in enumerate(groups):
+                for B in groups[a + 1 :]:
+                    for i in A:
+                        for j in B:
+                            sep[min(i, j)][max(i, j)] = N
+            refined += (g for g in groups if len(g) > 1)
+        blocks = refined
+        if not blocks:
+            break
+    return sep
+
+
 def depth_sweep(
     ring: int,
     n_max: int,
     budget: int,
     jobs: int = 1,
-    ceiling: int = 200000,
+    ceiling: Optional[int] = None,
 ) -> list:
     """Max split depth over all nonconjugate class pairs in Ball(n) for
-    each n up to n_max. Bit-identical output at any worker count; the
-    elapsed_ms column is measurement, not contract."""
+    each n up to n_max. The classes of Ball(n_max) are refined along the
+    subgroups in index order until every pair is separated or the budget
+    is spent; row n is then read off the separators of the pairs inside
+    Ball(n). The witness is the first pair, in class-key order, at the
+    row's maximum; a row exceeds the budget at the first pair never
+    separated. `jobs` is accepted and has no effect. The elapsed_ms
+    column, the time to read the row, is measurement, not contract."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    subgroups = _subgroup_stream(ring, budget)
     classes = conjugacy_classes(ring, n_max, ceiling)
     reps = [from_wreath(rep) for _, rep, _ in classes]
     wls = [wl for _, _, wl in classes]
-
-    if jobs <= 1 or len(reps) < 4:
-        matrix = _key_rows((reps, subgroups))
-    else:
-        chunk = -(-len(reps) // jobs)
-        parts = [
-            (reps[i : i + chunk], subgroups) for i in range(0, len(reps), chunk)
-        ]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            matrix = [row for part in pool.map(_key_rows, parts) for row in part]
+    sep = _first_separators(reps, _staged_subgroups(ring, budget))
 
     rows = []
     for n in range(1, n_max + 1):
         start = time.perf_counter()
         idx = [i for i in range(len(reps)) if wls[i] <= n]
-        best_depth = 0
-        best_pair = ""
-        best_sub = ""
-        exceeded = None
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                sep = next(
-                    (s for s in range(len(subgroups)) if matrix[i][s] != matrix[j][s]),
-                    None,
-                )
-                if sep is None:
-                    if exceeded is None:
-                        exceeded = _pair_id(reps[i], reps[j])
-                elif subgroups[sep].index > best_depth:
-                    best_depth = subgroups[sep].index
-                    best_pair = _pair_id(reps[i], reps[j])
-                    best_sub = describe_subgroup(subgroups[sep])
+        best = exceeded = None
+        for a, i in enumerate(idx):
+            row = sep[i]
+            for j in idx[a + 1 :]:
+                N = row[j]
+                if N is None:
+                    exceeded = (i, j)
+                    break
+                if best is None or N.index > best[0].index:
+                    best = (N, i, j)
+            if exceeded:
+                break
         elapsed = int((time.perf_counter() - start) * 1000)
-        if exceeded is not None:
-            rows.append(SweepRow(n, EXCEEDS_BUDGET, exceeded, "", elapsed))
+        if exceeded:
+            i, j = exceeded
+            rows.append(SweepRow(n, EXCEEDS_BUDGET, _pair_id(reps[i], reps[j]), "", elapsed))
+        elif best:
+            N, i, j = best
+            rows.append(
+                SweepRow(n, N.index, _pair_id(reps[i], reps[j]), describe_subgroup(N), elapsed)
+            )
         else:
-            rows.append(SweepRow(n, best_depth, best_pair, best_sub, elapsed))
+            rows.append(SweepRow(n, 0, "", "", elapsed))
     return rows
 
 

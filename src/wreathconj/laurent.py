@@ -235,13 +235,15 @@ def _ddivmod(num, den, p):
     elif lead not in (1, -1):
         raise ValueError("integer polynomial division needs leading coefficient 1 or -1")
     q = [0] * max(0, len(num) - len(den) + 1)
+    # only den's nonzero terms: dividing by x^m - 1 is then linear in num
+    terms = [(j, dc) for j, dc in enumerate(den) if dc]
     for i in range(len(num) - len(den), -1, -1):
         cur = num[i + len(den) - 1] % p if p else num[i + len(den) - 1]
         if not cur:
             continue
         f = cur * inv % p if p else cur * lead
         q[i] = f
-        for j, dc in enumerate(den):
+        for j, dc in terms:
             num[i + j] -= f * dc
     return _trim(q, p), _trim(num[: len(den) - 1], p)
 
@@ -520,14 +522,37 @@ def same_conjugacy_class(
         if n1 == n2:
             return a2 - a1, zero_poly(ring)
         return None
+    # x^l P1 and P2 differ by a multiple of x^m - 1 exactly when they
+    # agree mod x^M - 1, M = |m|, that is, when the coefficients of P1
+    # summed by exponent mod M, rotated by l, are those of P2
+    M = abs(m)
+    f1, f2 = _fold(g1.poly, M), _fold(g2.poly, M)
+    if len(f1) != len(f2):
+        return None
+    ell = 0
+    if f1:
+        e1 = min(f1)
+        # a rotation maps P1's least folded exponent onto one of P2's
+        for ell in sorted((e2 - e1) % M for e2, c2 in f2.items() if c2 == f1[e1]):
+            if all(f2.get((e + ell) % M) == c for e, c in f1.items()):
+                break
+        else:
+            return None
     E = xt_minus_1(ring, m)
-    for ell in range(abs(m)):
-        D = poly_sub(g2.poly, poly_shift(g1.poly, ell))
-        Q = _laurent_div(D, E)
-        if Q is not None:
-            assert poly_add(poly_shift(g1.poly, ell), poly_mul(E, Q)) == g2.poly
-            return ell, Q
-    return None
+    Q = _laurent_div(poly_sub(g2.poly, poly_shift(g1.poly, ell)), E)
+    if Q is None or poly_add(poly_shift(g1.poly, ell), poly_mul(E, Q)) != g2.poly:
+        raise ContractError("conjugacy certificate fails its own check")
+    return ell, Q
+
+
+def _fold(P: LaurentPoly, M: int) -> dict:
+    """The nonzero coefficients of P mod x^M - 1, by exponent mod M."""
+    acc: dict[int, int] = {}
+    for e, c in P.coeffs:
+        acc[e % M] = acc.get(e % M, 0) + c
+    if P.ring:
+        return {e: c % P.ring for e, c in acc.items() if c % P.ring}
+    return {e: c for e, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,18 @@ def test_depth_z_default_budget_past_18(capsys):
     assert out == "split_depth: 21\nsubgroup: Z: d=7, t0=3, |V|=49, t=3\n"
 
 
+def test_depth_large_equal_shifts(capsys):
+    # the conjugacy check folds once mod x^65536 - 1 instead of dividing
+    # once per rotation
+    rc, out, _ = run(
+        capsys,
+        "depth", "--group", "F2 wr Z",
+        "--x", "(1, 65536)", "--y", "(0, 65536)",
+    )
+    assert rc == 0
+    assert out == "split_depth: 2\nsubgroup: F2: t=1, gen=x + 1\n"
+
+
 def test_depth_needs_laurent_group(capsys):
     rc, out, err = run(
         capsys,

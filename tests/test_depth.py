@@ -7,8 +7,12 @@ import sys
 
 import pytest
 
+from wreathconj import depth
+from wreathconj.cli import main
 from wreathconj.depth import (
     EXCEEDS_BUDGET,
+    BudgetExceeded,
+    _ball,
     ball_elements,
     conjugacy_class_key,
     conjugacy_classes,
@@ -24,6 +28,7 @@ from wreathconj.depth import (
     sweep_to_csv,
 )
 from wreathconj.laurent import (
+    ContractError,
     SemidirectElement,
     conjugate_in_split_quotient,
     enumerate_split_subgroups_fp,
@@ -36,7 +41,7 @@ from wreathconj.laurent import (
     x_power,
     zero_poly,
 )
-from wreathconj.wreath import conjugate, conjugate_test, word_length_info
+from wreathconj.wreath import conjugate, conjugate_test, reduce, word_length_info
 
 
 def sdep(ring, shift, *terms):
@@ -372,6 +377,124 @@ def test_ball_ceiling():
         ball_elements(2, 4, ceiling=10)
 
 
+def test_ball_ceiling_stops_sweeps(monkeypatch, capsys):
+    monkeypatch.setattr(depth, "BALL_CEILING", 10)
+    with pytest.raises(BudgetExceeded):
+        depth_sweep(2, 4, budget=8)
+    assert main(["sweep", "--ring", "F2", "--n", "4", "--budget", "8"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: ball ceiling 10 exceeded\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_documented_exits_survive_optimisation(flags):
+    # contracts are explicit raises, not asserts, so python -O keeps them
+    code = (
+        "import sys\n"
+        "from wreathconj import cli, depth\n"
+        "depth.BALL_CEILING = 10\n"
+        "rc = cli.main(['sweep', '--ring', 'F2', '--n', '4'])\n"
+        "depth.conjugate_test = lambda f, g: f\n"
+        "rc2 = cli.main(['family', '--tag', 'lamplighter', '--p', '2', '--i', '1'])\n"
+        "print(rc, rc2)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout == "2 3\n"
+    assert out.stderr.splitlines() == [
+        "error: ball ceiling 10 exceeded",
+        "internal error: family pair is conjugate by the wreath criterion",
+    ]
+
+
+def test_family_contracts_raise(monkeypatch):
+    monkeypatch.setattr(depth, "same_conjugacy_class", lambda s1, s2: (0, s1.poly))
+    with pytest.raises(ContractError):
+        family_lamplighter(2, 1)
+    with pytest.raises(ContractError):
+        family_zwrz(2)
+
+
+def reference_ball(ring, n):
+    """(g, word length) for Ball(n): every candidate built as a
+    WreathElement and measured by word_length_info."""
+    W = wreath_group_for_ring(ring)
+
+    def cost(v):
+        return abs(v) if ring == 0 else min(v % ring, ring - v % ring)
+
+    if ring == 0:
+        values = [v for a in range(1, n + 1) for v in (a, -a)]
+    else:
+        values = [v for v in range(1, ring) if cost(v) <= n]
+    positions = list(range(-n, n + 1))
+    out = []
+
+    def rec(i, pairs, lampcost, b):
+        pts = [p for p, _ in pairs] + [0, b]
+        if max(pts) - min(pts) + lampcost > n:
+            return
+        if i == len(positions):
+            g = W.element({(p,): (v,) for p, v in pairs}, (b,))
+            wl, exact = word_length_info(g)
+            assert exact
+            if wl <= n:
+                out.append((g, wl))
+            return
+        rec(i + 1, pairs, lampcost, b)
+        for v in values:
+            if lampcost + cost(v) <= n:
+                rec(i + 1, pairs + [(positions[i], v)], lampcost + cost(v), b)
+
+    for b in range(-n, n + 1):
+        rec(0, [], 0, b)
+    return out
+
+
+def reference_class_key(r):
+    b = r.b.coords[0]
+    if b == 0:
+        if not r.pairs:
+            return (0, ())
+        p0 = r.pairs[0][0].coords[0]
+        return (0, tuple((k.coords[0] - p0, v.coords) for k, v in r.pairs))
+    n = abs(b)
+    vec = [()] * n
+    for k, v in r.pairs:
+        vec[k.coords[0] % n] = v.coords
+    return (b, min(tuple(vec[(i + s) % n] for i in range(n)) for s in range(n)))
+
+
+def reference_classes(ring, n):
+    """(key, representative, word length) by the general reduction."""
+    classes = {}
+    for g, wl in reference_ball(ring, n):
+        r, _ = reduce(g)
+        key = reference_class_key(r)
+        rank = (wl, r.b.coords, tuple((k.coords, v.coords) for k, v in r.pairs))
+        if key not in classes or rank < classes[key][0]:
+            classes[key] = (rank, r)
+    return [(key, rep, rank[0]) for key, (rank, rep) in sorted(classes.items())]
+
+
+@pytest.mark.parametrize("ring, n", [(2, 8), (3, 6), (5, 5), (7, 4), (0, 5)])
+def test_integer_classes_match_wreath_reduction(ring, n):
+    got = conjugacy_classes(ring, n)
+    want = reference_classes(ring, n)
+    assert [(key, str(rep), wl) for key, rep, wl in got] == \
+           [(key, str(rep), wl) for key, rep, wl in want]
+    assert [rep for _, rep, _ in got] == [rep for _, rep, _ in want]
+    ball = {(pairs, b): wl for pairs, b, wl in _ball(ring, n, None)}
+    ref = {(tuple((k.coords[0], v.coords[0]) for k, v in g.pairs), g.b.coords[0]): wl
+           for g, wl in reference_ball(ring, n)}
+    assert ball == ref
+    assert {(g.pairs, g.b) for g in ball_elements(ring, n)} == \
+           {(g.pairs, g.b) for g, _ in reference_ball(ring, n)}
+
+
 def test_class_counts_frozen():
     assert len(conjugacy_classes(2, 1)) == 4
     assert len(conjugacy_classes(2, 2)) == 8
@@ -450,7 +573,7 @@ def test_sweep_deterministic_across_workers():
 
 
 def test_import_leaves_multiprocessing_out():
-    # the worker pool is imported only by sweeps with jobs > 1
+    # sweeps run in one process at every jobs value; no worker pool is imported
     code = "import sys, wreathconj; print('multiprocessing' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -473,6 +596,31 @@ def test_sweep_frozen_digests():
         listed = repr([(r.n, r.max_split_depth, r.witness_pair_id, r.subgroup_descriptor)
                        for r in rows]).encode()
         assert hashlib.sha256(listed).hexdigest() == digest, (ring, n_max, budget)
+
+
+def test_sweep_frozen_digests_larger():
+    # rows as the full class-key matrix computed them, before the
+    # partition refinement
+    frozen = {
+        (2, 10, 2048): ("9033c4893efac7f3704e76aca267a10627a5dddd1dcaf1e442d7485fd5a0c683",
+                        [3, 3, 4, 8, 12, 32, 80, 80, 448, 448]),
+        (3, 7, 2187): ("9e540322220a2eb81a970562bb01a007a832d07d11dc7a976131890927563ed7",
+                       [3, 3, 4, 27, 81, 108, 405]),
+        (0, 4, 24): ("59dd933bd0c2d0d0d0fd0a9ebe99ecef17afef629deee97f723a5527d4b4a198",
+                     [3, 3, 4, 21]),
+    }
+    for (ring, n_max, budget), (digest, depths) in frozen.items():
+        rows = depth_sweep(ring, n_max, budget)
+        assert [r.max_split_depth for r in rows] == depths
+        listed = repr([(r.n, r.max_split_depth, r.witness_pair_id, r.subgroup_descriptor)
+                       for r in rows]).encode()
+        assert hashlib.sha256(listed).hexdigest() == digest, (ring, n_max, budget)
+
+
+def test_sweep_reaches_larger_balls():
+    rows = depth_sweep(2, 12, 4096)
+    assert [r.max_split_depth for r in rows][-3:] == [448, 1024, 2304]
+    assert depth_sweep(3, 8, 2187)[-1].max_split_depth == 405
 
 
 def test_sweep_budget_exhaustion_row():

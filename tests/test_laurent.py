@@ -51,6 +51,7 @@ from wreathconj.laurent import (
     _close_vectors,
     _crt_ideal,
     _dirreducible,
+    _laurent_div,
     _dpow_x,
     _prime_factors,
     _xg_minus_1_factors,
@@ -234,6 +235,58 @@ def test_same_conjugacy_class_certificates_randomized():
         assert poly_add(poly_shift(g1.poly, ell), poly_mul(xt_minus_1(ring, m), Q)) == g2.poly
         hits += 1
     assert hits == 400
+
+
+def same_class_by_division(g1, g2):
+    """The certificate search by one division per rotation, for m != 0:
+    the least l in [0, |m|) with x^l P1 - P2 divisible by x^m - 1."""
+    E = xt_minus_1(g1.poly.ring, g1.shift)
+    for ell in range(abs(g1.shift)):
+        Q = _laurent_div(poly_sub(g2.poly, poly_shift(g1.poly, ell)), E)
+        if Q is not None:
+            return ell, Q
+    return None
+
+
+def test_same_conjugacy_class_matches_division_oracle():
+    # the folded search must find the same least rotation and the same
+    # cofactor as dividing afresh for every rotation
+    rng = random.Random(40006)
+    found = {True: 0, False: 0}
+    for ring in (2, 3, 5, 0):
+        for trial in range(300):
+            m = rng.choice([-7, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 7])
+            P1 = random_poly(rng, ring, span=9, terms=5, coeff=3)
+            if trial % 2:
+                Q0 = random_poly(rng, ring, span=4, terms=3, coeff=3)
+                P2 = poly_add(poly_shift(P1, rng.randrange(-9, 10)),
+                              poly_mul(xt_minus_1(ring, m), Q0))
+            else:
+                P2 = random_poly(rng, ring, span=9, terms=5, coeff=3)
+            g1, g2 = SemidirectElement(P1, m), SemidirectElement(P2, m)
+            got = same_conjugacy_class(g1, g2)
+            assert got == same_class_by_division(g1, g2)
+            found[got is not None] += 1
+    assert min(found.values()) > 100
+
+
+def test_same_conjugacy_class_large_shift():
+    # one fold and one division: linear in |m|, not quadratic
+    m = 1 << 16
+    one = SemidirectElement(one_poly(2), m)
+    assert same_conjugacy_class(one, SemidirectElement(zero_poly(2), m)) is None
+    far = SemidirectElement(poly_add(x_power(2, m + 5), x_power(2, 3 * m)), -m)
+    near = SemidirectElement(poly_add(x_power(2, 5), one_poly(2)), -m)
+    ell, Q = same_conjugacy_class(near, far)
+    assert ell == 0
+    assert poly_add(near.poly, poly_mul(xt_minus_1(2, -m), Q)) == far.poly
+
+
+def test_same_conjugacy_class_checks_its_certificate(monkeypatch):
+    g = parse_semidirect("(x + 1, 3)", 2)
+    monkeypatch.setattr(laurent, "_laurent_div", lambda D, E: one_poly(D.ring))
+    with pytest.raises(ContractError):
+        same_conjugacy_class(g, g)
 
 
 def test_same_conjugacy_class_matches_wreath_criterion():
