@@ -15,6 +15,12 @@ it. Each row holds ring (0 for Z), n, budget, the rows' max depths, the
 median seconds over the runs and the class keys of one run. The first
 four are the sweeps of the benchmark's `sweep` workload.
 
+Z-enumeration rows (marked "section": "enum_z"): for each budget the
+script times `enumerate_split_subgroups_z` in this process. Each row
+holds the budget, the number of subgroups listed and the median seconds
+over the runs. Budgets 8, 16 and 18 are the doubling stages of a Z depth
+query at the benchmark's budget 18.
+
 Every row also holds the Python version, and the commit and source
 digest of the checkout the script sits in. The rows are added to the
 JSON list in --out, so one file can hold rows from two checkouts. Run
@@ -40,6 +46,7 @@ from wreathconj import depth  # noqa: E402
 
 PAIRS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
 SWEEPS = [(2, 8, 256), (3, 5, 243), (5, 4, 125), (0, 3, 16), (2, 10, 2048), (3, 7, 2187), (0, 5, 32)]
+ENUM_BUDGETS = [8, 16, 18, 24, 32, 48, 96]
 
 
 def checkout() -> dict:
@@ -121,16 +128,32 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
     }
 
 
+def measure_enum_z(budget: int, runs: int) -> dict:
+    seconds = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        subs = depth.enumerate_split_subgroups_z(budget)
+        seconds.append(time.perf_counter() - start)
+    return {
+        "section": "enum_z",
+        "budget": budget,
+        "subgroups": len(subs),
+        "seconds": round(statistics.median(seconds), 6),
+        "runs": runs,
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, help="JSON list the rows are added to")
-    ap.add_argument("--runs", type=int, default=3, help="timed runs per pair or sweep")
+    ap.add_argument("--runs", type=int, default=3, help="timed runs per pair, sweep or budget")
     args = ap.parse_args()
     env = {"python": platform.python_version(), **checkout()}
 
     rows = []
     results = [measure(p, i, args.runs) for p, i in PAIRS]
     results += [measure_sweep(*sweep, args.runs) for sweep in SWEEPS]
+    results += [measure_enum_z(budget, args.runs) for budget in ENUM_BUDGETS]
     for result in results:
         row = {**result, **env}
         print(json.dumps(row), flush=True)

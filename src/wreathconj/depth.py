@@ -209,8 +209,8 @@ def _staged_subgroups(ring: int, budget: int):
 def describe_subgroup(N: SplitSubgroup) -> str:
     if isinstance(N, FpSplitSubgroup):
         return f"F{N.p}: t={N.t}, gen={N.gen}"
-    vs = sorted(N.vectors)
-    return f"Z: d={N.d}, t0={N.t0}, |V|={len(vs)}, t={N.t}"
+    size = N.d**N.t0 // N.quotient_ring_order
+    return f"Z: d={N.d}, t0={N.t0}, |V|={size}, t={N.t}"
 
 
 def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:

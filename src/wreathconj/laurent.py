@@ -640,76 +640,170 @@ def _rotate(vec: tuple) -> tuple:
     return (vec[-1],) + vec[:-1]
 
 
-def _span(gens, d: int, width: int) -> frozenset:
-    """Additive span of the generators inside (Z/d)^width."""
-    zero = (0,) * width
-    span = {zero}
-    for g in gens:
-        g = tuple(c % d for c in g)
-        if g in span:
-            continue
-        multiples = [zero]
-        cur = g
-        while cur != zero:
-            multiples.append(cur)
-            cur = tuple((a + b) % d for a, b in zip(cur, g))
-        span = {tuple((a + b) % d for a, b in zip(s, m)) for s in span for m in multiples}
-    return frozenset(span)
+def _rotations(vec: tuple):
+    """vec and its rotations: the coefficient vectors of x^l P, l < t0."""
+    for _ in range(len(vec)):
+        yield vec
+        vec = _rotate(vec)
 
 
-def _close_vectors(vs, d: int, width: int) -> frozenset:
-    """Smallest rotation-closed subgroup of (Z/d)^width containing vs."""
-    gens = []
-    for v in vs:
-        v = tuple(c % d for c in v)
-        for _ in range(width):
-            gens.append(v)
-            v = _rotate(v)
-    return _span(gens, d, width)
+# An ideal J of Z[x]/(x^t0 - 1) of finite co-index is a lattice L in
+# Z^t0, coefficient vectors indexed by exponent mod t0, closed under the
+# rotation v -> x v. L is held as its Hermite normal form: rows h_0 ..
+# h_{t0-1}, row i zero before column i, pivot h_ii > 0, and
+# 0 <= h_ri < h_ii above each pivot. The form is unique, so equal ideals
+# have equal bases, and [Z^t0 : L] = |Z[x]/(x^t0 - 1, J)| is the product
+# of the pivots. Reducing v by the rows in turn leaves 0 <= v_i < h_ii:
+# the least vector of v + L in lexicographic order, and 0 iff v is in L.
+# As L is rotation-closed, every unit vector has the order of the last,
+# h_{t0-1,t0-1}, in Z^t0 / L, so that pivot is the characteristic.
 
 
-@dataclass(frozen=True)
+def _hnf(rows, d: int, t0: int) -> tuple:
+    """The Hermite normal form of the lattice spanned by rows and d Z^t0.
+
+    Column by column, the rows with a nonzero entry there are folded
+    into one pivot row, starting from d e_j, by extended gcds; each fold
+    leaves the other row zero in that column. Entries are kept mod d,
+    which d Z^t0 allows."""
+    rows = [[c % d for c in r] for r in rows]
+    basis = []
+    for j in range(t0):
+        piv = [0] * t0
+        piv[j] = d
+        rest = []
+        for r in rows:
+            a, b = r[j], piv[j]
+            if a and b % a:
+                g, s, u = _egcd(b, a)
+                piv, r = (
+                    [(s * x + u * y) % d for x, y in zip(piv, r)],
+                    [(a // g * x - b // g * y) % d for x, y in zip(piv, r)],
+                )
+            elif a:
+                piv, r = r, [(x - b // a * y) % d for x, y in zip(piv, r)]
+            if any(r):
+                rest.append(r)
+        basis.append(piv)
+        rows = rest
+    for i in range(1, t0):
+        h = basis[i]
+        for r in basis[:i]:
+            q = r[i] // h[i]
+            if q:
+                for k in range(i, t0):
+                    r[k] -= q * h[k]
+    return tuple(tuple(r) for r in basis)
+
+
+def _reduce(basis: tuple, v) -> tuple:
+    """The least vector of v + L in lexicographic order; 0 iff v is in L."""
+    v = list(v)
+    for j, h in enumerate(basis):
+        q = v[j] // h[j]
+        if q:
+            for k in range(j, len(v)):
+                v[k] -= q * h[k]
+    return tuple(v)
+
+
+def _coords(basis: tuple, v) -> list:
+    """a with v = sum a_j h_j, for v in L: the quotients of the reduction."""
+    v, a = list(v), []
+    for j, h in enumerate(basis):
+        q = v[j] // h[j]
+        a.append(q)
+        if q:
+            for k in range(j, len(v)):
+                v[k] -= q * h[k]
+    return a
+
+
+def _coindex(basis: tuple) -> int:
+    return math.prod(h[j] for j, h in enumerate(basis))
+
+
+def _elements(basis: tuple, d: int):
+    """The vectors of L in [0, d)^t0, in lexicographic order: column j
+    runs over its residue mod h_jj, and each value is completed by the
+    rows below."""
+    t0 = len(basis)
+
+    def rec(j, v):
+        if j == t0:
+            yield tuple(v)
+            return
+        h = basis[j]
+        q = v[j] // h[j]
+        v = [(a - q * b) % d for a, b in zip(v, h)]
+        for _ in range(d // h[j]):
+            yield from rec(j + 1, v)
+            v = [(a + b) % d for a, b in zip(v, h)]
+
+    return rec(0, [0] * t0)
+
+
+@dataclass(frozen=True, init=False)
 class ZSplitSubgroup:
     """Subgroup J x| tZ of Z[x, x^-1] x| Z.
 
     J is the preimage of the ideal spanned by `vectors` inside
     (Z/d)[x]/(x^t0 - 1); coefficient vectors are indexed by exponent
-    mod t0. The characteristic d = 1 encodes the unit ideal. The shift
-    t must be a multiple of t0 so that x^t - 1 lies in J.
+    mod t0. It is held as `basis`, the Hermite normal form of the
+    lattice of J's vectors, which holds d Z^t0; `vectors`, the vectors
+    of that lattice in [0, d)^t0, is built only when read. The
+    characteristic d = 1 encodes the unit ideal. The shift t must be a
+    multiple of t0 so that x^t - 1 lies in J.
     """
 
     d: int
     t0: int
-    vectors: frozenset
+    basis: tuple
     t: int
 
-    def __post_init__(self):
-        if self.d < 1 or self.t0 < 1 or self.t < 1:
-            raise ValueError("d, t0, t must be positive")
-        if self.t % self.t0:
-            raise ValueError("shift must be a multiple of the ideal period")
-        vs = frozenset(tuple(c % self.d for c in v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vs)
-        for v in vs:
-            if len(v) != self.t0:
-                raise ValueError("vector width must equal the ideal period")
-        if vs != _close_vectors(vs, self.d, self.t0):
+    def __init__(self, d: int, t0: int, vectors, t: int):
+        _check_z_shape(d, t0, t)
+        vs = frozenset(tuple(c % d for c in v) for v in vectors)
+        if any(len(v) != t0 for v in vs):
+            raise ValueError("vector width must equal the ideal period")
+        self._set(d, t0, _hnf(vs, d, t0), t)
+        if len(vs) != d**t0 // self.quotient_ring_order:
             raise ValueError("ideal data must be closed under sums and x-shifts")
-        # J + (x^m - 1) by gcd(m, t0); not a field
-        object.__setattr__(self, "_reachable_sets", {})
 
-    def _reachable(self, m: int) -> frozenset:
-        """J + (x^m - 1) as vectors. J holds x^t0 - 1, so this is
-        J + (x^k - 1) with k = gcd(m, t0), closed once per k."""
+    @classmethod
+    def _from_basis(cls, d: int, t0: int, basis: tuple, t: int) -> "ZSplitSubgroup":
+        """The subgroup whose lattice has Hermite normal form `basis`."""
+        _check_z_shape(d, t0, t)
+        N = object.__new__(cls)
+        N._set(d, t0, basis, t)
+        return N
+
+    def _set(self, d, t0, basis, t):
+        for h in basis:
+            if any(_reduce(basis, _rotate(h))):
+                raise ValueError("ideal data must be closed under sums and x-shifts")
+        # frozen: the fields go in directly, with two values that are not
+        # fields: |Z[x]/(x^t0 - 1, J)| and the memo of J + (x^m - 1) by
+        # gcd(m, t0)
+        self.__dict__.update(
+            d=d, t0=t0, basis=basis, t=t, _order=_coindex(basis), _reachable_bases={}
+        )
+
+    @functools.cached_property
+    def vectors(self) -> frozenset:
+        return frozenset(_elements(self.basis, self.d))
+
+    def _reachable(self, m: int) -> tuple:
+        """J + (x^m - 1) as a basis. J holds x^t0 - 1, so this is
+        J + (x^k - 1) with k = gcd(m, t0), reduced once per k."""
         k = math.gcd(m, self.t0)
         if k == self.t0:
-            return self.vectors
-        U = self._reachable_sets.get(k)
-        if U is None:
-            extra = self.vec(xt_minus_1(0, k))
-            U = _close_vectors(self.vectors | {extra}, self.d, self.t0)
-            self._reachable_sets[k] = U
-        return U
+            return self.basis
+        R = self._reachable_bases.get(k)
+        if R is None:
+            extra = _rotations(self.vec(xt_minus_1(0, k)))
+            R = self._reachable_bases[k] = _hnf([*self.basis, *extra], self.d, self.t0)
+        return R
 
     @property
     def ring(self) -> int:
@@ -717,7 +811,7 @@ class ZSplitSubgroup:
 
     @property
     def quotient_ring_order(self) -> int:
-        return self.d**self.t0 // len(self.vectors)
+        return self._order
 
     @property
     def index(self) -> int:
@@ -732,142 +826,21 @@ class ZSplitSubgroup:
         return tuple(out)
 
     def contains(self, P: LaurentPoly) -> bool:
-        return self.vec(P) in self.vectors
+        return not any(_reduce(self.basis, self.vec(P)))
 
     def __str__(self) -> str:
         return (
-            f"(d={self.d}, period {self.t0}, ideal size {len(self.vectors)})"
+            f"(d={self.d}, period {self.t0},"
+            f" ideal size {self.d**self.t0 // self.quotient_ring_order})"
             f" x| {self.t}Z over Z"
         )
 
 
-# Ideals of Z[x]/(x^t0 - 1) of finite co-index are found through their
-# duals. Under the pairing <v, w> = sum v_i w_i mod q on (Z/q)^t0, the
-# annihilator W of a rotation-closed subgroup V is rotation-closed and
-# |W| = q^t0 / |V|, so the co-index of the ideal V is the order of W.
-# The characteristic of the quotient ring is the exponent of W, and
-# x^s - 1 lies in V iff rotating by s fixes W. The ideals of co-index
-# <= M are thus dual to the rotation-closed subgroups of order <= M,
-# which are grown bottom-up and never past M. The quotient ring is the
-# product of its p-parts (CRT), so W is found one prime at a time.
-
-
-def _add(a: tuple, b: tuple, q: int) -> tuple:
-    return tuple((x + y) % q for x, y in zip(a, b))
-
-
-def _grow(W: frozenset, w: tuple, q: int, bound: int) -> Optional[frozenset]:
-    """Smallest rotation-closed subgroup of (Z/q)^t0 containing W and w,
-    or None if it has more than `bound` elements."""
-    span = W
-    for _ in range(len(w)):
-        if w not in span:
-            bigger, coset = set(span), w
-            while coset not in span:
-                if len(bigger) + len(span) > bound:
-                    return None
-                bigger.update(_add(coset, u, q) for u in span)
-                coset = _add(coset, w, q)
-            span = bigger
-        w = _rotate(w)
-    return frozenset(span)
-
-
-def _p_ideals(p: int, t0: int, bound: int) -> list[tuple]:
-    """(co-index, period, characteristic m, dual W in (Z/m)^t0) for every
-    ideal of Z[x]/(x^t0 - 1) whose quotient ring has order p^k with
-    1 < p^k <= bound.
-
-    The duals are grown inside (Z/q)^t0, q the largest power of p not
-    above bound, by steps W -> closure of W and w with pw in W. Every
-    dual is reached this way: the factors of its composition series
-    are simple, so p kills them."""
-    q = p
-    while q * p <= bound:
-        q *= p
-    step = q // p
-    zero = frozenset({(0,) * t0})
-    found = {zero}
-    queue = [zero]
-    while queue:
-        W = queue.pop()
-        if len(W) * p > bound:
-            continue
-        tried = set()
-        for u in W:
-            if any(c % p for c in u):
-                continue
-            for lift in itertools.product(range(0, q, step), repeat=t0):
-                w = tuple(c // p + e for c, e in zip(u, lift))
-                if w in W or w in tried:
-                    continue
-                # unit multiples and rotations of w generate the same subgroup
-                for k in range(1, p):
-                    v = tuple(k * c % q for c in w)
-                    for _ in range(t0):
-                        tried.add(v := _rotate(v))
-                bigger = _grow(W, w, q, bound)
-                if bigger is not None and bigger not in found:
-                    found.add(bigger)
-                    queue.append(bigger)
-    found.remove(zero)
-    out = []
-    for W in found:
-        period = min(
-            s for s in range(1, t0 + 1) if all(w[s:] + w[:s] == w for w in W)
-        )
-        g = functools.reduce(math.gcd, (c for w in W for c in w), q)
-        W = frozenset(tuple(c // g for c in w) for w in W)
-        out.append((len(W), period, q // g, W))
-    return out
-
-
-def _annihilator(W: frozenset, m: int) -> frozenset:
-    """The ideal dual to a nonzero subgroup W of (Z/m)^t0."""
-    t0 = len(next(iter(W)))
-    return frozenset(
-        v
-        for v in itertools.product(range(m), repeat=t0)
-        if all(sum(a * b for a, b in zip(v, w)) % m == 0 for w in W)
-    )
-
-
-def _crt_ideal(parts) -> tuple[int, frozenset]:
-    """(d, V): the ideal mod d = prod m whose reduction mod each m is U,
-    for (m, U) in parts with pairwise coprime m."""
-    parts = iter(parts)
-    d, V = next(parts)
-    for m, U in parts:
-        e1, e2 = m * pow(m, -1, d), d * pow(d, -1, m)
-        d *= m
-        V = frozenset(
-            tuple((a * e1 + b * e2) % d for a, b in zip(u, v)) for u in V for v in U
-        )
-    return d, V
-
-
-def _ideals_of_period(t0: int, bound: int) -> list[tuple[int, frozenset]]:
-    """(d, V) for every ideal of Z[x]/(x^t0 - 1) with least period t0
-    and co-index in 2..bound: d the characteristic of the quotient
-    ring, V the ideal inside (Z/d)^t0. The p-parts are combined only
-    while the product of their co-indices stays within bound."""
-    combos = [(1, 1, ())]
-    for p in range(2, bound + 1):
-        if is_prime(p):
-            combos += [
-                (Q * Qp, math.lcm(s, sp), parts + ((m, W),))
-                for Qp, sp, m, W in _p_ideals(p, t0, bound)
-                for Q, s, parts in combos
-                if Q * Qp <= bound
-            ]
-    # a p-part recurs in many combinations; its ideal is scanned once,
-    # and only if some combination of least period t0 uses it
-    ideal = functools.cache(_annihilator)
-    return [
-        _crt_ideal((m, ideal(W, m)) for m, W in parts)
-        for _, s, parts in combos
-        if parts and s == t0
-    ]
+def _check_z_shape(d: int, t0: int, t: int):
+    if d < 1 or t0 < 1 or t < 1:
+        raise ValueError("d, t0, t must be positive")
+    if t % t0:
+        raise ValueError("shift must be a multiple of the ideal period")
 
 
 def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup]:
@@ -1105,30 +1078,223 @@ def pair_split_subgroups_fp(
     return subs
 
 
+# ---------------------------------------------------------------------------
+# the split subgroups over Z: rotation-closed lattices, grown by simple steps
+
+
+def _nullspace_mod(rows, p: int, n: int) -> list[list]:
+    """A basis of {y in F_p^n : r . y = 0 for every r in rows}, read off
+    the reduced row echelon form of rows."""
+    pivots = []
+    for r in rows:
+        r = [c % p for c in r]
+        for col, pr in pivots:
+            if r[col]:
+                f = r[col]
+                r = [(a - f * b) % p for a, b in zip(r, pr)]
+        col = next((c for c in range(n) if r[c]), None)
+        if col is None:
+            continue
+        inv = pow(r[col], -1, p)
+        r = [a * inv % p for a in r]
+        for k, (c, pr) in enumerate(pivots):
+            if pr[col]:
+                f = pr[col]
+                pivots[k] = (c, [(a - f * b) % p for a, b in zip(pr, r)])
+        pivots.append((col, r))
+    pivot_cols = {col for col, _ in pivots}
+    out = []
+    for free in range(n):
+        if free not in pivot_cols:
+            y = [0] * n
+            y[free] = 1
+            for col, pr in pivots:
+                y[col] = -pr[free] % p
+            out.append(y)
+    return out
+
+
+def _apply(T, y, p: int) -> tuple:
+    return tuple(sum(a * b for a, b in zip(row, y)) % p for row in T)
+
+
+def _matpoly(g, T, p: int) -> list:
+    """g(T) mod p, by Horner's rule; g monic and dense, lowest
+    coefficient first."""
+    n = len(T)
+    G = [[int(i == j) for j in range(n)] for i in range(n)]
+    for c in reversed(g[:-1]):
+        G = [
+            [(sum(a * T[k][j] for k, a in enumerate(row)) + c * (i == j)) % p for j in range(n)]
+            for i, row in enumerate(G)
+        ]
+    return G
+
+
+def _times(g, v) -> list:
+    """g(x) v for a coefficient vector v mod x^t0 - 1; g dense, lowest
+    coefficient first."""
+    t0 = len(v)
+    out = [0] * t0
+    for k, c in enumerate(g):
+        if c:
+            for i, a in enumerate(v):
+                out[(i + k) % t0] += c * a
+    return out
+
+
+def _simple_steps(H: tuple, g, p: int) -> list:
+    """Every lattice L' < L = span(H) with L / L' isomorphic to
+    F_p[x]/(g), g a monic irreducible factor of x^t0 - 1 over F_p.
+
+    Such an L' holds K = pL + g(x)L, and L / K is a vector space over
+    F_p[x]/(g) = F_{p^f}, f = deg g, of some dimension r; the L' are the
+    preimages of its hyperplanes. For r <= 1 that is nothing or K. For
+    r >= 2, in coordinates over H, where x acts on L / pL by the matrix
+    T, a hyperplane is the annihilator of a line of ker g(T) acting on
+    functionals: the line spanned by y, Ty, ..., T^(f-1) y for any of
+    its nonzero y, met once through the first of its vectors."""
+    t0, f = len(H), len(g) - 1
+    d = H[-1][-1]
+    pH = [[p * x for x in h] for h in H]
+    K = _hnf(pH + [_times(g, h) for h in H], d * p, t0)
+    step = _coindex(K) // _coindex(H)
+    if step <= p**f:
+        return [K] if step > 1 else []
+    T = [_coords(H, _rotate(h)) for h in H]
+    ker = _nullspace_mod(_matpoly(g, T, p), p, t0)
+    out, covered = [], set()
+    for cs in itertools.product(range(p), repeat=len(ker)):
+        y = tuple(sum(c * k[i] for c, k in zip(cs, ker)) % p for i in range(t0))
+        if y in covered or not any(y):
+            continue
+        U = [y]
+        while len(U) < f:
+            U.append(_apply(T, U[-1], p))
+        covered.update(
+            tuple(sum(c * u[i] for c, u in zip(cu, U)) % p for i in range(t0))
+            for cu in itertools.product(range(p), repeat=f)
+        )
+        rows = pH + [
+            [sum(a * h[k] for a, h in zip(A, H)) for k in range(t0)]
+            for A in _nullspace_mod(U, p, t0)
+        ]
+        out.append(_hnf(rows, d * p, t0))
+    return out
+
+
+def _period(basis: tuple) -> int:
+    """The least s with x^s - 1 in L."""
+    t0 = len(basis)
+    for s in range(1, t0):
+        if t0 % s == 0 and not any(_reduce(basis, [-1] + [int(i == s) for i in range(1, t0)])):
+            return s
+    return t0
+
+
+def _p_lattices(p: int, t0: int, bound: int) -> list[tuple]:
+    """(co-index, least period, basis) for every rotation-closed lattice
+    L of Z^t0 whose co-index is a power of p with 1 < p^k <= bound.
+
+    Z^t0 / L is a module over Z[x]/(x^t0 - 1) of order p^k. Its
+    composition series has simple factors F_p[x]/(g), g an irreducible
+    factor of x^t0 - 1 over F_p, so L is reached from Z^t0 by the steps
+    of `_simple_steps`, never past the bound."""
+    # x^t0 - 1 = (x^t1 - 1)^(p^a), t1 prime to p, has the irreducible
+    # factors of x^t1 - 1; their orders e divide t1, so the factors with
+    # e * p^deg <= t1 * bound include every one with p^deg <= bound
+    t1 = t0
+    while t1 % p == 0:
+        t1 //= p
+    factors = sorted((f for _, f, _ in _xg_minus_1_factors(p, t1, t1 * bound)), key=len)
+    root = tuple(tuple(int(i == j) for j in range(t0)) for i in range(t0))
+    found = {root: 1}
+    queue = [root]
+    while queue:
+        H = queue.pop()
+        for g in factors:
+            c = found[H] * p ** (len(g) - 1)
+            if c > bound:
+                break
+            for child in _simple_steps(H, g, p):
+                if child not in found:
+                    found[child] = c
+                    queue.append(child)
+    return [(c, _period(H), H) for H, c in found.items() if c > 1]
+
+
+def _crt_join(A: tuple, B: tuple) -> tuple:
+    """The intersection of two lattices of coprime co-indices P and Q:
+    Q L_A + P L_B, which lies in both, and holds every v of both as
+    v = uPv + wQv with uP + wQ = 1."""
+    P, Q = _coindex(A), _coindex(B)
+    rows = [[Q * c for c in h] for h in A] + [[P * c for c in h] for h in B]
+    return _hnf(rows, A[-1][-1] * B[-1][-1], len(A))
+
+
+def _lattices_of_period(t0: int, bound: int) -> list[tuple]:
+    """The basis of every ideal of Z[x]/(x^t0 - 1) with least period t0
+    and co-index in 2..bound. The quotient ring is the product of its
+    p-parts, so the lattice is the intersection of one of p-power
+    co-index per prime, combined only while the product of the
+    co-indices stays within bound. The ideals of Z are the nZ."""
+    if t0 == 1:
+        return [((n,),) for n in range(2, bound + 1)]
+    combos = [(1, 1, None)]
+    for p in range(2, bound + 1):
+        if is_prime(p):
+            combos += [
+                (Q * Qp, math.lcm(s, sp), Hp if H is None else _crt_join(H, Hp))
+                for Qp, sp, Hp in _p_lattices(p, t0, bound)
+                for Q, s, H in combos
+                if Q * Qp <= bound
+            ]
+    return [H for _, s, H in combos if H is not None and s == t0]
+
+
+class _ByVectors:
+    """Orders subgroups of equal d, t0 and index as the sorted tuples of
+    their vectors compare, reading the vectors lazily in lexicographic
+    order; tied lattices usually differ within the first few."""
+
+    __slots__ = ("N",)
+
+    def __init__(self, N: ZSplitSubgroup):
+        self.N = N
+
+    def __eq__(self, other) -> bool:
+        return self.N.basis == other.N.basis
+
+    def __lt__(self, other) -> bool:
+        mine = _elements(self.N.basis, self.N.d)
+        for u, v in zip(mine, _elements(other.N.basis, other.N.d)):
+            if u != v:
+                return u < v
+        return False
+
+
 def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
     """Every subgroup J x| tZ of Z[x, x^-1] x| Z of index <= max_index,
-    each exactly once, sorted by nondecreasing index.
+    each exactly once, sorted by nondecreasing index, then by d, t0, t
+    and the sorted tuple of the ideal's vectors.
 
-    Each ideal is built directly in its canonical presentation, d the
-    characteristic of the quotient ring and t0 the least period, and
-    only if its co-index is at most max_index // t0; the cost grows
-    with the ideals returned, not with d^t0.
+    Each ideal is built as a lattice in Hermite normal form, with t0 its
+    least period and d its characteristic, and only if its co-index is
+    at most max_index // t0; the cost grows with the ideals returned,
+    not with d^t0.
     """
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    subs = []
-    for t in range(1, max_index + 1):
-        subs.append(ZSplitSubgroup(1, 1, frozenset({(0,)}), t))
+    subs = [ZSplitSubgroup._from_basis(1, 1, ((1,),), t) for t in range(1, max_index + 1)]
     t0 = 1
     # a quotient ring of least period t0 > 1 holds 0 and t0 distinct
     # powers of x, so its order is at least t0 + 1
     while t0 * (t0 + 1) <= max_index:
-        for d, V in _ideals_of_period(t0, max_index // t0):
-            quot = d**t0 // len(V)
-            for t in range(t0, max_index // quot + 1, t0):
-                subs.append(ZSplitSubgroup(d, t0, V, t))
+        for H in _lattices_of_period(t0, max_index // t0):
+            for t in range(t0, max_index // _coindex(H) + 1, t0):
+                subs.append(ZSplitSubgroup._from_basis(H[-1][-1], t0, H, t))
         t0 += 1
-    subs.sort(key=lambda N: (N.index, N.d, N.t0, N.t, tuple(sorted(N.vectors))))
+    subs.sort(key=lambda N: (N.index, N.d, N.t0, N.t, _ByVectors(N)))
     return subs
 
 
@@ -1155,13 +1321,9 @@ def conjugate_in_split_quotient(
     if isinstance(N, FpSplitSubgroup):
         target = next(N._orbit(g2.poly, m))
         return any(r == target for r in N._orbit(g1.poly, m))
-    reachable = N._reachable(m)
-    v2, w = N.vec(g2.poly), N.vec(g1.poly)
-    for _ in range(N.t0):
-        if tuple((a - b) % N.d for a, b in zip(v2, w)) in reachable:
-            return True
-        w = _rotate(w)
-    return False
+    R = N._reachable(m)
+    target = _reduce(R, N.vec(g2.poly))
+    return any(_reduce(R, w) == target for w in _rotations(N.vec(g1.poly)))
 
 
 def quotient_class_key(s: SemidirectElement, N):
@@ -1174,12 +1336,8 @@ def quotient_class_key(s: SemidirectElement, N):
     m = s.shift % N.t
     if isinstance(N, FpSplitSubgroup):
         return m, min(N._orbit(s.poly, m))
-    w, rotations = N.vec(s.poly), []
-    for _ in range(N.t0):
-        rotations.append(w)
-        w = _rotate(w)
-    reachable = N._reachable(m)
-    return m, min(_add(r, u, N.d) for r in rotations for u in reachable)
+    R = N._reachable(m)
+    return m, min(_reduce(R, w) for w in _rotations(N.vec(s.poly)))
 
 
 def image_in_split_quotient(g: SemidirectElement, N):
@@ -1199,11 +1357,7 @@ def image_in_split_quotient(g: SemidirectElement, N):
         _, gd = _normalize(N.gen)
         rep = _ddivmod(dense, gd, N.p)[1]
         return _from_dense(N.p, 0, rep), g.shift % N.t
-    v = N.vec(g.poly)
-    rep = min(
-        tuple((a + b) % N.d for a, b in zip(v, w)) for w in N.vectors
-    )
-    return rep, g.shift % N.t
+    return _reduce(N.basis, N.vec(g.poly)), g.shift % N.t
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def separating_modulus(B: AbelianGroup, b: AbelianElement, supports, ell: int) -
         if _verify_modulus(quotient_mod(B, m), b, diffs):
             return m
         m += step
-    raise RuntimeError("no verified separating modulus found")
+    raise WitnessContractError("no verified separating modulus found")
 
 
 def translation_preserving_modulus(ell: int) -> int:
@@ -284,7 +284,7 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
             break
         m += step
     else:
-        raise RuntimeError("no modulus kept the images nonconjugate")
+        raise WitnessContractError("no modulus kept the images nonconjugate")
     if bound is not None:
         assert m <= bound, f"modulus {m} above the tracked bound {bound}"
     size = pi.target.order()

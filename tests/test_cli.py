@@ -1,5 +1,6 @@
 import json
 
+from wreathconj import witness
 from wreathconj.cli import main, parse_wreath_group
 from wreathconj.laurent import parse_semidirect, to_wreath
 from wreathconj.verify import CriterionResult
@@ -144,6 +145,21 @@ def test_witness_conjugate_inputs_exit_1(capsys):
     assert rc == 1
     assert out == ""
     assert "conjugate" in err
+
+
+def test_witness_modulus_search_failure_exit_3(capsys, monkeypatch):
+    # a modulus search that never verifies is a contract failure: exit 3
+    # with one line on stderr, no traceback
+    monkeypatch.setattr(witness, "_verify_modulus", lambda pi, b, diffs: False)
+    rc, out, err = run(
+        capsys,
+        "witness", "--group", "F2 wr Z",
+        "--x", "(x^3-1, 3)", "--y", "(x-1+x^3-1, 3)",
+    )
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("internal error: no verified separating modulus found")
+    assert "Traceback" not in err
 
 
 def test_depth_text_output(capsys):

@@ -48,12 +48,12 @@ from wreathconj.laurent import (
     zero_poly,
 )
 from wreathconj.laurent import (
-    _close_vectors,
-    _crt_ideal,
+    _crt_join,
     _dirreducible,
     _laurent_div,
     _dpow_x,
     _prime_factors,
+    _rotate,
     _xg_minus_1_factors,
 )
 from wreathconj.wreath import conjugate, conjugate_test, multiply
@@ -574,7 +574,37 @@ def test_enumerate_z_against_subset_scan():
 
 # Oracle: the full-block scan the enumerator replaced. It closes every
 # vector of (Z/d)^t0 into every ideal found so far, keeps the ideals in
-# canonical presentation, and only then applies the index bound.
+# canonical presentation, and only then applies the index bound. The
+# closure spans explicit vector sets, independently of the library's
+# lattice bases.
+
+
+def _span(gens, d: int, width: int) -> frozenset:
+    """Additive span of the generators inside (Z/d)^width."""
+    zero = (0,) * width
+    span = {zero}
+    for g in gens:
+        g = tuple(c % d for c in g)
+        if g in span:
+            continue
+        multiples = [zero]
+        cur = g
+        while cur != zero:
+            multiples.append(cur)
+            cur = tuple((a + b) % d for a, b in zip(cur, g))
+        span = {tuple((a + b) % d for a, b in zip(s, m)) for s in span for m in multiples}
+    return frozenset(span)
+
+
+def _close_vectors(vs, d: int, width: int) -> frozenset:
+    """Smallest rotation-closed subgroup of (Z/d)^width containing vs."""
+    gens = []
+    for v in vs:
+        v = tuple(c % d for c in v)
+        for _ in range(width):
+            gens.append(v)
+            v = _rotate(v)
+    return _span(gens, d, width)
 
 
 def block_scan_ideals(d, t0):
@@ -723,19 +753,33 @@ def test_enumerate_z_budget_32():
 
 
 def test_enumerate_z_crt_block_6_4():
-    # the 40 ideals of (Z/6)[x]/(x^4 - 1) are the CRT products of its
-    # 5 ideals mod 2 and 8 ideals mod 3
+    # the 40 ideals of (Z/6)[x]/(x^4 - 1) are the lattice CRT joins of
+    # its 5 ideals mod 2 and 8 ideals mod 3
     mod2, mod3 = block_scan_ideals(2, 4), block_scan_ideals(3, 4)
     assert (len(mod2), len(mod3)) == (5, 8)
     mod6 = set()
     for U in mod2:
         for W in mod3:
-            d, V = _crt_ideal([(2, U), (3, W)])
-            assert d == 6 and _close_vectors(V, 6, 4) == V
+            A, B = ZSplitSubgroup(2, 4, U, 4).basis, ZSplitSubgroup(3, 4, W, 4).basis
+            V = ZSplitSubgroup._from_basis(6, 4, _crt_join(A, B), 4).vectors
+            assert _close_vectors(V, 6, 4) == V
             assert {tuple(c % 2 for c in v) for v in V} == U
             assert {tuple(c % 3 for c in v) for v in V} == W
             mod6.add(V)
     assert len(mod6) == 40
+
+
+def test_enumerate_z_frozen_digest_48():
+    # SHA-256 of [(index, d, t0, t, sorted(vectors)), ...] as the
+    # vector-set enumerator produced it, same-key ties included (25 at
+    # this budget, with up to 16,807 vectors)
+    listed = [
+        (N.index, N.d, N.t0, N.t, sorted(N.vectors)) for N in enumerate_split_subgroups_z(48)
+    ]
+    assert len(listed) == 324
+    assert hashlib.sha256(repr(listed).encode()).hexdigest() == (
+        "c48c38f94b3186914068d5baf003dd95a5ac5e2636948945f372f3c011c10df1"
+    )
 
 
 def test_split_subgroup_validation():
@@ -894,6 +938,29 @@ def test_quotient_test_and_key_against_per_shift_oracle():
         assert min(seen.values()) > 50 and mixed > min_mixed, (seen, mixed)
 
 
+def test_z_image_and_key_are_brute_force_minima():
+    # on every Z split subgroup up to index 16: the image is the least
+    # vector of v + J in (Z/d)^t0, and the class key the least vector of
+    # the cosets of J + (x^m - 1) through the rotations of v, each found
+    # by listing the whole coset
+    rng = random.Random(16016)
+    for N in enumerate_split_subgroups_z(16):
+        for _ in range(6):
+            shift = rng.randrange(-2 * N.t, 2 * N.t + 1)
+            g = SemidirectElement(random_poly(rng, 0, span=5, terms=4, coeff=9), shift)
+            v, m = N.vec(g.poly), shift % N.t
+            coset = [tuple((a + b) % N.d for a, b in zip(v, w)) for w in N.vectors]
+            assert image_in_split_quotient(g, N) == (min(coset), m), (g, N)
+            reachable = _close_vectors(N.vectors | {N.vec(xt_minus_1(0, m))}, N.d, N.t0)
+            rotations = [v]
+            while len(rotations) < N.t0:
+                rotations.append(_rotate(rotations[-1]))
+            least = min(
+                tuple((a + b) % N.d for a, b in zip(r, u)) for r in rotations for u in reachable
+            )
+            assert quotient_class_key(g, N) == (m, least), (g, N)
+
+
 def test_split_subgroup_memo_is_not_a_field():
     # the per-subgroup moduli and reachable sets leave eq, hash, repr
     # and asdict as they were
@@ -913,7 +980,6 @@ def test_mod_ideal_example():
     cert = mod_ideal_reduce(4, 6, 5)
     assert cert.g == 2 and verify_mod_ideal(cert)
     # membership checked directly in the 5^6-element ring (Z/5)[x]/(x^6 - 1)
-    from wreathconj.laurent import _close_vectors
 
     def vec6(P):
         out = [0] * 6
