@@ -1,4 +1,4 @@
-"""Time split conjugacy depth on the lamplighter family, and depth sweeps.
+"""Time lamplighter depths, depth sweeps, Z enumeration and the witness path.
 
 Depth rows: for each (p, i) the script builds `family_lamplighter(p, i)`
 and times `family_depth` on it at the family's default budget, its upper
@@ -21,18 +21,34 @@ holds the budget, the number of subgroups listed and the median seconds
 over the runs. Budgets 8, 16 and 18 are the doubling stages of a Z depth
 query at the benchmark's budget 18.
 
+Witness rows (marked "section": "witness"): for each of the five groups
+of the benchmark's `witness` workload the script draws, from a seed fixed
+in the script, elements g with 1-4 lamps and an acting part of infinite
+order, and pairs each with a conjugate z g z^-1 and with a near-conjugate
+z g z^-1 delta (one extra lamp). It then times, in this process, `reduce`
+on every element, `conjugate_test` on every pair, and `full_witness` on
+every nonconjugate pair. It counts `solve_multiple` calls by wrapping
+the function as `wreathconj.wreath` and `wreathconj.witness` bind it.
+Each row holds the group, the number of elements and pairs, the median
+seconds of each of the three phases over the runs, the `solve_multiple`
+calls per phase, and the witnesses that end in a contract error.
+
 Every row also holds the Python version, and the commit and source
 digest of the checkout the script sits in. The rows are added to the
 JSON list in --out, so one file can hold rows from two checkouts. Run
 from the repository root:
 
     python3 benchmarks/bench_depth.py --out BENCH_depth.json
+
+`--sections witness` (any of depth, sweep, enum_z, witness) runs only the
+named sections.
 """
 
 import argparse
 import hashlib
 import json
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -42,11 +58,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from wreathconj import depth  # noqa: E402
+from wreathconj import depth, witness, wreath  # noqa: E402
+from wreathconj.abelian import parse_group  # noqa: E402
 
 PAIRS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
 SWEEPS = [(2, 8, 256), (3, 5, 243), (5, 4, 125), (0, 3, 16), (2, 10, 2048), (3, 7, 2187), (0, 5, 32)]
 ENUM_BUDGETS = [8, 16, 18, 24, 32, 48, 96]
+WITNESS_GROUPS = ["F2 wr Z", "Z wr Z", "Z/4 wr Z x Z/2", "Z wr Z^2", "Z/3 wr Z^2"]
+WITNESS_PAIRS = 40  # per group and kind (conjugate, near-conjugate)
 
 
 def checkout() -> dict:
@@ -143,17 +162,126 @@ def measure_enum_z(budget: int, runs: int) -> dict:
     }
 
 
+def _witness_inputs(text: str):
+    """Elements and (g, conjugate) plus (g, near-conjugate) pairs over
+    one group, drawn as the benchmark's witness pool draws them."""
+    rng = random.Random(f"bench-witness:{text}")
+    A, B = (parse_group(part) for part in text.split(" wr "))
+    W = wreath.WreathGroup(A, B)
+
+    def base(radius):
+        return tuple(rng.randint(-radius, radius) for _ in range(B.free_rank)) + tuple(
+            rng.randrange(n) for n in B.torsion
+        )
+
+    def lamp():
+        while True:
+            c = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(A.free_rank))
+            c += tuple(rng.randrange(n) for n in A.torsion)
+            if any(c):
+                return c
+
+    def element(points, radius):
+        f = {base(radius): lamp() for _ in range(points)}
+        while True:
+            b = base(3)
+            if any(b[: B.free_rank]):
+                return W.element(f, b)
+
+    elements, pairs = [], []
+    for near in (False, True):
+        for _ in range(WITNESS_PAIRS):
+            g = element(rng.randint(1, 4), 3)
+            h = wreath.conjugate(element(rng.randint(1, 3), 2), g)
+            if near:
+                h = wreath.multiply(h, W.delta(base(3), lamp()))
+            elements += [g, h]
+            pairs.append((g, h))
+    return elements, pairs
+
+
+def measure_witness(text: str, runs: int) -> dict:
+    elements, pairs = _witness_inputs(text)
+    calls = 0
+    bound = {mod: mod.solve_multiple for mod in (wreath, witness)}
+
+    def counted(fn):
+        def solve(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+
+        return solve
+
+    phases = {"reduce": [], "conjugate_test": [], "full_witness": []}
+    counts = {}
+    for mod, fn in bound.items():
+        mod.solve_multiple = counted(fn)
+    try:
+        for _ in range(runs):
+            calls = 0
+            start = time.perf_counter()
+            for g in elements:
+                wreath.reduce(g)
+            phases["reduce"].append(time.perf_counter() - start)
+            counts["reduce"] = calls
+
+            calls = 0
+            start = time.perf_counter()
+            apart = [(g, h) for g, h in pairs if wreath.conjugate_test(g, h) is None]
+            phases["conjugate_test"].append(time.perf_counter() - start)
+            counts["conjugate_test"] = calls
+
+            calls = 0
+            failures = 0
+            start = time.perf_counter()
+            for g, h in apart:
+                try:
+                    witness.full_witness(g, h)
+                except (witness.WitnessContractError, AssertionError):
+                    # checkouts before the contracts became raises assert
+                    failures += 1
+            phases["full_witness"].append(time.perf_counter() - start)
+            counts["full_witness"] = calls
+    finally:
+        for mod, fn in bound.items():
+            mod.solve_multiple = fn
+    return {
+        "section": "witness",
+        "group": text,
+        "elements": len(elements),
+        "pairs": len(pairs),
+        "nonconjugate": len(apart),
+        **{f"{phase}_s": round(statistics.median(s), 6) for phase, s in phases.items()},
+        "runs": runs,
+        **{f"{phase}_solve_multiple": n for phase, n in counts.items()},
+        "contract_failures": failures,
+    }
+
+
+SECTIONS = ("depth", "sweep", "enum_z", "witness")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, help="JSON list the rows are added to")
     ap.add_argument("--runs", type=int, default=3, help="timed runs per pair, sweep or budget")
+    ap.add_argument(
+        "--sections", nargs="+", choices=SECTIONS, default=SECTIONS, help="sections to run"
+    )
     args = ap.parse_args()
     env = {"python": platform.python_version(), **checkout()}
 
     rows = []
-    results = [measure(p, i, args.runs) for p, i in PAIRS]
-    results += [measure_sweep(*sweep, args.runs) for sweep in SWEEPS]
-    results += [measure_enum_z(budget, args.runs) for budget in ENUM_BUDGETS]
+    results = []
+    if "depth" in args.sections:
+        results += [measure(p, i, args.runs) for p, i in PAIRS]
+    if "sweep" in args.sections:
+        results += [measure_sweep(*sweep, args.runs) for sweep in SWEEPS]
+    if "enum_z" in args.sections:
+        results += [measure_enum_z(budget, args.runs) for budget in ENUM_BUDGETS]
+    if "witness" in args.sections:
+        results += [measure_witness(text, args.runs) for text in WITNESS_GROUPS]
     for result in results:
         row = {**result, **env}
         print(json.dumps(row), flush=True)

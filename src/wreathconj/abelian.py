@@ -7,10 +7,12 @@ are coordinate tuples; torsion coordinates live in [0, n).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from dataclasses import dataclass
+from operator import add, mod, neg, sub
 from typing import Iterator, Optional
 
 
@@ -50,7 +52,7 @@ class AbelianGroup:
         return math.lcm(*self.torsion) if self.torsion else 1
 
     def zero(self) -> "AbelianElement":
-        return AbelianElement(self, (0,) * self.rank)
+        return _element(self, (0,) * self.rank)
 
     def element(self, coords) -> "AbelianElement":
         if isinstance(coords, int):
@@ -88,36 +90,54 @@ class AbelianElement:
         if reduced != self.coords:
             object.__setattr__(self, "coords", reduced)
 
+    # Equality and hashing: an element is its group and its coordinates,
+    # and the hash uses the coordinates only, so sets and dicts of one
+    # group's elements never hash the group.
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not AbelianElement:
+            return NotImplemented
+        return self.coords == other.coords and (
+            self.group is other.group or self.group == other.group
+        )
+
+    def __hash__(self):
+        return hash(self.coords)
+
     def _check(self, other: "AbelianElement"):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise GroupMismatchError(
                 f"elements of {self.group} and {other.group} cannot be combined"
             )
 
+    # The arithmetic below builds its results with `_element`, which skips
+    # `__post_init__`: the coordinates are already a tuple of the right
+    # length, and torsion coordinates are reduced here.
     def __add__(self, other: "AbelianElement") -> "AbelianElement":
         self._check(other)
-        return AbelianElement(
-            self.group, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        g = self.group
+        return _element(g, _reduced(g, map(add, self.coords, other.coords)))
 
     def __neg__(self) -> "AbelianElement":
-        return AbelianElement(self.group, tuple(-a for a in self.coords))
+        g = self.group
+        return _element(g, _reduced(g, map(neg, self.coords)))
 
     def __sub__(self, other: "AbelianElement") -> "AbelianElement":
         self._check(other)
-        return AbelianElement(
-            self.group, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        g = self.group
+        return _element(g, _reduced(g, map(sub, self.coords, other.coords)))
 
     def __mul__(self, n: int) -> "AbelianElement":
         if not isinstance(n, int):
             return NotImplemented
-        return AbelianElement(self.group, tuple(n * a for a in self.coords))
+        g = self.group
+        return _element(g, _reduced(g, (n * a for a in self.coords)))
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self.coords)
 
     def free_part(self) -> tuple[int, ...]:
         return self.coords[: self.group.free_rank]
@@ -127,6 +147,31 @@ class AbelianElement:
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+def _element(group: AbelianGroup, coords: tuple) -> AbelianElement:
+    """An element from coordinates already of the group's rank, with
+    torsion coordinates already reduced; no checks."""
+    x = _new(AbelianElement)
+    _set(x, "group", group)
+    _set(x, "coords", coords)
+    return x
+
+
+def _reduced(group: AbelianGroup, values) -> tuple:
+    """The coordinates `values` (one per coordinate of the group) with
+    torsion coordinates reduced into [0, n)."""
+    if not group.torsion:
+        return tuple(values)
+    k = group.free_rank
+    if not k:
+        return tuple(map(mod, values, group.torsion))
+    coords = tuple(values)
+    return coords[:k] + tuple(map(mod, coords[k:], group.torsion))
+
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def word_length_abelian(x: AbelianElement) -> int:
@@ -166,19 +211,21 @@ class QuotientMap:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
 
-    @property
+    @functools.cached_property
     def target(self) -> AbelianGroup:
+        # one group object per map, so its images share it
         k = self.source.free_rank
         if self.modulus == 1:
             return AbelianGroup(0, self.source.torsion)
         return AbelianGroup(0, (self.modulus,) * k + self.source.torsion)
 
     def __call__(self, x: AbelianElement) -> AbelianElement:
-        if x.group != self.source:
+        if x.group is not self.source and x.group != self.source:
             raise GroupMismatchError("element does not belong to the source group")
+        target = self.target
         if self.modulus == 1:
-            return AbelianElement(self.target, x.torsion_part())
-        return AbelianElement(self.target, x.coords)
+            return _element(target, x.torsion_part())
+        return _element(target, _reduced(target, x.coords))
 
 
 def quotient_mod(group: AbelianGroup, m: int) -> QuotientMap:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .abelian import AbelianGroup
-from .wreath import WreathElement, WreathGroup
+from .wreath import ContractError, WreathElement, WreathGroup
 
 
 def is_prime(n: int) -> bool:
@@ -927,10 +927,6 @@ def _irreducibles_by_order(p: int, max_index: int) -> list[tuple[int, list]]:
 
 # ---------------------------------------------------------------------------
 # the split subgroups a depth query over F_p needs: divisors of x^g - 1
-
-
-class ContractError(RuntimeError):
-    """A construction failed its own re-check."""
 
 
 def _ord_mod(p: int, e: int) -> int:

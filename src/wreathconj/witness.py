@@ -25,10 +25,12 @@ from .abelian import (
     word_length_abelian,
 )
 from .wreath import (
+    ContractError,
     WreathElement,
     WreathGroup,
     _coset_classes,
     all_translators,
+    conjugate_reduced,
     conjugate_test,
     element_to_json,
     extend_quotient_acting,
@@ -38,7 +40,7 @@ from .wreath import (
 )
 
 
-class WitnessContractError(RuntimeError):
+class WitnessContractError(ContractError):
     """The inputs violate a nonconjugacy precondition, or a verified
     construction failed its own re-check."""
 
@@ -64,7 +66,8 @@ class WitnessQuotient:
     @property
     def order(self) -> int:
         n = self.target.order()
-        assert n is not None
+        if n is None:
+            raise WitnessContractError("witness target is infinite")
         return n
 
     def report(self) -> dict:
@@ -171,7 +174,8 @@ def rf_quotient(A: AbelianGroup, r: AbelianElement) -> QuotientMap:
         raise ValueError("r must be nonzero")
     if any(r.torsion_part()):
         pi = quotient_mod(A, 1)
-        assert not pi(r).is_zero()
+        if pi(r).is_zero():
+            raise WitnessContractError("torsion part collapsed by the free quotient")
         return pi
     m = 2
     while True:
@@ -196,10 +200,10 @@ def witness_acting_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuot
     composed on top so the returned target is always finite."""
     if g1.group != g2.group:
         raise ValueError("elements must share a group")
-    if conjugate_test(g1, g2) is not None:
+    red1, red2 = reduce(g1), reduce(g2)
+    if conjugate_reduced(g1, g2, red1, red2) is not None:
         raise WitnessContractError("inputs are conjugate; no witness exists")
-    r1, _ = reduce(g1)
-    r2, _ = reduce(g2)
+    r1, r2 = red1[0], red2[0]
     if r1.b != r2.b:
         raise ValueError("acting parts differ; use full_witness")
     B = g1.group.base
@@ -285,10 +289,11 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
         m += step
     else:
         raise WitnessContractError("no modulus kept the images nonconjugate")
-    if bound is not None:
-        assert m <= bound, f"modulus {m} above the tracked bound {bound}"
+    if bound is not None and m > bound:
+        raise WitnessContractError(f"modulus {m} above the tracked bound {bound}")
     size = pi.target.order()
-    assert size is not None and size <= m**k * _torsion_order(B)
+    if size is None or size > m**k * _torsion_order(B):
+        raise WitnessContractError(f"acting quotient of order {size} above m^k |T(B)|")
     transcript.append(f"acting modulus m = {m}, quotient target of order {size}")
     return pi, h1, h2
 
@@ -370,7 +375,8 @@ def witness_base_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuotie
     h1 = extend_quotient_base(g1, base_map)
     h2 = extend_quotient_base(g2, base_map)
     transcript.append(f"lamp quotient modulus m = {m}")
-    assert conjugate_test(h1, h2) is None, "lamp quotient failed to separate"
+    if conjugate_test(h1, h2) is not None:
+        raise WitnessContractError("lamp quotient failed to separate")
     transcript.append(f"images verified nonconjugate in {h1.group}")
     return WitnessQuotient(
         g1, g2, None, base_map, h1.group, h1, h2, kind, tuple(transcript)
@@ -390,7 +396,8 @@ def full_witness(g1: WreathElement, g2: WreathElement) -> WitnessQuotient:
         diff = g1.b - g2.b
         pi = rf_quotient(g1.group.base, diff)
         i1, i2 = pi(g1.b), pi(g2.b)
-        assert i1 != i2
+        if i1 == i2:
+            raise WitnessContractError("acting parts merged in the quotient")
         transcript = (
             f"acting parts differ by {diff.coords};"
             f" separated in {format_group(pi.target)}",

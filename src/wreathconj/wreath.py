@@ -9,6 +9,7 @@ support of b.f is supp(f) + b. Multiplication is
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -16,12 +17,17 @@ from .abelian import (
     AbelianElement,
     AbelianGroup,
     GroupMismatchError,
+    _reduced,
     element_order,
     format_group,
     parse_group,
     solve_multiple,
     word_length_abelian,
 )
+
+
+class ContractError(RuntimeError):
+    """A construction failed its own re-check."""
 
 
 @dataclass(frozen=True)
@@ -64,16 +70,25 @@ class WreathGroup:
 
 
 def _canonical_pairs(group: WreathGroup, pairs) -> tuple:
+    base, lamp = group.base, group.lamp
     merged: dict[AbelianElement, AbelianElement] = {}
     for k, v in pairs:
-        if k.group != group.base:
+        if k.group is not base and k.group != base:
             raise GroupMismatchError("support key outside the base group")
-        if v.group != group.lamp:
+        if v.group is not lamp and v.group != lamp:
             raise GroupMismatchError("lamp value outside the lamp group")
         merged[k] = merged[k] + v if k in merged else v
+    return _sorted_nonzero(merged)
+
+
+def _sorted_nonzero(merged: dict) -> tuple:
     out = [(k, v) for k, v in merged.items() if not v.is_zero()]
-    out.sort(key=lambda kv: kv[0].coords)
+    out.sort(key=_key_coords)
     return tuple(out)
+
+
+def _key_coords(kv) -> tuple:
+    return kv[0].coords
 
 
 @dataclass(frozen=True)
@@ -104,8 +119,22 @@ class WreathElement:
         return f"({lamp}, {self.b})"
 
 
+def _wreath(group: WreathGroup, pairs: tuple, b: AbelianElement) -> WreathElement:
+    """An element from pairs already canonical (merged, nonzero, sorted
+    by key, in the group's lamp and base) and b in the base; no checks."""
+    g = _new(WreathElement)
+    _set(g, "group", group)
+    _set(g, "pairs", pairs)
+    _set(g, "b", b)
+    return g
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
 def _check_same_group(g1: WreathElement, g2: WreathElement):
-    if g1.group != g2.group:
+    if g1.group is not g2.group and g1.group != g2.group:
         raise GroupMismatchError("elements of different wreath products")
 
 
@@ -116,17 +145,26 @@ def act(b: AbelianElement, g: WreathElement) -> WreathElement:
     )
 
 
+# multiply and inverse build their results with `_wreath`: the factors
+# are valid elements of one group, so only merging, dropping zeros and
+# sorting are left to do.
+
+
 def multiply(g1: WreathElement, g2: WreathElement) -> WreathElement:
     _check_same_group(g1, g2)
-    shifted = tuple((k + g1.b, v) for k, v in g2.pairs)
-    return WreathElement(g1.group, g1.pairs + shifted, g1.b + g2.b)
+    b1 = g1.b
+    merged = dict(g1.pairs)
+    for k, v in g2.pairs:
+        k = k + b1
+        merged[k] = merged[k] + v if k in merged else v
+    return _wreath(g1.group, _sorted_nonzero(merged), b1 + g2.b)
 
 
 def inverse(g: WreathElement) -> WreathElement:
     nb = -g.b
-    return WreathElement(
-        g.group, tuple((k + nb, -v) for k, v in g.pairs), nb
-    )
+    pairs = [(k + nb, -v) for k, v in g.pairs]
+    pairs.sort(key=_key_coords)
+    return _wreath(g.group, tuple(pairs), nb)
 
 
 def conjugate(z: WreathElement, g: WreathElement) -> WreathElement:
@@ -218,16 +256,71 @@ def same_coset(x: AbelianElement, y: AbelianElement, b: AbelianElement) -> bool:
     return solve_multiple(x - y, b) is not None
 
 
+def coset_key(b: AbelianElement):
+    """The coset-key function of <b>: x -> (key, t), where key is the
+    coordinate tuple of one representative rep of x + <b>, the same for
+    the whole coset, and x = rep + t*b, with t taken mod the order of b
+    when that is finite.
+
+    When b has a nonzero free coordinate, the first one, b_i, fixes
+    t = x_i // b_i. Otherwise rep is the lexicographically least point
+    of x + <b>, found by one gcd step per torsion coordinate: the
+    shifts s still allowed form a class s0 + M*Z, along which the
+    coordinate x_j + s*b_j runs through c + gcd(M*b_j, n_j)*Z mod n_j,
+    so its least value is c mod that gcd and fixes s modulo
+    M * n_j / gcd(M*b_j, n_j). The last such M is the order of b.
+    """
+    group, bc = b.group, b.coords
+    k = group.free_rank
+    pivot = next((i for i in range(k) if bc[i]), None)
+    if pivot is not None:
+        bi = bc[pivot]
+
+        def free_key(x: AbelianElement) -> tuple[tuple, int]:
+            xc = x.coords
+            t = xc[pivot] // bi
+            return _reduced(group, [a - t * c for a, c in zip(xc, bc)]), t
+
+        return free_key
+    steps = []
+    m = 1
+    for j, n in enumerate(group.torsion, k):
+        a = m * bc[j] % n
+        d = math.gcd(a, n)
+        if d < n:
+            steps.append((j, bc[j], n, d, pow(a // d, -1, n // d), n // d, m))
+            m *= n // d
+    order = m
+
+    def torsion_key(x: AbelianElement) -> tuple[tuple, int]:
+        xc = x.coords
+        s = 0
+        for j, bj, n, d, inv, nd, mj in steps:
+            c = (xc[j] + s * bj) % n
+            s += -(c // d) * inv % nd * mj  # brings coordinate j to c mod d
+        if not s:
+            return xc, 0
+        return _reduced(group, [a + s * c for a, c in zip(xc, bc)]), order - s
+
+    return torsion_key
+
+
+def _keyed_classes(points, key) -> list[list[tuple[AbelianElement, int]]]:
+    """The points grouped by coset, each as (point, t) pairs: points in
+    coordinate order within a class, classes by their least point."""
+    classes: dict = {}
+    for p in sorted(points, key=_coords):
+        rep, t = key(p)
+        classes.setdefault(rep, []).append((p, t))
+    return list(classes.values())
+
+
+def _coords(p: AbelianElement) -> tuple:
+    return p.coords
+
+
 def _coset_classes(points, b: AbelianElement) -> list[list[AbelianElement]]:
-    classes: list[list[AbelianElement]] = []
-    for p in sorted(points, key=lambda q: q.coords):
-        for cls in classes:
-            if same_coset(p, cls[0], b):
-                cls.append(p)
-                break
-        else:
-            classes.append([p])
-    return classes
+    return [[p for p, _ in cls] for cls in _keyed_classes(points, coset_key(b))]
 
 
 def _solve_twist(d: dict, b: AbelianElement, zero_lamp) -> Optional[dict]:
@@ -239,14 +332,10 @@ def _solve_twist(d: dict, b: AbelianElement, zero_lamp) -> Optional[dict]:
         return None
     order = element_order(b)
     h: dict[AbelianElement, AbelianElement] = {}
-    for cls in _coset_classes(support, b):
-        rep = cls[0]
+    for cls in _keyed_classes(support, coset_key(b)):
+        rep, t0 = cls[0]
         if order is None:
-            offsets = {}
-            for p in cls:
-                t = solve_multiple(p - rep, b)
-                assert t is not None
-                offsets[t] = d[p]
+            offsets = {t - t0: d[p] for p, t in cls}
             lo, hi = min(offsets), max(offsets)
             acc = zero_lamp
             for t in range(lo, hi + 1):
@@ -257,20 +346,16 @@ def _solve_twist(d: dict, b: AbelianElement, zero_lamp) -> Optional[dict]:
             if not acc.is_zero():
                 return None
         else:
-            offsets = {}
-            for p in cls:
-                t = solve_multiple(p - rep, b)
-                assert t is not None
-                offsets[t % order] = d[p]
+            offsets = {(t - t0) % order: d[p] for p, t in cls}
             acc = zero_lamp
             cells = []
             for t in range(order):
                 if t in offsets:
                     acc = acc + offsets[t]
-                cells.append((t, acc))
+                cells.append(acc)
             if not acc.is_zero():
                 return None
-            for t, val in cells:
+            for t, val in enumerate(cells):
                 if not val.is_zero():
                     h[rep + t * b] = val
     return h
@@ -309,10 +394,13 @@ def reduce(g: WreathElement) -> tuple[WreathElement, WreathElement]:
             target[cls[0]] = total
     d = _f_difference(target, f, g.group.lamp)
     h = _solve_twist(d, b, g.group.lamp.zero())
-    assert h is not None, "coset sums vanish by construction"
-    z = WreathElement(g.group, tuple(h.items()), g.group.base.zero())
-    reduced = WreathElement(g.group, tuple(target.items()), b)
-    assert conjugate(z, g) == reduced
+    if h is None:
+        raise ContractError("coset sums vanish by construction")
+    # h and target hold distinct points of B with nonzero values in A
+    z = _wreath(g.group, _sorted_nonzero(h), g.group.base.zero())
+    reduced = _wreath(g.group, _sorted_nonzero(target), b)
+    if conjugate(z, g) != reduced:
+        raise ContractError("reduced conjugate fails its own check")
     return reduced, z
 
 
@@ -365,31 +453,40 @@ def conjugate_test(g1: WreathElement, g2: WreathElement) -> Optional[WreathEleme
     _check_same_group(g1, g2)
     if g1.b != g2.b:
         return None
-    r1, z1 = reduce(g1)
-    r2, z2 = reduce(g2)
-    b = r1.b
-    f1, f2 = r1.f_map(), r2.f_map()
-    s1, s2 = list(r1.support()), list(r2.support())
-    if len(s1) != len(s2):
+    return conjugate_reduced(g1, g2, reduce(g1), reduce(g2))
+
+
+def conjugate_reduced(
+    g1: WreathElement, g2: WreathElement, red1, red2
+) -> Optional[WreathElement]:
+    """`conjugate_test(g1, g2)` from `red1 = reduce(g1)` and
+    `red2 = reduce(g2)`, for callers that need the reduced forms too."""
+    _check_same_group(g1, g2)
+    if g1.b != g2.b:
         return None
-    if not s1:
+    r1, z1 = red1
+    r2, z2 = red2
+    b = r1.b
+    if len(r1.pairs) != len(r2.pairs):
+        return None
+    if not r1.pairs:
         w = multiply(inverse(z2), z1)
-        assert conjugate(w, g1) == g2
+        if conjugate(w, g1) != g2:
+            raise ContractError("conjugator fails its own check")
         return w
-    x0 = min(s1, key=lambda p: p.coords)
-    for y in sorted(s2, key=lambda p: p.coords):
+    # both configurations are reduced: one support point per coset, so a
+    # point of the translated r1 can only match the r2 point of its coset
+    key = coset_key(b)
+    f2 = r2.f_map()
+    at = {key(y)[0]: y for y in f2}
+    x0 = r1.pairs[0][0]
+    for y in f2:
         c = y - x0
-        shifted = {k + c: v for k, v in f1.items()}
-        used = set()
+        shifted = {k + c: v for k, v in r1.pairs}
         for x, v in shifted.items():
-            match = None
-            for cand in s2:
-                if cand not in used and same_coset(x, cand, b):
-                    match = cand
-                    break
+            match = at.get(key(x)[0])
             if match is None or f2[match] != v:
                 break
-            used.add(match)
         else:
             d = _f_difference(f2, shifted, g1.group.lamp)
             h = _solve_twist(d, b, g1.group.lamp.zero())
@@ -422,7 +519,8 @@ def brute_force_conjugate(
     if zid is None:
         return None
     z = kernel.decode(kern, g1.group, zid)
-    assert conjugate(z, g1) == g2
+    if conjugate(z, g1) != g2:
+        raise ContractError("brute-force conjugator fails its own check")
     return z
 
 

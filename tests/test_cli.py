@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from wreathconj import witness
 from wreathconj.cli import main, parse_wreath_group
@@ -160,6 +165,38 @@ def test_witness_modulus_search_failure_exit_3(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error: no verified separating modulus found")
     assert "Traceback" not in err
+
+
+# a Z/3 wr Z^2 pair whose acting modulus search ends one past the
+# modulus bound the acting stage tracks
+BOUND_X = '{"A": "Z/3", "B": "Z^2", "f": [[[2, 1], [1]]], "b": [0, -3]}'
+BOUND_Y = (
+    '{"A": "Z/3", "B": "Z^2", "f": [[[0, 3], [1]], [[2, -2], [1]], [[2, 1], [2]],'
+    ' [[3, -2], [1]]], "b": [0, -3]}'
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_wreath_and_witness_contracts_survive_optimisation(flags):
+    # the contracts of reduce and of the acting stage are explicit raises,
+    # not asserts, so python -O keeps them: exit 3, one stderr line each
+    code = (
+        "from wreathconj import cli, wreath\n"
+        f"rc = cli.main(['witness', '--group', 'Z/3 wr Z^2', '--x', {BOUND_X!r},"
+        f" '--y', {BOUND_Y!r}])\n"
+        "wreath.conjugate = lambda z, g: g\n"
+        "rc2 = cli.main(['reduce', '--group', 'F2 wr Z', '--x', '(x^5+x^2, 3)'])\n"
+        "print(rc, rc2)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout == "3 3\n"
+    assert out.stderr.splitlines() == [
+        "internal error: modulus 801 above the tracked bound 800",
+        "internal error: reduced conjugate fails its own check",
+    ]
 
 
 def test_depth_text_output(capsys):
