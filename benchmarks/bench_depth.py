@@ -39,9 +39,6 @@ JSON list in --out, so one file can hold rows from two checkouts. Run
 from the repository root:
 
     python3 benchmarks/bench_depth.py --out BENCH_depth.json
-
-`--sections witness` (any of depth, sweep, enum_z, witness) runs only the
-named sections.
 """
 
 import argparse
@@ -259,29 +256,18 @@ def measure_witness(text: str, runs: int) -> dict:
     }
 
 
-SECTIONS = ("depth", "sweep", "enum_z", "witness")
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, help="JSON list the rows are added to")
     ap.add_argument("--runs", type=int, default=3, help="timed runs per pair, sweep or budget")
-    ap.add_argument(
-        "--sections", nargs="+", choices=SECTIONS, default=SECTIONS, help="sections to run"
-    )
     args = ap.parse_args()
     env = {"python": platform.python_version(), **checkout()}
 
     rows = []
-    results = []
-    if "depth" in args.sections:
-        results += [measure(p, i, args.runs) for p, i in PAIRS]
-    if "sweep" in args.sections:
-        results += [measure_sweep(*sweep, args.runs) for sweep in SWEEPS]
-    if "enum_z" in args.sections:
-        results += [measure_enum_z(budget, args.runs) for budget in ENUM_BUDGETS]
-    if "witness" in args.sections:
-        results += [measure_witness(text, args.runs) for text in WITNESS_GROUPS]
+    results = [measure(p, i, args.runs) for p, i in PAIRS]
+    results += [measure_sweep(*sweep, args.runs) for sweep in SWEEPS]
+    results += [measure_enum_z(budget, args.runs) for budget in ENUM_BUDGETS]
+    results += [measure_witness(text, args.runs) for text in WITNESS_GROUPS]
     for result in results:
         row = {**result, **env}
         print(json.dumps(row), flush=True)
