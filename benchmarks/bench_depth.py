@@ -18,8 +18,18 @@ four are the sweeps of the benchmark's `sweep` workload.
 Z-enumeration rows (marked "section": "enum_z"): for each budget the
 script times `enumerate_split_subgroups_z` in this process. Each row
 holds the budget, the number of subgroups listed and the median seconds
-over the runs. Budgets 8, 16 and 18 are the doubling stages of a Z depth
-query at the benchmark's budget 18.
+over the runs. Budget 18 is the budget of the benchmark's `z_depth`
+queries.
+
+Z-depth rows (marked "section": "depth_z"): the script times
+`split_conjugacy_depth` in this process on Z pairs. The "s8" row runs
+every op of the `z_depth` pool (`perfbench/pool/z_depth.json`) whose
+answer lies at index 8 or below, at the pool's budget; each op's time is
+the median over the runs, and the row holds the median and the total
+over the ops. The "pair" rows run the pair (1 - x^-1, 0), (-1 + x^-1,
+0), whose depth is 21, at budgets 18 (the query reads every subgroup
+and exceeds the budget) and 24, and hold the depth and the median
+seconds over the runs.
 
 Witness rows (marked "section": "witness"): for each of the five groups
 of the benchmark's `witness` workload the script draws, from a seed fixed
@@ -55,12 +65,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from wreathconj import depth, witness, wreath  # noqa: E402
+from wreathconj import depth, laurent, witness, wreath  # noqa: E402
 from wreathconj.abelian import parse_group  # noqa: E402
 
 PAIRS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
 SWEEPS = [(2, 8, 256), (3, 5, 243), (5, 4, 125), (0, 3, 16), (2, 10, 2048), (3, 7, 2187), (0, 5, 32)]
 ENUM_BUDGETS = [8, 16, 18, 24, 32, 48, 96]
+DEEP_PAIR = ("(1 - x^-1, 0)", "(-1 + x^-1, 0)")
+DEEP_BUDGETS = [18, 24]
 WITNESS_GROUPS = ["F2 wr Z", "Z wr Z", "Z/4 wr Z x Z/2", "Z wr Z^2", "Z/3 wr Z^2"]
 WITNESS_PAIRS = 40  # per group and kind (conjugate, near-conjugate)
 
@@ -155,6 +167,47 @@ def measure_enum_z(budget: int, runs: int) -> dict:
         "budget": budget,
         "subgroups": len(subs),
         "seconds": round(statistics.median(seconds), 6),
+        "runs": runs,
+    }
+
+
+def _timed_depth(s1, s2, budget: int, runs: int) -> tuple:
+    seconds = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        res = depth.split_conjugacy_depth(s1, s2, budget)
+        seconds.append(time.perf_counter() - start)
+    return res, statistics.median(seconds)
+
+
+def measure_depth_z_pool(runs: int) -> dict:
+    pool = json.loads((ROOT / "perfbench" / "pool" / "z_depth.json").read_text())
+    ops = [op["spec"] for op in pool["ops"] if op["stratum"].endswith("/s8")]
+    seconds = []
+    for spec in ops:
+        s1, s2 = (laurent.parse_semidirect(spec[v], spec["ring"]) for v in ("x", "y"))
+        seconds.append(_timed_depth(s1, s2, spec["budget"], runs)[1])
+    return {
+        "section": "depth_z",
+        "ops": "s8",
+        "budget": ops[0]["budget"],
+        "queries": len(ops),
+        "seconds_median": round(statistics.median(seconds), 6),
+        "seconds_total": round(sum(seconds), 6),
+        "runs": runs,
+    }
+
+
+def measure_depth_z_pair(budget: int, runs: int) -> dict:
+    s1, s2 = (laurent.parse_semidirect(text, 0) for text in DEEP_PAIR)
+    res, seconds = _timed_depth(s1, s2, budget, runs)
+    return {
+        "section": "depth_z",
+        "ops": "pair",
+        "pair": " | ".join(DEEP_PAIR),
+        "budget": budget,
+        "split_depth": res.split_depth,
+        "seconds": round(seconds, 6),
         "runs": runs,
     }
 
@@ -267,6 +320,8 @@ def main() -> None:
     results = [measure(p, i, args.runs) for p, i in PAIRS]
     results += [measure_sweep(*sweep, args.runs) for sweep in SWEEPS]
     results += [measure_enum_z(budget, args.runs) for budget in ENUM_BUDGETS]
+    results.append(measure_depth_z_pool(args.runs))
+    results += [measure_depth_z_pair(budget, args.runs) for budget in DEEP_BUDGETS]
     results += [measure_witness(text, args.runs) for text in WITNESS_GROUPS]
     for result in results:
         row = {**result, **env}

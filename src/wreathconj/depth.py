@@ -24,6 +24,8 @@ from .laurent import (
     SemidirectElement,
     ZSplitSubgroup,
     conjugate_in_split_quotient,
+    # not called here; bound so that callers tracing or timing the
+    # enumerators as this module's names find them
     enumerate_split_subgroups_fp,
     enumerate_split_subgroups_z,
     format_semidirect,
@@ -35,6 +37,7 @@ from .laurent import (
     primitive_root_primes,
     quotient_class_key,
     same_conjugacy_class,
+    split_subgroup_stream,
     to_wreath,
     wreath_group_for_ring,
     x_power,
@@ -184,28 +187,6 @@ def _as_semidirect(g) -> SemidirectElement:
     return from_wreath(g)
 
 
-def _subgroup_stream(ring: int, budget: int) -> list:
-    if ring == 0:
-        return enumerate_split_subgroups_z(budget)
-    return enumerate_split_subgroups_fp(ring, budget)
-
-
-def _staged_subgroups(ring: int, budget: int):
-    """Subgroups in nondecreasing index order, enumerated in doubling
-    stages so a caller that stops early never pays for the full budget.
-    Each stage enumerates afresh; the earlier stages together cost less
-    than the last one."""
-    lo = 0
-    stage = min(budget, 8)
-    while True:
-        for N in _subgroup_stream(ring, stage):
-            if N.index > lo:
-                yield N
-        if stage >= budget:
-            return
-        lo, stage = stage, min(budget, stage * 2)
-
-
 def describe_subgroup(N: SplitSubgroup) -> str:
     if isinstance(N, FpSplitSubgroup):
         return f"F{N.p}: t={N.t}, gen={N.gen}"
@@ -229,7 +210,7 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     which contains x^gcd(a1, t) - 1 and hence x^g - 1; (J') x| t0(J')Z
     gives the same test at no larger index, and at equal index it is
     the same subgroup. Otherwise, and over Z, every split subgroup is
-    streamed in doubling stages."""
+    read from `split_subgroup_stream`, which builds only what is read."""
     if budget < 1:
         raise ValueError("budget must be positive")
     s1, s2 = _as_semidirect(g1), _as_semidirect(g2)
@@ -241,7 +222,7 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     if ring and (s1.shift or s2.shift):
         candidates = pair_split_subgroups_fp(ring, s1.shift, s2.shift, budget)
     else:
-        candidates = _staged_subgroups(ring, budget)
+        candidates = split_subgroup_stream(ring, budget)
     for N in candidates:
         if not conjugate_in_split_quotient(s1, s2, N):
             return DepthResult((s1, s2), N.index, N)
@@ -466,8 +447,8 @@ def depth_sweep(
 ) -> list:
     """Max split depth over all nonconjugate class pairs in Ball(n) for
     each n up to n_max. The classes of Ball(n_max) are refined along the
-    subgroups in index order until every pair is separated or the budget
-    is spent; row n is then read off the separators of the pairs inside
+    subgroups of `split_subgroup_stream`, in index order, until every
+    pair is separated or the budget is spent; row n is then read off the separators of the pairs inside
     Ball(n). The witness is the first pair, in class-key order, at the
     row's maximum; a row exceeds the budget at the first pair never
     separated. `jobs` is accepted and has no effect. The elapsed_ms
@@ -477,7 +458,7 @@ def depth_sweep(
     classes = conjugacy_classes(ring, n_max, ceiling)
     reps = [from_wreath(rep) for _, rep, _ in classes]
     wls = [wl for _, _, wl in classes]
-    sep = _first_separators(reps, _staged_subgroups(ring, budget))
+    sep = _first_separators(reps, split_subgroup_stream(ring, budget))
 
     rows = []
     for n in range(1, n_max + 1):

@@ -843,25 +843,46 @@ def _check_z_shape(d: int, t0: int, t: int):
         raise ValueError("shift must be a multiple of the ideal period")
 
 
+def split_subgroup_stream(ring: int, max_index: int):
+    """Every split subgroup of index <= max_index over F_p (ring p) or Z
+    (ring 0), in the order `enumerate_split_subgroups_fp` and
+    `enumerate_split_subgroups_z` list them, each built only when read.
+
+    Subgroups are filed by index as they are generated. The generation
+    follows a lower bound on the index, so once the stream reaches index
+    k nothing left to generate can land at k or below, and the subgroups
+    of index k are sorted and yielded."""
+    if max_index < 1:
+        raise ValueError("max_index must be positive")
+    _check_ring(ring)
+    return _fp_stream(ring, max_index) if ring else _z_stream(max_index)
+
+
 def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup]:
     """Every (t, monic P | x^t - 1, P(0) != 0) with t * p^deg P <= max_index,
-    sorted by nondecreasing index.
+    sorted by nondecreasing index, then by t, deg P and the coefficients
+    of P."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    return list(split_subgroup_stream(p, max_index))
+
+
+def _fp_stream(p: int, max_index: int):
+    """The F_p split subgroups in the order of `enumerate_split_subgroups_fp`.
 
     The generators are products of irreducible factors of x^t - 1
     (cyclotomic cosets; Lidl & Niederreiter, Finite Fields, ch. 3). An
     irreducible f of order e has degree ord_e(p), and with t = p^a * t',
     p not dividing t', f divides x^t - 1 iff e | t', with multiplicity
-    exactly p^a. The least index at which f can occur is e * p^deg f,
-    so the factors listed once by `_irreducibles_by_order` are all that
-    any t needs. Each t then multiplies its usable factors, with each
-    power capped at p^a and the degree at the budget's limit for t.
+    exactly p^a. The least shift at which f can occur is e, so the
+    factors of order e are listed once, when t reaches e. Each t then
+    multiplies its usable factors, with each power capped at p^a and
+    the degree at the budget's limit for t. Every subgroup of shift t
+    has index at least t, so after shift t the bucket of index t is
+    complete.
     """
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if max_index < 1:
-        raise ValueError("max_index must be positive")
-    factors = _irreducibles_by_order(p, max_index)
-    subs = []
+    by_degree: dict[int, list] = {}  # degree -> (e, f), the factors listed so far
+    buckets: dict[int, list] = {}  # index -> (t, dense generator)
     for t in range(1, max_index + 1):
         dmax = 0
         while t * p ** (dmax + 1) <= max_index:
@@ -869,60 +890,46 @@ def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup
         mult, tp = 1, t
         while tp % p == 0:
             mult, tp = mult * p, tp // p
+        for f in _irreducibles_of_order(p, t, max_index):
+            by_degree.setdefault(len(f) - 1, []).append((t, f))
         gens = [(0, [1])]
-        for e, f in factors:
-            deg = len(f) - 1
-            if deg > dmax:
-                break
-            if tp % e:
-                continue
-            powers = []
-            for g_deg, g in gens:
-                for k in range(1, min(mult, (dmax - g_deg) // deg) + 1):
-                    g = _dmul(g, f, p)
-                    powers.append((g_deg + k * deg, g))
-            gens += powers
-        subs += (FpSplitSubgroup(p, t, _from_dense(p, 0, g)) for _, g in gens)
-    subs.sort(key=_fp_order)
-    return subs
+        for deg in range(1, dmax + 1):
+            for e, f in by_degree.get(deg, ()):
+                if tp % e:
+                    continue
+                powers = []
+                for g_deg, g in gens:
+                    for k in range(1, min(mult, (dmax - g_deg) // deg) + 1):
+                        g = _dmul(g, f, p)
+                        powers.append((g_deg + k * deg, g))
+                gens += powers
+        for g_deg, g in gens:
+            buckets.setdefault(t * p**g_deg, []).append((t, g))
+        bucket = buckets.pop(t, [])
+        # the order of _fp_order, read off the dense generators
+        bucket.sort(key=lambda sg: (sg[0], len(sg[1]), [(i, c) for i, c in enumerate(sg[1]) if c]))
+        for s, g in bucket:
+            yield FpSplitSubgroup(p, s, _from_dense(p, 0, g))
 
 
 def _fp_order(N: FpSplitSubgroup) -> tuple:
     return N.index, N.t, N.gen.degree, N.gen.coeffs
 
 
-def _irreducibles_by_order(p: int, max_index: int) -> list[tuple[int, list]]:
-    """(e, f) for every monic irreducible f != x over F_p of order e with
-    e * p^deg f <= max_index, by nondecreasing degree.
-
-    The candidates for order e are the monic polynomials of degree
-    ord_e(p) with x^e = 1 and x^(e/r) != 1 mod f for each prime r | e.
-    A reducible candidate can pass those tests when its factors' orders
-    have lcm e and its degree happens to equal ord_e(p), as
-    (x + 1)(x^2 + x + 1)(x^3 + x + 1) does for e = 21 over F_2, so
-    irreducibility is tested as well."""
-    out = []
-    for e in range(1, max_index // p + 1):
-        if e % p == 0:
-            continue
-        # deg = ord_e(p), given up once e * p^deg exceeds the budget
-        deg, power = 1, p % e
-        while power != 1 % e and e * p ** (deg + 1) <= max_index:
-            deg, power = deg + 1, power * p % e
-        if power != 1 % e:
-            continue
-        proper = [e // r for r in _prime_factors(e)]
-        for tail in itertools.product(range(p), repeat=deg - 1):
-            for c0 in range(1, p):
-                f = [c0, *tail, 1]
-                if (
-                    _dpow_x(e, f, p) == [1]
-                    and all(_dpow_x(s, f, p) != [1] for s in proper)
-                    and _dirreducible(f, p)
-                ):
-                    out.append((e, f))
-    out.sort(key=lambda ef: len(ef[1]))
-    return out
+def _irreducibles_of_order(p: int, e: int, max_index: int) -> list[list]:
+    """Every monic irreducible f != x over F_p of order e with
+    e * p^deg f <= max_index: the irreducible factors of Phi_e, all of
+    degree ord_e(p) (Lidl and Niederreiter, Finite Fields, 2.47), or none
+    when that degree does not fit."""
+    if e % p == 0 or e * p > max_index:
+        return []
+    # deg = ord_e(p), given up once e * p^deg exceeds the budget
+    deg, power = 1, p % e
+    while power != 1 % e and e * p ** (deg + 1) <= max_index:
+        deg, power = deg + 1, power * p % e
+    if power != 1 % e:
+        return []
+    return _cyclotomic_factors(p, e, deg)
 
 
 # ---------------------------------------------------------------------------
@@ -980,11 +987,8 @@ def _xg_minus_1_factors(
     Fields, 2.47). f^k has order e times the least power of p at least
     k, so k is the largest power up to p^a with e * p^ceil(log_p k) *
     p^(k ord_e(p)) <= max_index, and Phi_e is left out when not even
-    k = 1 fits; the cost grows with the budget, not with g. Phi_e is
-    split by `_split_equal_degree` unless it is irreducible, with a
-    fixed seed and its factors sorted, so every call returns the same
-    list; the factors of each Phi_e are multiplied back to it as a
-    check."""
+    k = 1 fits; the cost grows with the budget, not with g. Each Phi_e
+    is factored by `_cyclotomic_factors`."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     if g < 1:
@@ -992,7 +996,6 @@ def _xg_minus_1_factors(
     k, g1 = 1, g
     while g1 % p == 0:
         k, g1 = k * p, g1 // p
-    cyclotomic = {}
     out = []
     for e in range(1, min(g1, max_index // p) + 1):
         if g1 % e:
@@ -1006,21 +1009,42 @@ def _xg_minus_1_factors(
                 break
             mult += 1
         if not mult:
-            # nor does a multiple of e, whose order is no smaller, so no
-            # Phi_e that is kept is divided by this one
             continue
-        phi = _trim([-1] + [0] * (e - 1) + [1], p)
-        for d, phi_d in cyclotomic.items():
-            phi = _ddivmod(phi, phi_d, p)[0] if e % d == 0 else phi
-        cyclotomic[e] = phi
-        factors = sorted(_split_equal_degree(phi, deg, p, random.Random(e)))
-        product = [1]
-        for f in factors:
-            product = _dmul(product, f, p)
-        if product != phi:
-            raise ContractError(f"factors of Phi_{e} over F{p} do not multiply back")
-        out += ((e, f, mult) for f in factors)
+        out += ((e, f, mult) for f in _cyclotomic_factors(p, e, deg))
     return out
+
+
+def _cyclotomic(p: int, e: int) -> list:
+    """Phi_e over F_p, dense: the product of (x^(e/s) - 1)^mu(s) over the
+    squarefree s | e."""
+    num = den = [1]
+    primes = _prime_factors(e)
+    for r in range(len(primes) + 1):
+        for S in itertools.combinations(primes, r):
+            xd = _trim([-1] + [0] * (e // math.prod(S) - 1) + [1], p)
+            if r % 2:
+                den = _dmul(xd, den, p)
+            else:
+                num = _dmul(xd, num, p)
+    return _ddivmod(num, den, p)[0]
+
+
+def _cyclotomic_factors(p: int, e: int, deg: int) -> list:
+    """The irreducible factors of Phi_e over F_p, p not dividing e,
+    sorted; each has degree deg = ord_e(p). Phi_e is split by
+    `_split_equal_degree` unless it is irreducible, with a fixed seed,
+    so every call returns the same list, and the factors are multiplied
+    back to Phi_e as a check."""
+    phi = _cyclotomic(p, e)
+    if len(phi) - 1 == deg:
+        return [phi]
+    factors = sorted(_split_equal_degree(phi, deg, p, random.Random(e)))
+    product = [1]
+    for f in factors:
+        product = _dmul(product, f, p)
+    if product != phi:
+        raise ContractError(f"factors of Phi_{e} over F{p} do not multiply back")
+    return factors
 
 
 def pair_split_subgroups_fp(
@@ -1229,13 +1253,11 @@ def _crt_join(A: tuple, B: tuple) -> tuple:
 
 
 def _lattices_of_period(t0: int, bound: int) -> list[tuple]:
-    """The basis of every ideal of Z[x]/(x^t0 - 1) with least period t0
-    and co-index in 2..bound. The quotient ring is the product of its
-    p-parts, so the lattice is the intersection of one of p-power
+    """The basis of every ideal of Z[x]/(x^t0 - 1), t0 > 1, with least
+    period t0 and co-index in 2..bound. The quotient ring is the product
+    of its p-parts, so the lattice is the intersection of one of p-power
     co-index per prime, combined only while the product of the
-    co-indices stays within bound. The ideals of Z are the nZ."""
-    if t0 == 1:
-        return [((n,),) for n in range(2, bound + 1)]
+    co-indices stays within bound."""
     combos = [(1, 1, None)]
     for p in range(2, bound + 1):
         if is_prime(p):
@@ -1249,21 +1271,21 @@ def _lattices_of_period(t0: int, bound: int) -> list[tuple]:
 
 
 class _ByVectors:
-    """Orders subgroups of equal d, t0 and index as the sorted tuples of
-    their vectors compare, reading the vectors lazily in lexicographic
-    order; tied lattices usually differ within the first few."""
+    """Orders lattices of equal d, t0 and co-index as the sorted tuples
+    of their vectors in [0, d)^t0 compare, reading the vectors lazily in
+    lexicographic order; tied lattices usually differ within the first
+    few."""
 
-    __slots__ = ("N",)
+    __slots__ = ("basis", "d")
 
-    def __init__(self, N: ZSplitSubgroup):
-        self.N = N
+    def __init__(self, basis: tuple, d: int):
+        self.basis, self.d = basis, d
 
     def __eq__(self, other) -> bool:
-        return self.N.basis == other.N.basis
+        return self.basis == other.basis
 
     def __lt__(self, other) -> bool:
-        mine = _elements(self.N.basis, self.N.d)
-        for u, v in zip(mine, _elements(other.N.basis, other.N.d)):
+        for u, v in zip(_elements(self.basis, self.d), _elements(other.basis, other.d)):
             if u != v:
                 return u < v
         return False
@@ -1272,26 +1294,36 @@ class _ByVectors:
 def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
     """Every subgroup J x| tZ of Z[x, x^-1] x| Z of index <= max_index,
     each exactly once, sorted by nondecreasing index, then by d, t0, t
-    and the sorted tuple of the ideal's vectors.
+    and the sorted tuple of the ideal's vectors."""
+    return list(split_subgroup_stream(0, max_index))
+
+
+def _z_stream(max_index: int):
+    """The Z split subgroups in the order of `enumerate_split_subgroups_z`.
 
     Each ideal is built as a lattice in Hermite normal form, with t0 its
     least period and d its characteristic, and only if its co-index is
     at most max_index // t0; the cost grows with the ideals returned,
-    not with d^t0.
+    not with d^t0. For t0 = 1 the ideals are the dZ, and the subgroups
+    of index k are the (dZ, k / d) for d | k. A quotient ring of least
+    period t0 > 1 holds 0 and t0 distinct powers of x, so its order is
+    at least t0 + 1: the lattices of period t0 are built when the stream
+    reaches index t0 (t0 + 1), the least they can have.
     """
-    if max_index < 1:
-        raise ValueError("max_index must be positive")
-    subs = [ZSplitSubgroup._from_basis(1, 1, ((1,),), t) for t in range(1, max_index + 1)]
-    t0 = 1
-    # a quotient ring of least period t0 > 1 holds 0 and t0 distinct
-    # powers of x, so its order is at least t0 + 1
-    while t0 * (t0 + 1) <= max_index:
-        for H in _lattices_of_period(t0, max_index // t0):
-            for t in range(t0, max_index // _coindex(H) + 1, t0):
-                subs.append(ZSplitSubgroup._from_basis(H[-1][-1], t0, H, t))
-        t0 += 1
-    subs.sort(key=lambda N: (N.index, N.d, N.t0, N.t, _ByVectors(N)))
-    return subs
+    buckets: dict[int, list] = {}  # index -> (d, t0, t, basis)
+    t0 = 2
+    for k in range(1, max_index + 1):
+        if k == t0 * (t0 + 1):
+            for H in _lattices_of_period(t0, max_index // t0):
+                c = _coindex(H)
+                for t in range(t0, max_index // c + 1, t0):
+                    buckets.setdefault(t * c, []).append((H[-1][-1], t0, t, H))
+            t0 += 1
+        bucket = buckets.pop(k, [])
+        bucket += ((d, 1, k // d, ((d,),)) for d in range(1, k + 1) if k % d == 0)
+        bucket.sort(key=lambda s: (*s[:3], _ByVectors(s[3], s[0])))
+        for d, s0, t, H in bucket:
+            yield ZSplitSubgroup._from_basis(d, s0, H, t)
 
 
 # ---------------------------------------------------------------------------
@@ -1405,7 +1437,8 @@ def mod_ideal_reduce(m: int, n: int, d: int = 0) -> ModIdealCertificate:
     w = _unit_cofactor(m, t)
     v = poly_shift(_unit_cofactor(n, s), t * m)
     cert = ModIdealCertificate(m, n, d, g, t, s, u, w, v)
-    assert verify_mod_ideal(cert)
+    if not verify_mod_ideal(cert):
+        raise ContractError(f"gcd certificate for ({m}, {n}) fails its own check")
     return cert
 
 
@@ -1437,6 +1470,7 @@ def primitive_root_primes(p: int, count: int) -> list[int]:
     while len(out) < count:
         q += 1
         if is_prime(q) and _ord_mod(p, q) == q - 1:
-            assert is_irreducible_fp(psi_poly(q, p))
+            if not is_irreducible_fp(psi_poly(q, p)):
+                raise ContractError(f"1 + x + ... + x^{q - 1} is reducible over F{p}")
             out.append(q)
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -70,6 +71,24 @@ class WitnessQuotient:
             raise WitnessContractError("witness target is infinite")
         return n
 
+    def _reported_order(self) -> Union[int, str]:
+        """The order for the report: exact while its decimal form has at
+        most `sys.get_int_max_str_digits()` digits, else the text
+        "|A|^|B|*|B|". A wreath target's order |A|^|B| |B| has
+        floor(|B| log10 |A| + log10 |B|) + 1 digits, so that estimate
+        decides before any power is computed; an order within a digit of
+        the limit is computed and compared exactly."""
+        limit = sys.get_int_max_str_digits()
+        if not limit or not isinstance(self.target, WreathGroup):
+            return self.order
+        na, nb = self.target.lamp.order(), self.target.base.order()
+        if na is None or nb is None:
+            return self.order  # raises: the target is infinite
+        digits = nb * math.log10(na) + math.log10(nb)
+        if digits < limit - 1 or (digits < limit + 1 and self.order < 10**limit):
+            return self.order
+        return f"{na}^{nb}*{nb}"
+
     def report(self) -> dict:
         target = (
             format_group(self.target)
@@ -84,7 +103,7 @@ class WitnessQuotient:
             "acting_modulus": self.acting_map.modulus if self.acting_map else None,
             "base_modulus": self.base_map.modulus if self.base_map else None,
             "target": target,
-            "target_order": self.order,
+            "target_order": self._reported_order(),
             "certificate": self.certificate,
             "transcript": list(self.transcript),
         }

@@ -141,6 +141,29 @@ def test_witness_json_report(capsys):
     assert conjugate_test(im1, im2) is None
 
 
+# a Z wr Z^2 pair separated in Z/2 wr Z/2048 x Z/2048, whose order has
+# more decimal digits than Python converts by default
+RANK2_X = '{"A":"Z","B":"Z^2","f":[[[-3,-3],[-1]],[[0,3],[-1]],[[3,1],[-1]]],"b":[1,3]}'
+RANK2_Y = (
+    '{"A":"Z","B":"Z^2","f":[[[-3,-5],[-1]],[[-2,-1],[1]],[[-2,0],[-1]],[[-1,2],[-1]],'
+    '[[-1,3],[1]],[[0,1],[-1]],[[1,6],[1]],[[3,-1],[-1]]],"b":[1,3]}'
+)
+
+
+def test_witness_large_target_order_as_text(capsys):
+    rc, out, err = run(capsys, "witness", "--group", "Z wr Z^2", "--x", RANK2_X, "--y", RANK2_Y)
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["target"] == "Z/2 wr Z/2048 x Z/2048"
+    assert doc["target_order"] == "2^4194304*4194304"
+    assert doc["separated"] is True
+    rc, out, _ = run(
+        capsys, "witness", "--group", "Z wr Z^2", "--x", RANK2_X, "--y", RANK2_Y, "--format", "text"
+    )
+    assert rc == 0
+    assert "order: 2^4194304*4194304\n" in out
+
+
 def test_witness_conjugate_inputs_exit_1(capsys):
     rc, out, err = run(
         capsys,

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +43,7 @@ from wreathconj.laurent import (
     semidirect_identity,
     semidirect_inv,
     semidirect_mul,
+    split_subgroup_stream,
     to_wreath,
     verify_mod_ideal,
     wreath_group_for_ring,
@@ -484,10 +488,23 @@ def test_xg_minus_1_factors_bounded_by_budget():
 
 
 def test_xg_minus_1_factors_check_raises(monkeypatch):
-    # a factor list that does not multiply back to x^g - 1 is refused
+    # a factor list that does not multiply back to x^g - 1 is refused;
+    # Phi_7 over F2 is reducible, so its factors come from the splitter
     monkeypatch.setattr(laurent, "_split_equal_degree", lambda f, d, p, rng: [f, f])
     with pytest.raises(ContractError):
-        _xg_minus_1_factors(2, 3, NO_BOUND)
+        _xg_minus_1_factors(2, 7, NO_BOUND)
+
+
+def test_xg_minus_1_factors_seed_only_reducible(monkeypatch):
+    # x^15 - 1 over F2: Phi_1, Phi_3 and Phi_5 are irreducible and kept
+    # whole; only Phi_15 (degree 8, factors of degree ord_15(2) = 4) is
+    # split, with a generator seeded by 15
+    seeds = []
+    make = random.Random
+    monkeypatch.setattr(laurent.random, "Random", lambda e: seeds.append(e) or make(e))
+    factors = _xg_minus_1_factors(2, 15, NO_BOUND)
+    assert seeds == [15]
+    assert [(e, len(f) - 1) for e, f, _ in factors] == [(1, 1), (3, 2), (5, 4), (15, 4), (15, 4)]
 
 
 def divmod_oracle(num, den, p):
@@ -782,6 +799,53 @@ def test_enumerate_z_frozen_digest_48():
     )
 
 
+def test_stream_prefix_is_smaller_budget():
+    # the budget-B stream cut at index k lists exactly the budget-k
+    # enumeration, and read to its end it is the budget-B enumeration
+    cases = [
+        (0, 18, (1, 5, 6, 12, 17)),
+        (0, 24, (2, 11, 20, 23)),
+        (0, 48, (7, 21, 30, 47)),
+        (2, 1024, (1, 8, 100, 512, 1000)),
+        (3, 243, (3, 26, 81, 200)),
+        (5, 125, (5, 24, 25, 100)),
+    ]
+    for ring, budget, cuts in cases:
+        def enum(b):
+            return enumerate_split_subgroups_z(b) if ring == 0 else enumerate_split_subgroups_fp(ring, b)
+
+        assert list(split_subgroup_stream(ring, budget)) == enum(budget)
+        for k in cuts:
+            head = itertools.takewhile(lambda N: N.index <= k, split_subgroup_stream(ring, budget))
+            assert list(head) == enum(k), (ring, budget, k)
+
+
+def test_stream_builds_only_what_is_read(monkeypatch):
+    z5, f8 = enumerate_split_subgroups_z(5), enumerate_split_subgroups_fp(2, 8)
+    # Z: ideals of least period t0 >= 2 have index at least t0 (t0 + 1),
+    # so through index 5 no lattice of period 2 or more is built
+    periods = []
+    lattices = laurent._lattices_of_period
+    monkeypatch.setattr(
+        laurent, "_lattices_of_period", lambda t0, bound: periods.append(t0) or lattices(t0, bound)
+    )
+    stream = split_subgroup_stream(0, 18)
+    assert list(itertools.islice(stream, len(z5))) == z5
+    assert periods == []
+    assert next(stream).index == 6 and periods == [2]
+    # F_p: a subgroup is constructed, and checked, only when it is read
+    built = []
+    init = FpSplitSubgroup.__post_init__
+    monkeypatch.setattr(FpSplitSubgroup, "__post_init__", lambda N: built.append(N.index) or init(N))
+    stream = split_subgroup_stream(2, 1024)
+    assert list(itertools.islice(stream, len(f8))) == f8
+    assert len(built) == len(f8) and max(built) == 8
+    with pytest.raises(ValueError):
+        split_subgroup_stream(2, 0)
+    with pytest.raises(ValueError):
+        split_subgroup_stream(4, 8)
+
+
 def test_split_subgroup_validation():
     with pytest.raises(ValueError):
         FpSplitSubgroup(2, 3, parse_laurent("x^2 + 1", 2))  # divides x^4-1, not x^3-1
@@ -1000,6 +1064,29 @@ def test_mod_ideal_exhaustive():
                 cert = mod_ideal_reduce(m, n, d)
                 assert verify_mod_ideal(cert)
                 assert cert.g == __import__("math").gcd(m, n)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_certificate_and_root_checks_survive_optimisation(flags):
+    # both checks are explicit raises, not asserts, so python -O keeps them
+    code = (
+        "from wreathconj import laurent\n"
+        "laurent.verify_mod_ideal = lambda c: False\n"
+        "laurent.is_irreducible_fp = lambda P: False\n"
+        "for call in (lambda: laurent.mod_ideal_reduce(4, 6), lambda: laurent.primitive_root_primes(2, 1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except laurent.ContractError as e:\n"
+        "        print(e)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.splitlines() == [
+        "gcd certificate for (4, 6) fails its own check",
+        "1 + x + ... + x^2 is reducible over F2",
+    ]
 
 
 def test_psi_and_primitive_roots():

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -446,3 +448,15 @@ def test_witness_acting_quotient_validation():
             LAMP_Z.element({(0,): (1,)}, (1,)),
             LAMP_Z.element({(0,): (1,)}, (2,)),
         )
+
+
+def test_report_order_exact_up_to_the_digit_limit(monkeypatch):
+    # Z/10 wr Z/k has order 10^k * k, of k + len(str(k)) digits: exact up
+    # to the conversion limit, text past it
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+    w = full_witness(LAMP_Z.element({(0,): (1,)}, (1,)), LAMP_Z.element({}, (1,)))
+    for k, expected in [(636, 10**636 * 636), (637, 10**637 * 637), (638, "10^638*638")]:
+        target = WreathGroup(AbelianGroup(0, (10,)), AbelianGroup(0, (k,)))
+        assert dataclasses.replace(w, target=target).report()["target_order"] == expected
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert dataclasses.replace(w, target=target).report()["target_order"] == 10**638 * 638
