@@ -448,10 +448,10 @@ def depth_sweep(
     """Max split depth over all nonconjugate class pairs in Ball(n) for
     each n up to n_max. The classes of Ball(n_max) are refined along the
     subgroups of `split_subgroup_stream`, in index order, until every
-    pair is separated or the budget is spent; row n is then read off the separators of the pairs inside
-    Ball(n). The witness is the first pair, in class-key order, at the
-    row's maximum; a row exceeds the budget at the first pair never
-    separated. `jobs` is accepted and has no effect. The elapsed_ms
+    pair is separated or the budget is spent; row n is then read off the
+    separators of the pairs inside Ball(n). The witness is the first
+    pair, in class-key order, at the row's maximum; a row exceeds the
+    budget at the first pair never separated. `jobs` is accepted and has no effect. The elapsed_ms
     column, the time to read the row, is measurement, not contract."""
     if n_max < 1:
         raise ValueError("n_max must be positive")

@@ -78,15 +78,18 @@ class WitnessQuotient:
         floor(|B| log10 |A| + log10 |B|) + 1 digits, so that estimate
         decides before any power is computed; an order within a digit of
         the limit is computed and compared exactly."""
-        limit = sys.get_int_max_str_digits()
+        # 0, no limit, also on the Python 3.10 releases without one
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit or not isinstance(self.target, WreathGroup):
             return self.order
         na, nb = self.target.lamp.order(), self.target.base.order()
         if na is None or nb is None:
             return self.order  # raises: the target is infinite
-        digits = nb * math.log10(na) + math.log10(nb)
-        if digits < limit - 1 or (digits < limit + 1 and self.order < 10**limit):
-            return self.order
+        log_order = nb * math.log10(na) + math.log10(nb)
+        if log_order < limit + 1:
+            n = self.order
+            if log_order < limit - 1 or n < 10**limit:
+                return n
         return f"{na}^{nb}*{nb}"
 
     def report(self) -> dict:
