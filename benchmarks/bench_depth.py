@@ -9,11 +9,16 @@ holds p, i, q, the depth, the separating subgroup, the median seconds
 over the runs and the candidates tested.
 
 Sweep rows (marked "section": "sweep"): for each (ring, n, budget) the
-script times `depth_sweep` in this process and counts the class keys it
-computes by wrapping `quotient_class_key` as `wreathconj.depth` binds
-it. Each row holds ring (0 for Z), n, budget, the rows' max depths, the
-median seconds over the runs and the class keys of one run. The first
-four are the sweeps of the benchmark's `sweep` workload.
+script times `depth_sweep` in this process, wrapping four functions as
+`wreathconj.depth` binds them: `_ball` for the ball's size,
+`conjugacy_classes` for the classes and the seconds spent finding them,
+`_first_separators` for the seconds of the refinement (reading the
+subgroup stream and keying the classes) and the subgroups it reads, and
+`quotient_class_key` for the class keys computed. Each row holds ring
+(0 for Z), n, budget, the rows' max depths, the median seconds over the
+runs of the whole sweep, of its classes and of its refinement, and the
+counts of one run. The first four are the sweeps of the benchmark's
+`sweep` workload.
 
 Z-enumeration rows (marked "section": "enum_z"): for each budget the
 script times `enumerate_split_subgroups_z` in this process. Each row
@@ -126,24 +131,58 @@ def measure(p: int, i: int, runs: int) -> dict:
 
 
 def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
-    keys = 0
-    key = depth.quotient_class_key
+    bound = {
+        name: getattr(depth, name)
+        for name in ("quotient_class_key", "_ball", "conjugacy_classes", "_first_separators")
+    }
+    seen = {}
 
-    def counted(*args):
-        nonlocal keys
-        keys += 1
-        return key(*args)
+    def keyed(*args):
+        seen["class_keys"] += 1
+        return bound["quotient_class_key"](*args)
 
-    seconds = []
-    depth.quotient_class_key = counted
+    def ball(*args):
+        out = bound["_ball"](*args)
+        seen["ball"] = len(out)
+        return out
+
+    def classes(*args):
+        start = time.perf_counter()
+        out = bound["conjugacy_classes"](*args)
+        seen["classes_s"] = time.perf_counter() - start
+        seen["classes"] = len(out)
+        return out
+
+    def separators(reps, subgroups):
+        def read():
+            for N in subgroups:
+                seen["subgroups_read"] += 1
+                yield N
+
+        start = time.perf_counter()
+        out = bound["_first_separators"](reps, read())
+        seen["refine_s"] = time.perf_counter() - start
+        return out
+
+    seconds, classes_s, refine_s = [], [], []
+    for name, fn in [
+        ("quotient_class_key", keyed),
+        ("_ball", ball),
+        ("conjugacy_classes", classes),
+        ("_first_separators", separators),
+    ]:
+        setattr(depth, name, fn)
     try:
         for _ in range(runs):
-            keys = 0
+            seen.update(class_keys=0, subgroups_read=0)
             start = time.perf_counter()
             rows = depth.depth_sweep(ring, n, budget)
             seconds.append(time.perf_counter() - start)
+            classes_s.append(seen["classes_s"])
+            refine_s.append(seen["refine_s"])
     finally:
-        depth.quotient_class_key = key
+        for name, fn in bound.items():
+            setattr(depth, name, fn)
     return {
         "section": "sweep",
         "ring": ring,
@@ -151,8 +190,13 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
         "budget": budget,
         "max_depths": [r.max_split_depth for r in rows],
         "seconds": round(statistics.median(seconds), 6),
+        "classes_seconds": round(statistics.median(classes_s), 6),
+        "refine_seconds": round(statistics.median(refine_s), 6),
         "runs": runs,
-        "class_keys": keys,
+        "ball": seen["ball"],
+        "classes": seen["classes"],
+        "subgroups_read": seen["subgroups_read"],
+        "class_keys": seen["class_keys"],
     }
 
 

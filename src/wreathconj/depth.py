@@ -331,8 +331,14 @@ def _ball(ring: int, n: int, ceiling: Optional[int]) -> list:
 
     On a line the shortest walk from 0 past every lamp to b covers
     [lo, hi], the hull of the lamps, 0 and b, and costs
-    2 (hi - lo) - |b|; a branch is cut once hi - lo plus its lamp cost
-    exceeds n."""
+    2 (hi - lo) - |b|; with the lamp cost added this is the exact word
+    length. Adding a lamp never shrinks the hull, so a lamp is placed
+    only where the element keeps word length at most n, and each element
+    reached is in the ball. Elements come in the order of a walk over
+    the positions in increasing order that first leaves a position
+    empty, then tries each lamp value there: an element, then its
+    extensions by a last lamp at each position past its lamps, the
+    rightmost first."""
     if ceiling is None:
         ceiling = BALL_CEILING
     if ring == 0:
@@ -340,29 +346,28 @@ def _ball(ring: int, n: int, ceiling: Optional[int]) -> list:
     else:
         values = [v for v in range(1, ring) if _lamp_cost(ring, v) <= n]
     costs = [(v, _lamp_cost(ring, v)) for v in values]
-    positions = range(-n, n + 1)
+    least = min((c for _, c in costs), default=n + 1)
     out = []
 
-    def rec(i, pairs, lampcost, lo, hi, b):
-        if hi - lo + lampcost > n:
-            return
-        if i == len(positions):
-            wl = 2 * (hi - lo) - abs(b) + lampcost
-            if wl <= n:
-                out.append((tuple(pairs), b, wl))
-                if len(out) > ceiling:
-                    raise BudgetExceeded(f"ball ceiling {ceiling} exceeded")
-            return
-        rec(i + 1, pairs, lampcost, lo, hi, b)
-        p = positions[i]
-        for v, c in costs:
-            if lampcost + c <= n:
-                pairs.append((p, v))
-                rec(i + 1, pairs, lampcost + c, min(lo, p), max(hi, p), b)
-                pairs.pop()
+    def rec(start, pairs, lampcost, lo, hi, b, wl):
+        out.append((tuple(pairs), b, wl))
+        if len(out) > ceiling:
+            raise BudgetExceeded(f"ball ceiling {ceiling} exceeded")
+        # a lamp at p stretches the hull by max(lo - p, p - hi, 0), at
+        # twice that in word length, so only [hi - reach, lo + reach]
+        # can hold one
+        reach = (n + abs(b) - lampcost - least) // 2
+        for p in range(lo + reach, max(start, hi - reach) - 1, -1):
+            plo, phi = min(lo, p), max(hi, p)
+            walk = 2 * (phi - plo) - abs(b) + lampcost
+            for v, c in costs:
+                if walk + c <= n:
+                    pairs.append((p, v))
+                    rec(p + 1, pairs, lampcost + c, plo, phi, b, walk + c)
+                    pairs.pop()
 
     for b in range(-n, n + 1):
-        rec(0, [], 0, min(0, b), max(0, b), b)
+        rec(-n, [], 0, min(0, b), max(0, b), b, abs(b))
     return out
 
 
@@ -406,8 +411,9 @@ def _pair_id(s1: SemidirectElement, s2: SemidirectElement) -> str:
 
 
 def _first_separators(reps: list, subgroups) -> list:
-    """sep[i][j], for i < j, the first subgroup of the stream whose
-    quotient separates reps[i] and reps[j], or None if none does.
+    """sep[i][j], for i < j, (index, subgroup) for the first subgroup of
+    the stream whose quotient separates reps[i] and reps[j], or None if
+    none does.
 
     Partition refinement (Paige and Tarjan, SIAM J. Comput. 1987): the
     blocks hold classes whose keys agree on every subgroup read so far.
@@ -420,6 +426,7 @@ def _first_separators(reps: list, subgroups) -> list:
         return sep
     blocks = [list(range(len(reps)))]
     for N in subgroups:
+        entry = (N.index, N)
         refined = []
         for block in blocks:
             parts = {}
@@ -430,7 +437,7 @@ def _first_separators(reps: list, subgroups) -> list:
                 for B in groups[a + 1 :]:
                     for i in A:
                         for j in B:
-                            sep[min(i, j)][max(i, j)] = N
+                            sep[min(i, j)][max(i, j)] = entry
             refined += (g for g in groups if len(g) > 1)
         blocks = refined
         if not blocks:
@@ -451,8 +458,9 @@ def depth_sweep(
     pair is separated or the budget is spent; row n is then read off the
     separators of the pairs inside Ball(n). The witness is the first
     pair, in class-key order, at the row's maximum; a row exceeds the
-    budget at the first pair never separated. `jobs` is accepted and has no effect. The elapsed_ms
-    column, the time to read the row, is measurement, not contract."""
+    budget at the first pair never separated. `jobs` is accepted and has
+    no effect. The elapsed_ms column, the time to read the row, is
+    measurement, not contract."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     classes = conjugacy_classes(ring, n_max, ceiling)
@@ -468,12 +476,12 @@ def depth_sweep(
         for a, i in enumerate(idx):
             row = sep[i]
             for j in idx[a + 1 :]:
-                N = row[j]
-                if N is None:
+                entry = row[j]
+                if entry is None:
                     exceeded = (i, j)
                     break
-                if best is None or N.index > best[0].index:
-                    best = (N, i, j)
+                if best is None or entry[0] > best[0]:
+                    best = (entry[0], entry[1], i, j)
             if exceeded:
                 break
         elapsed = int((time.perf_counter() - start) * 1000)
@@ -481,9 +489,9 @@ def depth_sweep(
             i, j = exceeded
             rows.append(SweepRow(n, EXCEEDS_BUDGET, _pair_id(reps[i], reps[j]), "", elapsed))
         elif best:
-            N, i, j = best
+            index, N, i, j = best
             rows.append(
-                SweepRow(n, N.index, _pair_id(reps[i], reps[j]), describe_subgroup(N), elapsed)
+                SweepRow(n, index, _pair_id(reps[i], reps[j]), describe_subgroup(N), elapsed)
             )
         else:
             rows.append(SweepRow(n, 0, "", "", elapsed))

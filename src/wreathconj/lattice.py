@@ -2,7 +2,8 @@
 
 Everything here is exact. The three public functions share one contract
 style: the returned object is checked against its stated bound before it
-leaves the function, so a violated bound raises instead of propagating.
+leaves the function, so a violated bound raises `ContractError` instead
+of propagating.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .abelian import gcd_vector
+from .wreath import ContractError
 
 
 def _xgcd2(u: int, v: int) -> tuple[int, int, int]:
@@ -103,7 +105,7 @@ def ext_gcd_bounded(b: Sequence[int]) -> tuple[int, ...]:
     """Bezout vector a with sum(a_i*b_i) = gcd(b).
 
     For gcd(b) = 1 and k >= 2 every entry satisfies
-    |a_i| <= max(1, max|b_i| // 2); that bound is asserted on return.
+    |a_i| <= max(1, max|b_i| // 2); that bound is checked on return.
     """
     b = tuple(int(x) for x in b)
     if not b:
@@ -129,8 +131,10 @@ def ext_gcd_bounded(b: Sequence[int]) -> tuple[int, ...]:
                     f"no Bezout vector for {b} inside the half-max box"
                 )
             a = found
-        assert max(abs(x) for x in a) <= bound
-    assert sum(x * y for x, y in zip(a, b)) == g
+        if max(abs(x) for x in a) > bound:
+            raise ContractError(f"Bezout vector for {b} outside the half-max box")
+    if sum(x * y for x, y in zip(a, b)) != g:
+        raise ContractError(f"Bezout vector for {b} fails its own check")
     return tuple(a)
 
 
@@ -203,10 +207,13 @@ def kernel_basis(b: Sequence[int]) -> list[tuple[int, ...]]:
             unit[i] = 1
             result.append(tuple(unit))
 
-    assert len(result) == k - 1
+    if len(result) != k - 1:
+        raise ContractError(f"kernel basis of {b} has {len(result)} vectors, not {k - 1}")
     for v in result:
-        assert sum(x * y for x, y in zip(v, b)) == 0
-        assert sum(abs(x) for x in v) <= bound
+        if sum(x * y for x, y in zip(v, b)):
+            raise ContractError(f"kernel vector {v} of {b} fails its own check")
+        if sum(abs(x) for x in v) > bound:
+            raise ContractError(f"kernel vector {v} of {b} above the 1-norm bound {bound}")
     return result
 
 
@@ -225,9 +232,12 @@ def unimodular_transform(b: Sequence[int]) -> list[tuple[int, ...]]:
     bound = (1 << (k - 1)) * sum(abs(x) for x in b)
 
     image = [sum(r[i] * b[i] for i in range(k)) for r in rows]
-    assert image == [g] + [0] * (k - 1)
-    assert all(abs(e) <= bound for r in rows for e in r)
-    assert abs(int_det(rows)) == 1
+    if image != [g] + [0] * (k - 1):
+        raise ContractError(f"unimodular transform of {b} fails its own check")
+    if any(abs(e) > bound for r in rows for e in r):
+        raise ContractError(f"unimodular transform of {b} has an entry above {bound}")
+    if abs(int_det(rows)) != 1:
+        raise ContractError(f"transform of {b} is not unimodular")
     return rows
 
 
@@ -235,7 +245,8 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant (fraction-free Gaussian elimination)."""
     n = len(rows)
     m = [list(map(int, r)) for r in rows]
-    assert all(len(r) == n for r in m)
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of a non-square matrix")
     sign = 1
     prev = 1
     for col in range(n - 1):

@@ -1363,7 +1363,15 @@ def quotient_class_key(s: SemidirectElement, N):
         raise ValueError("ring mismatch")
     m = s.shift % N.t
     if isinstance(N, FpSplitSubgroup):
-        return m, min(N._orbit(s.poly, m))
+        p, tail = N.p, N._tail(m)
+        if not tail:
+            # g0 = 1: the quotient ring is zero, every residue is ()
+            return m, ()
+        least = start = r = _dreduce(_normalize(s.poly)[1], tail, p)
+        while (r := _dtimes_x(r, tail, p)) != start:
+            if r < least:
+                least = r
+        return m, least
     R = N._reachable(m)
     return m, min(_reduce(R, w) for w in _rotations(N.vec(s.poly)))
 

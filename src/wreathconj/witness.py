@@ -234,16 +234,15 @@ def witness_acting_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuot
     kind = _certificate_kind(r1, r2) if (r1.pairs or r2.pairs) else "value-mismatch"
     transcript = [f"reduced pair shares acting part b = {b.coords}"]
 
+    # both branches leave h1, h2 verified nonconjugate: the reduced pair
+    # by conjugate_reduced above, the acting quotient's images by the
+    # conjugacy test that ends _acting_stage's search
     if B.order() is not None:
         acting_map = None
         h1, h2 = r1, r2
         transcript.append("acting group already finite; identity quotient")
     else:
         acting_map, h1, h2 = _acting_stage(r1, r2, transcript)
-
-    witness = conjugate_test(h1, h2)
-    if witness is not None:
-        raise WitnessContractError("images conjugate in the acting quotient")
     transcript.append(f"images verified nonconjugate in {h1.group}")
 
     if A.order() is not None:
@@ -252,7 +251,7 @@ def witness_acting_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuot
         )
 
     transcript.append("lamp group infinite; composing lamp quotient")
-    base_stage = witness_base_quotient(h1, h2)
+    base_stage = _base_quotient(h1, h2, verified=True)
     return WitnessQuotient(
         g1,
         g2,
@@ -275,6 +274,15 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
     difference set. A verified modulus can in rare cases still merge a
     shifted-support point with a support point, so the image pair is
     re-tested and the modulus bumped until the test fails again.
+
+    For an acting part of infinite order the modulus found is checked
+    against a tracked bound: 8 ell e for free rank one, k 2^(k+2) ell^2 e
+    for free rank k >= 2, e the exponent of the torsion; that is 2e
+    times the search's start threshold for rank one, e times it
+    otherwise. The search visits only multiples of its step, so the
+    bound is rounded up to a multiple of the step: unrounded, it failed
+    a first candidate that the rounding up of the threshold had pushed
+    just past it.
     """
     B = r1.group.base
     b = r1.b
@@ -292,6 +300,7 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
         m = separating_modulus(B, b, points, ell)
         step = math.lcm(abs(phi[0]), e) if k == 1 else math.lcm(math.gcd(*phi), e)
         bound = 8 * ell * e if k == 1 else k * 2 ** (k + 2) * ell**2 * e
+        bound = -(-bound // step) * step
         transcript.append(f"separating modulus m = {m} at radius {ell}")
     else:
         # b is pure torsion inside an infinite acting group: a modulus
@@ -371,6 +380,12 @@ def witness_base_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuotie
     the values on one distinguishing coset stay pairwise separated, so
     the failing value comparison still fails downstairs.
     """
+    return _base_quotient(g1, g2, verified=False)
+
+
+def _base_quotient(g1: WreathElement, g2: WreathElement, verified: bool) -> WitnessQuotient:
+    """`witness_base_quotient`; `verified` skips the conjugacy test of
+    the inputs, for a caller that has just proved them nonconjugate."""
     if g1.group != g2.group:
         raise ValueError("elements must share a group")
     B = g1.group.base
@@ -381,7 +396,7 @@ def witness_base_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuotie
         raise ValueError("inputs must be reduced")
     if g1.b != g2.b:
         raise ValueError("acting parts differ; use full_witness")
-    if conjugate_test(g1, g2) is not None:
+    if not verified and conjugate_test(g1, g2) is not None:
         raise WitnessContractError("inputs are conjugate; no witness exists")
     kind = _certificate_kind(g1, g2) if (g1.pairs or g2.pairs) else "value-mismatch"
     transcript: list[str] = []

@@ -190,8 +190,9 @@ def test_witness_modulus_search_failure_exit_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-# a Z/3 wr Z^2 pair whose acting modulus search ends one past the
-# modulus bound the acting stage tracks
+# a Z/3 wr Z^2 pair whose acting modulus search ends at its first
+# candidate, 801: one past the acting stage's tracked bound 800 before
+# that bound was rounded up to a multiple of the search's step 3
 BOUND_X = '{"A": "Z/3", "B": "Z^2", "f": [[[2, 1], [1]]], "b": [0, -3]}'
 BOUND_Y = (
     '{"A": "Z/3", "B": "Z^2", "f": [[[0, 3], [1]], [[2, -2], [1]], [[2, 1], [2]],'
@@ -202,9 +203,12 @@ BOUND_Y = (
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_wreath_and_witness_contracts_survive_optimisation(flags):
     # the contracts of reduce and of the acting stage are explicit raises,
-    # not asserts, so python -O keeps them: exit 3, one stderr line each
+    # not asserts, so python -O keeps them: exit 3, one stderr line each.
+    # A search that starts past the tracked bound trips the acting stage's
+    # check; a conjugation that returns its input trips reduce's.
     code = (
-        "from wreathconj import cli, wreath\n"
+        "from wreathconj import cli, witness, wreath\n"
+        "witness.separating_modulus = lambda B, b, points, ell: 804\n"
         f"rc = cli.main(['witness', '--group', 'Z/3 wr Z^2', '--x', {BOUND_X!r},"
         f" '--y', {BOUND_Y!r}])\n"
         "wreath.conjugate = lambda z, g: g\n"
@@ -217,7 +221,7 @@ def test_wreath_and_witness_contracts_survive_optimisation(flags):
     )
     assert out.stdout == "3 3\n"
     assert out.stderr.splitlines() == [
-        "internal error: modulus 801 above the tracked bound 800",
+        "internal error: modulus 804 above the tracked bound 801",
         "internal error: reduced conjugate fails its own check",
     ]
 

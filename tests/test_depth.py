@@ -37,11 +37,18 @@ from wreathconj.laurent import (
     from_wreath,
     poly_add,
     same_conjugacy_class,
+    split_subgroup_stream,
     wreath_group_for_ring,
     x_power,
     zero_poly,
 )
-from wreathconj.wreath import conjugate, conjugate_test, reduce, word_length_info
+from wreathconj.wreath import (
+    conjugate,
+    conjugate_test,
+    element_to_json,
+    reduce,
+    word_length_info,
+)
 
 
 def sdep(ring, shift, *terms):
@@ -377,6 +384,25 @@ def test_ball_ceiling():
         ball_elements(2, 4, ceiling=10)
 
 
+def test_ball_frozen_order():
+    # SHA-256 of the elements, one JSON line each, in the order of the
+    # ball walk that tried every position before the word-length prune;
+    # the ceiling trips once the walk passes it, at element ceiling + 1
+    frozen = {
+        (2, 6): (155, "398da044a6c1447d1ee14174e75c7b3a4eee7a35ba687382a99cd30c978be00e"),
+        (3, 4): (99, "28c78d96030a1f87f8177b54e60eaf8433b7f2a143f5a9c858681c059d4db821"),
+        (0, 4): (153, "074f556c62e77d7e102a0cd0544ff1026b62d01c986b3d2fad41535dba54433f"),
+    }
+    for (ring, n), (size, digest) in frozen.items():
+        ball = ball_elements(ring, n)
+        text = "\n".join(element_to_json(g) for g in ball)
+        assert (len(ball), hashlib.sha256(text.encode()).hexdigest()) == (size, digest)
+    assert len(ball_elements(2, 4, ceiling=44)) == 44
+    for ceiling in (10, 43):
+        with pytest.raises(BudgetExceeded, match=f"^ball ceiling {ceiling} exceeded$"):
+            ball_elements(2, 4, ceiling=ceiling)
+
+
 def test_ball_ceiling_stops_sweeps(monkeypatch, capsys):
     monkeypatch.setattr(depth, "BALL_CEILING", 10)
     with pytest.raises(BudgetExceeded):
@@ -580,6 +606,20 @@ def test_import_leaves_multiprocessing_out():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("p, n, budget", [(2, 5, 64), (3, 4, 81)])
+def test_fp_class_key_is_the_orbit_minimum(p, n, budget):
+    # the key skips the orbit when g0 = gcd(gen, x^gcd(m, t) - 1) is 1;
+    # with or without the shortcut it is the least residue of the orbit
+    reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(p, n)]
+    units = 0
+    for N in split_subgroup_stream(p, budget):
+        for s in reps:
+            m = s.shift % N.t
+            units += not N._tail(m)
+            assert quotient_class_key(s, N) == (m, min(N._orbit(s.poly, m)))
+    assert units
 
 
 def test_sweep_frozen_digests():

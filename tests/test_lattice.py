@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -166,3 +169,39 @@ def test_int_det():
         - 2 * int_det([[0, 2, 1], [5, 0, 2], [1, 1, 1]])
     )
     assert int_det(m) == expected
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_lattice_contracts_survive_optimisation(flags):
+    # the returned objects are checked by explicit raises, not asserts, so
+    # python -O keeps the checks; each patch breaks one construction
+    code = (
+        "from wreathconj import lattice\n"
+        "def attempt(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except lattice.ContractError as e:\n"
+        "        print(e)\n"
+        "greedy = lattice._greedy_reduce\n"
+        "lattice._greedy_reduce = lambda a, b: [0] * len(b)\n"
+        "attempt(lambda: lattice.ext_gcd_bounded((4, 6)))\n"
+        "lattice._greedy_reduce = greedy\n"
+        "lattice._bezout_chain = lambda b: [(1, [1] * (i + 1)) for i in range(len(b))]\n"
+        "attempt(lambda: lattice.kernel_basis((2, 3, 5)))\n"
+        "lattice.int_det = lambda rows: 2\n"
+        "attempt(lambda: lattice.unimodular_transform((0, 1)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.splitlines() == [
+        "Bezout vector for (4, 6) fails its own check",
+        "kernel vector (-11, -1, 1) of (2, 3, 5) fails its own check",
+        "transform of (0, 1) is not unimodular",
+    ]
+
+
+def test_int_det_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError):
+        int_det([(1, 2), (3,)])

@@ -12,6 +12,7 @@ from wreathconj.wreath import (
     WreathGroup,
     all_translators,
     conjugate_test,
+    element_from_json,
     is_reduced,
     reduce,
     word_length_info,
@@ -460,3 +461,41 @@ def test_report_order_exact_up_to_the_digit_limit(monkeypatch):
         assert dataclasses.replace(w, target=target).report()["target_order"] == expected
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
     assert dataclasses.replace(w, target=target).report()["target_order"] == 10**638 * 638
+
+
+
+# rank-two pairs whose first candidate acting modulus, a multiple of the
+# search's step 3, lies one past k 2^(k+2) ell^2 e, the acting stage's
+# bound before rounding: the CLI test's pair and two of the benchmark
+# pool's (witness/0815 and witness/1024)
+BOUND_PAIRS = [
+    (
+        '{"A": "Z/3", "B": "Z^2", "f": [[[2, 1], [1]]], "b": [0, -3]}',
+        '{"A": "Z/3", "B": "Z^2", "f": [[[0, 3], [1]], [[2, -2], [1]], [[2, 1], [2]],'
+        ' [[3, -2], [1]]], "b": [0, -3]}',
+        800,
+    ),
+    (
+        '{"A": "Z", "B": "Z^2", "f": [[[-3, 1], [3]]], "b": [3, -3]}',
+        '{"A": "Z", "B": "Z^2", "f": [[[-4, 4], [3]], [[-2, 0], [-2]], [[1, -3], [5]]],'
+        ' "b": [3, -3]}',
+        2048,
+    ),
+    (
+        '{"A": "Z/3", "B": "Z^2", "f": [[[-2, -1], [2]]], "b": [0, -3]}',
+        '{"A": "Z/3", "B": "Z^2", "f": [[[-3, -1], [2]], [[-2, -2], [1]], [[-2, 0], [2]],'
+        ' [[-2, 1], [2]], [[1, -5], [2]], [[1, -2], [1]], [[2, -5], [1]], [[2, -2], [2]]],'
+        ' "b": [0, -3]}',
+        512,
+    ),
+]
+
+
+@pytest.mark.parametrize("x, y, unrounded", BOUND_PAIRS)
+def test_rank_two_acting_bound_covers_the_search(x, y, unrounded):
+    g1, g2 = element_from_json(x), element_from_json(y)
+    w = full_witness(g1, g2)
+    assert w.acting_map.modulus == unrounded + 1
+    assert w.target.lamp.is_finite() and w.target.base.is_finite()
+    assert w.image1.group == w.target == w.image2.group
+    assert conjugate_test(w.image1, w.image2) is None
