@@ -42,11 +42,14 @@ in the script, elements g with 1-4 lamps and an acting part of infinite
 order, and pairs each with a conjugate z g z^-1 and with a near-conjugate
 z g z^-1 delta (one extra lamp). It then times, in this process, `reduce`
 on every element, `conjugate_test` on every pair, and `full_witness` on
-every nonconjugate pair. It counts `solve_multiple` calls by wrapping
-the function as `wreathconj.wreath` and `wreathconj.witness` bind it.
-Each row holds the group, the number of elements and pairs, the median
-seconds of each of the three phases over the runs, the `solve_multiple`
-calls per phase, and the witnesses that end in a contract error.
+every nonconjugate pair. One more run, untimed, counts calls per phase
+by wrapping functions as `wreathconj.wreath` and `wreathconj.witness`
+bind them: `solve_multiple`, `_verify_modulus` (one per acting modulus
+verified), and `reduce`, with the calls whose input was already reduced
+(the reduced form equals the input). Each row holds the group, the
+number of elements and pairs, the median seconds of each of the three
+phases over the runs, those counts per phase, and the witnesses that
+end in a contract error.
 
 Every row also holds the Python version, and the commit and source
 digest of the checkout the script sits in. The rows are added to the
@@ -294,61 +297,85 @@ def _witness_inputs(text: str):
     return elements, pairs
 
 
+# (module, attribute, counter) of the calls a witness row counts
+WITNESS_COUNTED = [
+    (wreath, "solve_multiple", "solve_multiple"),
+    (witness, "solve_multiple", "solve_multiple"),
+    (witness, "_verify_modulus", "verify_modulus"),
+    (wreath, "reduce", "reduce_calls"),
+    (witness, "reduce", "reduce_calls"),
+]
+
+
+def _counted_witness_run(phases: dict) -> dict:
+    """Run each phase once with the calls of WITNESS_COUNTED counted, and
+    the `reduce` calls whose input was already reduced."""
+    counts = dict.fromkeys([name for _, _, name in WITNESS_COUNTED] + ["reduce_already_reduced"], 0)
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            result = fn(*args)
+            if name == "reduce_calls" and result[0] == args[0]:
+                counts["reduce_already_reduced"] += 1
+            return result
+
+        return call
+
+    saved = [(mod, attr, name, getattr(mod, attr)) for mod, attr, name in WITNESS_COUNTED]
+    out = {}
+    try:
+        for mod, attr, name, fn in saved:
+            setattr(mod, attr, counted(name, fn))
+        for phase, run in phases.items():
+            counts.update(dict.fromkeys(counts, 0))
+            run()
+            out.update({f"{phase}_{name}": n for name, n in counts.items()})
+    finally:
+        for mod, attr, _, fn in saved:
+            setattr(mod, attr, fn)
+    return out
+
+
 def measure_witness(text: str, runs: int) -> dict:
     elements, pairs = _witness_inputs(text)
-    calls = 0
-    bound = {mod: mod.solve_multiple for mod in (wreath, witness)}
+    apart = []
+    failures = 0
 
-    def counted(fn):
-        def solve(*args):
-            nonlocal calls
-            calls += 1
-            return fn(*args)
+    def reduce_all():
+        for g in elements:
+            wreath.reduce(g)
 
-        return solve
+    def test_all():
+        apart[:] = [(g, h) for g, h in pairs if wreath.conjugate_test(g, h) is None]
 
-    phases = {"reduce": [], "conjugate_test": [], "full_witness": []}
-    counts = {}
-    for mod, fn in bound.items():
-        mod.solve_multiple = counted(fn)
-    try:
-        for _ in range(runs):
-            calls = 0
+    def witness_all():
+        nonlocal failures
+        failures = 0
+        for g, h in apart:
+            try:
+                witness.full_witness(g, h)
+            except (witness.WitnessContractError, AssertionError):
+                # checkouts before the contracts became raises assert
+                failures += 1
+
+    phases = {"reduce": reduce_all, "conjugate_test": test_all, "full_witness": witness_all}
+    counts = _counted_witness_run(phases)
+    seconds = {phase: [] for phase in phases}
+    for _ in range(runs):
+        for phase, run in phases.items():
             start = time.perf_counter()
-            for g in elements:
-                wreath.reduce(g)
-            phases["reduce"].append(time.perf_counter() - start)
-            counts["reduce"] = calls
-
-            calls = 0
-            start = time.perf_counter()
-            apart = [(g, h) for g, h in pairs if wreath.conjugate_test(g, h) is None]
-            phases["conjugate_test"].append(time.perf_counter() - start)
-            counts["conjugate_test"] = calls
-
-            calls = 0
-            failures = 0
-            start = time.perf_counter()
-            for g, h in apart:
-                try:
-                    witness.full_witness(g, h)
-                except (witness.WitnessContractError, AssertionError):
-                    # checkouts before the contracts became raises assert
-                    failures += 1
-            phases["full_witness"].append(time.perf_counter() - start)
-            counts["full_witness"] = calls
-    finally:
-        for mod, fn in bound.items():
-            mod.solve_multiple = fn
+            run()
+            seconds[phase].append(time.perf_counter() - start)
     return {
         "section": "witness",
         "group": text,
         "elements": len(elements),
         "pairs": len(pairs),
         "nonconjugate": len(apart),
-        **{f"{phase}_s": round(statistics.median(s), 6) for phase, s in phases.items()},
+        **{f"{phase}_s": round(statistics.median(s), 6) for phase, s in seconds.items()},
         "runs": runs,
-        **{f"{phase}_solve_multiple": n for phase, n in counts.items()},
+        **counts,
         "contract_failures": failures,
     }
 

@@ -22,6 +22,8 @@ from .abelian import (
     QuotientMap,
     format_group,
     quotient_mod,
+    # not called here; bound so that callers tracing or timing the coset
+    # solves as this module's names find them
     solve_multiple,
     word_length_abelian,
 )
@@ -33,6 +35,7 @@ from .wreath import (
     all_translators,
     conjugate_reduced,
     conjugate_test,
+    coset_key,
     element_to_json,
     extend_quotient_acting,
     extend_quotient_base,
@@ -126,14 +129,21 @@ def _difference_set(points) -> list[AbelianElement]:
 
 
 def _verify_modulus(pi: QuotientMap, b: AbelianElement, diffs) -> bool:
+    """Whether pi is injective on `diffs` and keeps each one's membership
+    of <b>. A point lies in <b> iff its coset key is the key of 0, read
+    with one key function above the quotient and one below. Membership
+    above implies membership below, so only a difference whose image
+    lies in <pi(b)> is keyed above."""
     images = [pi(d) for d in diffs]
     if len({im.coords for im in images}) != len(diffs):
         return False
-    pb = pi(b)
-    for d, im in zip(diffs, images):
-        if (solve_multiple(d, b) is not None) != (solve_multiple(im, pb) is not None):
-            return False
-    return True
+    up, down = coset_key(b), coset_key(pi(b))
+    zero_up, zero_down = up(b.group.zero())[0], down(pi.target.zero())[0]
+    return all(
+        up(d)[0] == zero_up
+        for d, im in zip(diffs, images)
+        if down(im)[0] == zero_down
+    )
 
 
 def separating_modulus(B: AbelianGroup, b: AbelianElement, supports, ell: int) -> int:
@@ -275,6 +285,12 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
     shifted-support point with a support point, so the image pair is
     re-tested and the modulus bumped until the test fails again.
 
+    The modulus `separating_modulus` returns is verified on this same
+    difference set (its postcondition), so it is not verified again:
+    the difference set is built, and a modulus verified, only once the
+    loop moves the modulus up, or for the coordinate-range fallback of a
+    finite-order acting part, which no search has verified.
+
     For an acting part of infinite order the modulus found is checked
     against a tracked bound: 8 ell e for free rank one, k 2^(k+2) ell^2 e
     for free rank k >= 2, e the exponent of the torsion; that is 2e
@@ -287,7 +303,6 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
     B = r1.group.base
     b = r1.b
     points = sorted(set(r1.support()) | set(r2.support()), key=lambda p: p.coords)
-    diffs = _difference_set(points) if points else [B.zero()]
     ell = max(
         1,
         word_length_abelian(b),
@@ -296,8 +311,9 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
     k = B.free_rank
     e = _exponent(B)
     phi = b.free_part()
+    verified = None
     if any(phi):
-        m = separating_modulus(B, b, points, ell)
+        m = verified = separating_modulus(B, b, points, ell)
         step = math.lcm(abs(phi[0]), e) if k == 1 else math.lcm(math.gcd(*phi), e)
         bound = 8 * ell * e if k == 1 else k * 2 ** (k + 2) * ell**2 * e
         bound = -(-bound // step) * step
@@ -308,11 +324,15 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
         maxc = max((abs(c) for p in points for c in p.coords), default=0)
         m, step, bound = 1 + 2 * maxc, 1, None
         transcript.append("finite-order acting part; coordinate-range fallback")
+    diffs = None
     for _ in range(1000):
         pi = quotient_mod(B, m)
-        if not _verify_modulus(pi, b, diffs):
-            m += step
-            continue
+        if m != verified:
+            if diffs is None:
+                diffs = _difference_set(points) if points else [B.zero()]
+            if not _verify_modulus(pi, b, diffs):
+                m += step
+                continue
         h1 = extend_quotient_acting(r1, pi)
         h2 = extend_quotient_acting(r2, pi)
         if conjugate_test(h1, h2) is None:

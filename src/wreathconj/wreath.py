@@ -147,12 +147,17 @@ def act(b: AbelianElement, g: WreathElement) -> WreathElement:
 
 # multiply and inverse build their results with `_wreath`: the factors
 # are valid elements of one group, so only merging, dropping zeros and
-# sorting are left to do.
+# sorting are left to do. A factor without pairs adds only its acting
+# part, and a translation by 0 keeps g2's pairs as they are.
 
 
 def multiply(g1: WreathElement, g2: WreathElement) -> WreathElement:
     _check_same_group(g1, g2)
     b1 = g1.b
+    if not g2.pairs:
+        return _wreath(g1.group, g1.pairs, b1 + g2.b)
+    if not g1.pairs and b1.is_zero():
+        return _wreath(g1.group, g2.pairs, g2.b)
     merged = dict(g1.pairs)
     for k, v in g2.pairs:
         k = k + b1
@@ -326,39 +331,39 @@ def _coset_classes(points, b: AbelianElement) -> list[list[AbelianElement]]:
 def _solve_twist(d: dict, b: AbelianElement, zero_lamp) -> Optional[dict]:
     """h with h - b.h = d, or None when some coset sum is nonzero."""
     support = [k for k, v in d.items() if not v.is_zero()]
-    if not support:
-        return {}
-    if b.is_zero():
-        return None
     order = element_order(b)
     h: dict[AbelianElement, AbelianElement] = {}
     for cls in _keyed_classes(support, coset_key(b)):
-        rep, t0 = cls[0]
-        if order is None:
-            offsets = {t - t0: d[p] for p, t in cls}
-            lo, hi = min(offsets), max(offsets)
-            acc = zero_lamp
-            for t in range(lo, hi + 1):
-                if t in offsets:
-                    acc = acc + offsets[t]
-                if not acc.is_zero():
-                    h[rep + t * b] = acc
-            if not acc.is_zero():
-                return None
-        else:
-            offsets = {(t - t0) % order: d[p] for p, t in cls}
-            acc = zero_lamp
-            cells = []
-            for t in range(order):
-                if t in offsets:
-                    acc = acc + offsets[t]
-                cells.append(acc)
-            if not acc.is_zero():
-                return None
-            for t, val in enumerate(cells):
-                if not val.is_zero():
-                    h[rep + t * b] = val
+        pairs, total = _running_sums([(t, p, d[p]) for p, t in cls], b, order, zero_lamp)
+        if not total.is_zero():
+            return None
+        h.update(pairs)
     return h
+
+
+def _running_sums(walk: list, b: AbelianElement, order, zero_lamp) -> tuple:
+    """The pairs of h with h - b.h = d on one coset of <b>, and the sum
+    of d over it (h exists iff that is 0), from walk = [(t, p, d(p))]
+    for p = rep + t*b in coordinate order. h is the running sum of d
+    along the coset; when b has finite order it starts at the first
+    point of the walk where d is nonzero."""
+    if order is not None:
+        start = next(t for t, _, dv in walk if not dv.is_zero())
+        walk = [((t - start) % order, p, dv) for t, p, dv in walk]
+    walk.sort(key=_first)
+    out = []
+    acc = zero_lamp
+    for (t, p, dv), (t_next, _, _) in zip(walk, walk[1:]):
+        acc = acc + dv
+        if not acc.is_zero():
+            for _ in range(t_next - t):
+                out.append((p, acc))
+                p = p + b
+    return out, acc + walk[-1][2]
+
+
+def _first(item):
+    return item[0]
 
 
 def _f_difference(f2: dict, f1_shifted: dict, lamp: AbelianGroup) -> dict:
@@ -381,24 +386,41 @@ def reduce(g: WreathElement) -> tuple[WreathElement, WreathElement]:
     """Reduced conjugate plus a conjugator z with z g z^{-1} reduced.
 
     All lamp values inside one coset of <b> are accumulated onto the
-    coset's least support point.
+    coset's least support point. Each support point is keyed once
+    (`coset_key`); a coset of one point keeps its pair and adds nothing
+    to z. Otherwise z = (h, 0) with h - b.h = d, d the reduced minus the
+    given lamp values, by running sums along each coset over the offsets
+    the key returned (`_running_sums`).
     """
     b = g.b
-    f = g.f_map()
-    target: dict[AbelianElement, AbelianElement] = {}
-    for cls in _coset_classes(g.support(), b):
-        total = f[cls[0]]
-        for p in cls[1:]:
-            total = total + f[p]
-        if not total.is_zero():
-            target[cls[0]] = total
-    d = _f_difference(target, f, g.group.lamp)
-    h = _solve_twist(d, b, g.group.lamp.zero())
-    if h is None:
-        raise ContractError("coset sums vanish by construction")
-    # h and target hold distinct points of B with nonzero values in A
-    z = _wreath(g.group, _sorted_nonzero(h), g.group.base.zero())
-    reduced = _wreath(g.group, _sorted_nonzero(target), b)
+    group = g.group
+    key = coset_key(b)
+    classes: dict = {}
+    for p, v in g.pairs:
+        rep, t = key(p)
+        classes.setdefault(rep, []).append((t, p, v))
+    if len(classes) == len(g.pairs):
+        reduced = _wreath(group, g.pairs, b)
+        z = _wreath(group, (), group.base.zero())
+    else:
+        order = element_order(b)
+        zero = group.lamp.zero()
+        target, h = [], []
+        # the pairs are in coordinate order, so the classes come in the
+        # order of their least points and target needs no sort
+        for cls in classes.values():
+            t0, p0, v0 = cls[0]
+            total = v0
+            for _, _, v in cls[1:]:
+                total = total + v
+            if not total.is_zero():
+                target.append((p0, total))
+            if len(cls) > 1:
+                walk = [(t0, p0, total - v0)] + [(t, p, -v) for t, p, v in cls[1:]]
+                h += _running_sums(walk, b, order, zero)[0]
+        h.sort(key=_key_coords)
+        z = _wreath(group, tuple(h), group.base.zero())
+        reduced = _wreath(group, tuple(target), b)
     if conjugate(z, g) != reduced:
         raise ContractError("reduced conjugate fails its own check")
     return reduced, z
