@@ -49,7 +49,10 @@ verified), and `reduce`, with the calls whose input was already reduced
 (the reduced form equals the input). Each row holds the group, the
 number of elements and pairs, the median seconds of each of the three
 phases over the runs, those counts per phase, and the witnesses that
-end in a contract error.
+end in a contract error. Witness rows recorded before the counts of
+`_verify_modulus` and of already-reduced inputs came in were timed with
+the `solve_multiple` counting wrapper installed, so their seconds read
+higher than later rows' and are not comparable with them.
 
 Every row also holds the Python version, and the commit and source
 digest of the checkout the script sits in. The rows are added to the

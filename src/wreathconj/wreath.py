@@ -399,28 +399,22 @@ def reduce(g: WreathElement) -> tuple[WreathElement, WreathElement]:
     for p, v in g.pairs:
         rep, t = key(p)
         classes.setdefault(rep, []).append((t, p, v))
-    if len(classes) == len(g.pairs):
-        reduced = _wreath(group, g.pairs, b)
-        z = _wreath(group, (), group.base.zero())
-    else:
-        order = element_order(b)
-        zero = group.lamp.zero()
-        target, h = [], []
-        # the pairs are in coordinate order, so the classes come in the
-        # order of their least points and target needs no sort
-        for cls in classes.values():
-            t0, p0, v0 = cls[0]
-            total = v0
-            for _, _, v in cls[1:]:
-                total = total + v
-            if not total.is_zero():
-                target.append((p0, total))
-            if len(cls) > 1:
-                walk = [(t0, p0, total - v0)] + [(t, p, -v) for t, p, v in cls[1:]]
-                h += _running_sums(walk, b, order, zero)[0]
-        h.sort(key=_key_coords)
-        z = _wreath(group, tuple(h), group.base.zero())
-        reduced = _wreath(group, tuple(target), b)
+    target, h = [], []
+    # the pairs are in coordinate order, so the classes come in the
+    # order of their least points and target needs no sort
+    for cls in classes.values():
+        t0, p0, v0 = cls[0]
+        total = v0
+        for _, _, v in cls[1:]:
+            total = total + v
+        if not total.is_zero():
+            target.append((p0, total))
+        if len(cls) > 1:
+            walk = [(t0, p0, total - v0)] + [(t, p, -v) for t, p, v in cls[1:]]
+            h += _running_sums(walk, b, element_order(b), group.lamp.zero())[0]
+    h.sort(key=_key_coords)
+    z = _wreath(group, tuple(h), group.base.zero())
+    reduced = _wreath(group, tuple(target), b)
     if conjugate(z, g) != reduced:
         raise ContractError("reduced conjugate fails its own check")
     return reduced, z
