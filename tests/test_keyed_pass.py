@@ -88,7 +88,7 @@ def test_reduce_returns_reduced_input_with_identity():
 
 
 def test_reduce_checks_reduced_input(monkeypatch):
-    # the self-check runs on the path of an input already reduced too
+    # the self-check runs on an input already reduced too
     inputs = [g for g in _reduced_inputs(4402) if g.pairs]
     monkeypatch.setattr(wreath, "conjugate", lambda z, h: h.group.identity())
     for g in inputs:
