@@ -124,8 +124,7 @@ def _exponent(B: AbelianGroup) -> int:
 
 def _difference_set(points) -> list[AbelianElement]:
     pts = list(points)
-    out = {s - t for s in pts for t in pts}
-    return sorted(out, key=lambda d: d.coords)
+    return list({s - t for s in pts for t in pts})
 
 
 def _verify_modulus(pi: QuotientMap, b: AbelianElement, diffs) -> bool:

@@ -519,8 +519,9 @@ def brute_force_conjugate(
 ) -> Optional[WreathElement]:
     """Exhaustive conjugator scan in a finite wreath product.
 
-    Refuses when |A|^|B| * |B| exceeds the budget. Backed by the packed
-    element kernel; the witness is decoded and re-verified.
+    Refuses when |A|^|B| * |B| exceeds the budget, or when the packed
+    element kernel behind it refuses the group (`kernel.MAX_TABLE_ENTRIES`);
+    the witness is decoded and re-verified.
     """
     from . import kernel
 

@@ -417,3 +417,15 @@ def test_kernel_class_table():
 def test_kernel_rejects_infinite_groups():
     with pytest.raises(ValueError):
         kernel.kernel_for(LAMP_Z)
+
+
+def test_kernel_refuses_oversize():
+    # tables of |A|^2 + |B|^2 entries are refused before any is built
+    W = WreathGroup(AbelianGroup(0, (2,) * 40), AbelianGroup(0, (2,) * 20))
+    with pytest.raises(ValueError):
+        kernel.kernel_for(W)
+    # order 10^6 is within the brute-force budget; |A|^2 = 10^12 is not
+    W = WreathGroup(AbelianGroup(0, (10**6,)), AbelianGroup(0, ()))
+    assert W.order() == 10**6
+    with pytest.raises(ValueError):
+        brute_force_conjugate(W.identity(), W.identity())
