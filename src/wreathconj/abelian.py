@@ -187,14 +187,6 @@ def word_length_abelian(x: AbelianElement) -> int:
     return total
 
 
-def gcd_vector(values) -> int:
-    """gcd of a family of integers; 0 for the all-zero (or empty) family."""
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
-
-
 @dataclass(frozen=True)
 class QuotientMap:
     """Reduction of every free coordinate mod m, identity on torsion.
@@ -333,15 +325,6 @@ def format_group(group: AbelianGroup) -> str:
         parts.append(f"Z^{group.free_rank}")
     parts.extend(f"Z/{n}" for n in group.torsion)
     return " x ".join(parts) if parts else "1"
-
-
-def parse_element(group: AbelianGroup, text: str) -> AbelianElement:
-    """Parse "[a1,...,am]" (brackets optional) into an element."""
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    coords = tuple(int(p) for p in body.split(",")) if body.strip() else ()
-    return AbelianElement(group, coords)
 
 
 def format_element(x: AbelianElement) -> str:

@@ -36,6 +36,7 @@ from .laurent import (
     ContractError,
     format_semidirect,
     from_wreath,
+    parse_ring,
     parse_semidirect,
     ring_of_wreath_group,
     to_wreath,
@@ -94,15 +95,6 @@ def _format_element(g: WreathElement, ring) -> str:
     if ring is not None:
         return format_semidirect(from_wreath(g))
     return element_to_json(g)
-
-
-def _parse_ring(text: str) -> int:
-    text = text.strip()
-    if text == "Z":
-        return 0
-    if text.startswith("F") and text[1:].isdigit():
-        return int(text[1:])
-    raise ValueError(f"expected 'Z' or 'Fp' with p prime, got {text!r}")
 
 
 def _default_budget(ring: int) -> int:
@@ -248,7 +240,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    ring = _parse_ring(args.ring)
+    ring = parse_ring(args.ring)
     budget = args.budget if args.budget is not None else _default_budget(ring)
     rows = depth_sweep(ring, args.n, budget=budget, jobs=args.jobs)
     # wall-clock timing is not part of the deterministic output contract
@@ -334,7 +326,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("sweep", help="max split depth over balls of radius 1..n")
-    p.add_argument("--ring", required=True, help="'F2', 'F3', ... or 'Z'")
+    p.add_argument("--ring", required=True, help="'Z' or 'F<p>', p prime, any case")
     p.add_argument("--n", type=int, required=True, help="largest radius")
     p.add_argument(
         "--budget",
@@ -376,10 +368,6 @@ def main(argv=None) -> int:
     except (ContractError, WitnessContractError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-
-
-def console_main() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

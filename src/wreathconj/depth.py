@@ -378,6 +378,7 @@ def conjugacy_classes(ring: int, n: int, ceiling: Optional[int] = None) -> list:
     Each class keeps the ball element whose reduced form ranks least by
     (word length, acting part, lamps); only that winner is built as a
     `WreathElement`."""
+    W = wreath_group_for_ring(ring)
     classes = {}
     for pairs, b, wl in _ball(ring, n, ceiling):
         r = _reduce_line(ring, pairs, b)
@@ -386,7 +387,6 @@ def conjugacy_classes(ring: int, n: int, ceiling: Optional[int] = None) -> list:
         prev = classes.get(key)
         if prev is None or rank < prev:
             classes[key] = rank
-    W = wreath_group_for_ring(ring)
     return [
         (key, W.element([((k,), v) for k, v in r], (b,)), wl)
         for key, (wl, b, r) in sorted(classes.items())

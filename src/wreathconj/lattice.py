@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .abelian import gcd_vector
 from .wreath import ContractError
 
 
@@ -110,7 +109,7 @@ def ext_gcd_bounded(b: Sequence[int]) -> tuple[int, ...]:
     b = tuple(int(x) for x in b)
     if not b:
         raise ValueError("empty vector")
-    g = gcd_vector(b)
+    g = math.gcd(*b)
     if g == 0:
         return (0,) * len(b)
 
@@ -228,7 +227,7 @@ def unimodular_transform(b: Sequence[int]) -> list[tuple[int, ...]]:
     rows = [ext_gcd_bounded(b)]
     if k >= 2:
         rows.extend(kernel_basis(b))
-    g = gcd_vector(b)
+    g = math.gcd(*b)
     bound = (1 << (k - 1)) * sum(abs(x) for x in b)
 
     image = [sum(r[i] * b[i] for i in range(k)) for r in rows]

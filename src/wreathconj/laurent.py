@@ -626,14 +626,8 @@ class FpSplitSubgroup:
         return self.t * self.quotient_ring_order
 
     def contains(self, P: LaurentPoly) -> bool:
-        if P.is_zero():
-            return True
-        _, cs = _normalize(P)
-        _, gd = _normalize(self.gen)
-        return not _ddivmod(cs, gd, self.p)[1]
-
-    def __str__(self) -> str:
-        return f"({format_laurent(self.gen)}) x| {self.t}Z over F{self.p}"
+        # x is a unit mod gen, so the factor x^low of P is dropped
+        return not any(_dreduce(_normalize(P)[1], self._tail(0), self.p))
 
 
 def _rotate(vec: tuple) -> tuple:
@@ -828,13 +822,6 @@ class ZSplitSubgroup:
     def contains(self, P: LaurentPoly) -> bool:
         return not any(_reduce(self.basis, self.vec(P)))
 
-    def __str__(self) -> str:
-        return (
-            f"(d={self.d}, period {self.t0},"
-            f" ideal size {self.d**self.t0 // self.quotient_ring_order})"
-            f" x| {self.t}Z over Z"
-        )
-
 
 def _check_z_shape(d: int, t0: int, t: int):
     if d < 1 or t0 < 1 or t < 1:
@@ -906,14 +893,15 @@ def _fp_stream(p: int, max_index: int):
         for g_deg, g in gens:
             buckets.setdefault(t * p**g_deg, []).append((t, g))
         bucket = buckets.pop(t, [])
-        # the order of _fp_order, read off the dense generators
-        bucket.sort(key=lambda sg: (sg[0], len(sg[1]), [(i, c) for i, c in enumerate(sg[1]) if c]))
+        bucket.sort(key=lambda sg: _fp_key(p, *sg))
         for s, g in bucket:
             yield FpSplitSubgroup(p, s, _from_dense(p, 0, g))
 
 
-def _fp_order(N: FpSplitSubgroup) -> tuple:
-    return N.index, N.t, N.gen.degree, N.gen.coeffs
+def _fp_key(p: int, t: int, g: list) -> tuple:
+    """The order of the F_p split subgroups (g) x| tZ, g dense: index,
+    then t, degree and the nonzero coefficients of g."""
+    return t * p ** (len(g) - 1), t, len(g), [(i, c) for i, c in enumerate(g) if c]
 
 
 def _irreducibles_of_order(p: int, e: int, max_index: int) -> list[list]:
@@ -1084,18 +1072,15 @@ def pair_split_subgroups_fp(
                     break
                 more.append((orders, power, D))
         divs += more
-    subs = [
-        FpSplitSubgroup(p, orders * power, _from_dense(p, 0, D))
-        for orders, power, D in divs
-    ]
+    pairs = [(orders * power, D) for orders, power, D in divs]
     if diff:
         t = 2
         while diff % t == 0:
             t += 1
         if t <= max_index:
-            subs.append(FpSplitSubgroup(p, t, one_poly(p)))
-    subs.sort(key=_fp_order)
-    return subs
+            pairs.append((t, [1]))
+    pairs.sort(key=lambda sg: _fp_key(p, *sg))
+    return [FpSplitSubgroup(p, t, _from_dense(p, 0, D)) for t, D in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -1386,12 +1371,10 @@ def image_in_split_quotient(g: SemidirectElement, N):
     if g.poly.ring != N.ring:
         raise ValueError("ring mismatch")
     if isinstance(N, FpSplitSubgroup):
-        folded = LaurentPoly(N.p, tuple((e % N.t, c) for e, c in g.poly.coeffs))
         dense = [0] * N.t
-        for e, c in folded.coeffs:
+        for e, c in _fold(g.poly, N.t).items():
             dense[e] = c
-        _, gd = _normalize(N.gen)
-        rep = _ddivmod(dense, gd, N.p)[1]
+        rep = _dreduce(dense, N._tail(0), N.p)
         return _from_dense(N.p, 0, rep), g.shift % N.t
     return _reduce(N.basis, N.vec(g.poly)), g.shift % N.t
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from . import kernel
-from .abelian import AbelianGroup, gcd_vector, quotient_mod, solve_multiple
+from .abelian import AbelianGroup, quotient_mod, solve_multiple
 from .depth import (
     EXCEEDS_BUDGET,
     conjugacy_classes,
@@ -245,7 +245,7 @@ def _kernel_box_check() -> tuple[bool, int]:
     for k in (2, 3):
         for b in _l1_box(k, 20):
             basis = kernel_basis(b)
-            g = gcd_vector(b)
+            g = math.gcd(*b)
             bound = 2 ** (k - 1) * sum(abs(x) for x in b)
             for v in basis:
                 if sum(x * y for x, y in zip(v, b)) != 0:
@@ -263,7 +263,7 @@ def _stretch_check(rng) -> tuple[bool, int]:
     while done < 1000:
         k = rng.randint(2, 5)
         b = tuple(rng.randint(-50, 50) for _ in range(k))
-        if not any(b) or gcd_vector(b) != 1:
+        if not any(b) or math.gcd(*b) != 1:
             continue
         rows = unimodular_transform(b)
         img = [sum(r[i] * b[i] for i in range(k)) for r in rows]

@@ -115,13 +115,6 @@ class WitnessQuotient:
         }
 
 
-def _exponent(B: AbelianGroup) -> int:
-    e = 1
-    for n in B.torsion:
-        e = math.lcm(e, n)
-    return e
-
-
 def _difference_set(points) -> list[AbelianElement]:
     pts = list(points)
     return list({s - t for s in pts for t in pts})
@@ -145,21 +138,33 @@ def _verify_modulus(pi: QuotientMap, b: AbelianElement, diffs) -> bool:
     )
 
 
+def _search_start(b: AbelianElement, ell: int) -> tuple[int, int]:
+    """(threshold, step) of the modulus search for an acting part b of
+    infinite order at radius ell: 4*ell and lcm(|phi_1|, e) for free rank
+    one, k*2^k*(2*ell)^2 and lcm(gcd(phi), e) for free rank k >= 2, phi
+    the free part of b and e the exponent of the torsion."""
+    B = b.group
+    k = B.free_rank
+    phi = b.free_part()
+    e = B.torsion_exponent()
+    if k == 1:
+        return 4 * ell, math.lcm(abs(phi[0]), e)
+    return k * 2**k * (2 * ell) ** 2, math.lcm(math.gcd(*phi), e)
+
+
 def separating_modulus(B: AbelianGroup, b: AbelianElement, supports, ell: int) -> int:
     """Least modulus m whose quotient is injective on the difference set
     of `supports` and preserves <b>-coset membership of every difference.
 
-    The search starts at the rank-dependent threshold (4*ell for free
-    rank one, k*2^k*(2*ell)^2 otherwise), runs over multiples of the
-    rank-dependent divisor, and verifies both postconditions
-    exhaustively before returning.
+    The search starts at the threshold of `_search_start`, rounded up to
+    a multiple of its step, runs over multiples of that step, and
+    verifies both postconditions exhaustively before returning.
     """
     if b.group != B:
         raise ValueError("b must lie in B")
     if ell < 1:
         raise ValueError("ell must be positive")
-    phi = b.free_part()
-    if not any(phi):
+    if not any(b.free_part()):
         raise ValueError("b must have infinite-order free projection")
     supports = list(supports)
     for s in supports:
@@ -167,14 +172,7 @@ def separating_modulus(B: AbelianGroup, b: AbelianElement, supports, ell: int) -
             raise ValueError("support points must lie in B")
         if word_length_abelian(s) > ell:
             raise ValueError(f"support point {s.coords} outside Ball({ell})")
-    k = B.free_rank
-    e = _exponent(B)
-    if k == 1:
-        threshold = 4 * ell
-        step = math.lcm(abs(phi[0]), e)
-    else:
-        threshold = k * 2**k * (2 * ell) ** 2
-        step = math.lcm(math.gcd(*phi), e)
+    threshold, step = _search_start(b, ell)
     m = -(-threshold // step) * step
     diffs = _difference_set(supports) if supports else []
     for _ in range(1000):
@@ -220,7 +218,7 @@ def _certificate_kind(r1: WreathElement, r2: WreathElement) -> str:
     s1, s2 = set(r1.support()), set(r2.support())
     if len(s1) != len(s2):
         return "support-size"
-    if not all_translators(s1, s2):
+    if s1 and not all_translators(s1, s2):
         return "non-translate"
     return "value-mismatch"
 
@@ -240,7 +238,7 @@ def witness_acting_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuot
     B = g1.group.base
     A = g1.group.lamp
     b = r1.b
-    kind = _certificate_kind(r1, r2) if (r1.pairs or r2.pairs) else "value-mismatch"
+    kind = _certificate_kind(r1, r2)
     transcript = [f"reduced pair shares acting part b = {b.coords}"]
 
     # both branches leave h1, h2 verified nonconjugate: the reduced pair
@@ -291,13 +289,13 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
     finite-order acting part, which no search has verified.
 
     For an acting part of infinite order the modulus found is checked
-    against a tracked bound: 8 ell e for free rank one, k 2^(k+2) ell^2 e
-    for free rank k >= 2, e the exponent of the torsion; that is 2e
-    times the search's start threshold for rank one, e times it
-    otherwise. The search visits only multiples of its step, so the
-    bound is rounded up to a multiple of the step: unrounded, it failed
-    a first candidate that the rounding up of the threshold had pushed
-    just past it.
+    against a tracked bound, read off `_search_start` rather than off
+    the modulus the search returns: 2e times the search's start
+    threshold for free rank one (8 ell e), e times it for free rank
+    k >= 2 (k 2^(k+2) ell^2 e), e the exponent of the torsion. The
+    search visits only multiples of its step, so the bound is rounded up
+    to a multiple of the step: unrounded, it failed a first candidate
+    that the rounding up of the threshold had pushed just past it.
     """
     B = r1.group.base
     b = r1.b
@@ -308,13 +306,11 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
         max((word_length_abelian(p) for p in points), default=1),
     )
     k = B.free_rank
-    e = _exponent(B)
-    phi = b.free_part()
     verified = None
-    if any(phi):
+    if any(b.free_part()):
         m = verified = separating_modulus(B, b, points, ell)
-        step = math.lcm(abs(phi[0]), e) if k == 1 else math.lcm(math.gcd(*phi), e)
-        bound = 8 * ell * e if k == 1 else k * 2 ** (k + 2) * ell**2 * e
+        threshold, step = _search_start(b, ell)
+        bound = threshold * (2 if k == 1 else 1) * B.torsion_exponent()
         bound = -(-bound // step) * step
         transcript.append(f"separating modulus m = {m} at radius {ell}")
     else:
@@ -342,17 +338,10 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
     if bound is not None and m > bound:
         raise WitnessContractError(f"modulus {m} above the tracked bound {bound}")
     size = pi.target.order()
-    if size is None or size > m**k * _torsion_order(B):
+    if size is None or size > m**k * math.prod(B.torsion):
         raise WitnessContractError(f"acting quotient of order {size} above m^k |T(B)|")
     transcript.append(f"acting modulus m = {m}, quotient target of order {size}")
     return pi, h1, h2
-
-
-def _torsion_order(B: AbelianGroup) -> int:
-    n = 1
-    for t in B.torsion:
-        n *= t
-    return n
 
 
 def _coset_value_mismatch_moduli(
@@ -417,7 +406,7 @@ def _base_quotient(g1: WreathElement, g2: WreathElement, verified: bool) -> Witn
         raise ValueError("acting parts differ; use full_witness")
     if not verified and conjugate_test(g1, g2) is not None:
         raise WitnessContractError("inputs are conjugate; no witness exists")
-    kind = _certificate_kind(g1, g2) if (g1.pairs or g2.pairs) else "value-mismatch"
+    kind = _certificate_kind(g1, g2)
     transcript: list[str] = []
 
     maps = [rf_quotient(A, v) for _, v in g1.pairs + g2.pairs]

@@ -138,13 +138,6 @@ def _check_same_group(g1: WreathElement, g2: WreathElement):
         raise GroupMismatchError("elements of different wreath products")
 
 
-def act(b: AbelianElement, g: WreathElement) -> WreathElement:
-    """Translate the lamp configuration by b, fixing the acting part."""
-    return WreathElement(
-        g.group, tuple((k + b, v) for k, v in g.pairs), g.b
-    )
-
-
 # multiply and inverse build their results with `_wreath`: the factors
 # are valid elements of one group, so only merging, dropping zeros and
 # sorting are left to do. A factor without pairs adds only its acting
@@ -247,10 +240,6 @@ def word_length_info(g: WreathElement) -> tuple[int, bool]:
     if len(supp) <= 12:
         return _walk_cost_dp(supp, g.b) + lamps, True
     return _walk_cost_greedy(supp, g.b, base.zero()) + lamps, False
-
-
-def word_length(g: WreathElement) -> int:
-    return word_length_info(g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +427,6 @@ def all_translators(xs, ys) -> set[AbelianElement]:
         if {x + c for x in xs} == ys:
             out.add(c)
     return out
-
-
-def is_translate(xs, ys) -> Optional[AbelianElement]:
-    xs, ys = set(xs), set(ys)
-    if not xs and not ys:
-        raise ValueError("translator search needs nonempty sets")
-    if not xs or not ys:
-        return None
-    found = all_translators(xs, ys)
-    if not found:
-        return None
-    return min(found, key=lambda c: c.coords)
 
 
 # ---------------------------------------------------------------------------

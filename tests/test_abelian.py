@@ -10,8 +10,6 @@ from wreathconj.abelian import (
     element_order,
     format_element,
     format_group,
-    gcd_vector,
-    parse_element,
     parse_group,
     quotient_mod,
     solve_multiple,
@@ -133,14 +131,6 @@ def test_quotient_target_order_exhaustive():
         assert len(seen) == expected
 
 
-def test_gcd_vector():
-    assert gcd_vector([]) == 0
-    assert gcd_vector([0, 0]) == 0
-    assert gcd_vector([4, -6]) == 2
-    assert gcd_vector([3]) == 3
-    assert gcd_vector([0, 5, 10]) == 5
-
-
 def brute_solve_multiple(s, b, span=250):
     for t in range(-span, span + 1):
         if t * b == s:
@@ -211,8 +201,6 @@ def test_element_descriptor_round_trip():
     g = AbelianGroup(2, (4,))
     x = AbelianElement(g, (-3, 0, 2))
     assert format_element(x) == "[-3,0,2]"
-    assert parse_element(g, format_element(x)) == x
-    assert parse_element(AbelianGroup(0), "[]") == AbelianGroup(0).zero()
 
 
 def test_enumerate_infinite_group_rejected():

@@ -325,6 +325,25 @@ def test_sweep_budget_exceeded_exit_2(capsys):
     assert "exceeds budget" in out
 
 
+@pytest.mark.parametrize("ring", ["F0", "F1", "F4", "F9"])
+def test_sweep_non_prime_ring_exit_1(capsys, ring):
+    # rejected before any work: no Z wr Z sweep for F0, no ball walk
+    # ending in exit 2 for F4
+    rc, out, err = run(capsys, "sweep", "--ring", ring, "--n", "16")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and ring in err
+
+
+def test_sweep_ring_any_case(capsys):
+    args = ("--n", "3", "--budget", "16")
+    for upper, lower in (("Z", "z"), ("F2", "f2")):
+        rc1, out1, _ = run(capsys, "sweep", "--ring", upper, *args)
+        rc2, out2, _ = run(capsys, "sweep", "--ring", lower, *args)
+        assert rc1 == rc2 == 0
+        assert out1 == out2
+
+
 def test_out_flag_writes_identical_bytes(capsys, tmp_path):
     args = ("sweep", "--ring", "F2", "--n", "2", "--budget", "8")
     rc, out, _ = run(capsys, *args)

@@ -526,6 +526,13 @@ def test_class_counts_frozen():
     assert len(conjugacy_classes(2, 2)) == 8
 
 
+def test_classes_reject_non_prime_ring_before_the_ball():
+    # the ring is checked first: Ball(40) over Z/4 would exceed the
+    # ball ceiling before any check at its end ran
+    with pytest.raises(ValueError):
+        conjugacy_classes(4, 40)
+
+
 def test_classes_pairwise_nonconjugate():
     classes = conjugacy_classes(2, 3)
     reps = [rep for _, rep, _ in classes]

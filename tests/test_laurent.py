@@ -27,6 +27,7 @@ from wreathconj.laurent import (
     is_prime,
     mod_ideal_reduce,
     one_poly,
+    pair_split_subgroups_fp,
     parse_laurent,
     parse_ring,
     parse_semidirect,
@@ -505,6 +506,30 @@ def test_xg_minus_1_factors_seed_only_reducible(monkeypatch):
     factors = _xg_minus_1_factors(2, 15, NO_BOUND)
     assert seeds == [15]
     assert [(e, len(f) - 1) for e, f, _ in factors] == [(1, 1), (3, 2), (5, 4), (15, 4), (15, 4)]
+
+
+def test_pair_split_subgroups_fp_against_full_stream():
+    # the pair's subgroups are, in stream order, the members (D) x| tZ of
+    # the full list with t the order of D and t | gcd(a1, a2), and, when
+    # a1 != a2, (1) x| tZ for the least t not dividing a1 - a2
+    for p, budget in ((2, 128), (3, 81), (5, 50), (7, 49)):
+        full = enumerate_split_subgroups_fp(p, budget)
+        order = [
+            next(s for s in range(1, N.t + 1) if N.contains(xt_minus_1(p, s)))
+            for N in full
+        ]
+        for a1, a2 in itertools.product(range(-6, 13), repeat=2):
+            if a1 == a2 == 0:
+                continue
+            g, diff = math.gcd(a1, a2), a1 - a2
+            least = next((t for t in itertools.count(2) if diff % t), None) if diff else None
+            want = [
+                N
+                for N, t0 in zip(full, order)
+                if (N.t == t0 and g % N.t == 0)
+                or (N.gen == one_poly(p) and N.t == least)
+            ]
+            assert pair_split_subgroups_fp(p, a1, a2, budget) == want, (p, a1, a2)
 
 
 def divmod_oracle(num, den, p):

@@ -18,7 +18,6 @@ from wreathconj.wreath import (
     WreathGroup,
     _walk_cost_dp,
     _walk_cost_line,
-    act,
     all_translators,
     brute_force_conjugate,
     conjugate,
@@ -29,11 +28,9 @@ from wreathconj.wreath import (
     extend_quotient_base,
     inverse,
     is_reduced,
-    is_translate,
     multiply,
     reduce,
     retract_wreath,
-    word_length,
     word_length_info,
 )
 
@@ -91,13 +88,6 @@ def test_conjugation_is_a_homomorphism():
         assert conjugate(z, g).b == g.b
 
 
-def test_act_shifts_support():
-    g = Z_WR_Z.delta(2, 5, 1)
-    shifted = act(Z.element((3,)), g)
-    assert shifted.support() == (Z.element((5,)),)
-    assert shifted.b == g.b
-
-
 def test_cross_group_multiplication_rejected():
     with pytest.raises(GroupMismatchError):
         multiply(LAMP_Z.identity(), Z_WR_Z.identity())
@@ -108,11 +98,11 @@ def test_cross_group_multiplication_rejected():
 
 
 def test_word_length_examples():
-    assert word_length(LAMP_Z.delta(3, 1)) == 7
-    assert word_length(LAMP_Z.delta(0, 1, 5)) == 6
-    assert word_length(LAMP_Z.identity()) == 0
+    assert word_length_info(LAMP_Z.delta(3, 1))[0] == 7
+    assert word_length_info(LAMP_Z.delta(0, 1, 5))[0] == 6
+    assert word_length_info(LAMP_Z.identity())[0] == 0
     g = Z_WR_Z.element([(3, (2,)), (-1, (-1,))], 0)
-    assert word_length(g) == 11
+    assert word_length_info(g)[0] == 11
     # every lamp needs at least one generator, the walk visits every point
     rng = random.Random(20011)
     for _ in range(300):
@@ -196,15 +186,11 @@ def test_translators():
     xs = [z4.element((0,)), z4.element((2,))]
     ys = [z4.element((1,)), z4.element((3,))]
     assert all_translators(xs, ys) == {z4.element((1,)), z4.element((3,))}
-    assert is_translate(xs, ys) == z4.element((1,))
-    assert is_translate(xs, [z4.element((0,)), z4.element((1,))]) is None
     a = [Z.element((0,)), Z.element((2,))]
     b = [Z.element((5,)), Z.element((7,))]
     assert all_translators(a, b) == {Z.element((5,))}
     with pytest.raises(ValueError):
         all_translators([], ys)
-    with pytest.raises(ValueError):
-        is_translate([], [])
 
 
 def test_conjugate_test_frozen_cases():
