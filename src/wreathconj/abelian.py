@@ -224,6 +224,27 @@ def quotient_mod(group: AbelianGroup, m: int) -> QuotientMap:
     return QuotientMap(group, m)
 
 
+def _xgcd2(u: int, v: int) -> tuple[int, int, int]:
+    """g, s, t with s*u + t*v = g = gcd(u, v), |s| minimized."""
+    if u == 0 and v == 0:
+        return 0, 0, 0
+    if u == 0:
+        return abs(v), 0, 1 if v > 0 else -1
+    if v == 0:
+        return abs(u), 1 if u > 0 else -1, 0
+    g = math.gcd(u, v)
+    uq, vq = u // g, v // g
+    va = abs(vq)
+    if va == 1:
+        s = 0
+    else:
+        s = pow(uq % va, -1, va)
+        if s > va // 2:
+            s -= va
+    t = (g - s * u) // v
+    return g, s, t
+
+
 def _crt_merge(r1: int, m1: int, r2: int, m2: int) -> Optional[tuple[int, int]]:
     # solve t = r1 (mod m1), t = r2 (mod m2); None when incompatible
     g = math.gcd(m1, m2)

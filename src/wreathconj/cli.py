@@ -180,7 +180,7 @@ def _cmd_witness(args) -> int:
     doc = w.report()
     doc["image1"], doc["image2"] = images
     doc["separated"] = True
-    if args.format in (None, "json"):
+    if args.format == "json":
         _emit(_jdump(doc), args.out)
     else:
         lines = [
@@ -199,8 +199,8 @@ def _cmd_depth(args) -> int:
     ring = _ring_or_none(W)
     if ring is None:
         raise _UsageError("depth needs a group of the form Fp wr Z or Z wr Z")
-    s1 = parse_semidirect(args.x.strip(), ring)
-    s2 = parse_semidirect(args.y.strip(), ring)
+    s1 = from_wreath(_parse_element(W, ring, args.x))
+    s2 = from_wreath(_parse_element(W, ring, args.y))
     budget = args.budget if args.budget is not None else _default_budget(ring)
     try:
         res = split_conjugacy_depth(s1, s2, budget=budget)
@@ -276,14 +276,15 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="wreathconj", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="text"):
+    def common(p, fmt_default="text", formats=("json", "text")):
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "text"),
-            default=fmt_default,
-            help=f"output format (default {fmt_default})",
-        )
+        if formats:
+            p.add_argument(
+                "--format",
+                choices=formats,
+                default=fmt_default,
+                help=f"output format (default {fmt_default})",
+            )
 
     p = sub.add_parser("conj-test", help="decide conjugacy of two elements")
     p.add_argument("--group", required=True, help="wreath product, e.g. 'F2 wr Z'")
@@ -336,12 +337,12 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
     )
-    common(p, fmt_default="csv")
+    common(p, fmt_default="csv", formats=("json", "csv", "text"))
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the acceptance scorecard")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common(p)
+    common(p, formats=())
     p.set_defaults(fn=_cmd_verify)
 
     return top

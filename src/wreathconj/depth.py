@@ -112,8 +112,6 @@ class DepthResult:
     pair: tuple
     split_depth: Union[int, str]
     subgroup: Optional[SplitSubgroup]
-    paper_lower: Optional[int] = None
-    paper_upper: Optional[int] = None
 
     def found(self) -> bool:
         return isinstance(self.split_depth, int)
@@ -233,10 +231,7 @@ def family_depth(pair: FamilyPair, budget: Optional[int] = None) -> DepthResult:
     if budget is None:
         budget = pair.paper_upper
     s1, s2 = pair.semidirect()
-    base = split_conjugacy_depth(s1, s2, budget)
-    return DepthResult(
-        base.pair, base.split_depth, base.subgroup, pair.paper_lower, pair.paper_upper
-    )
+    return split_conjugacy_depth(s1, s2, budget)
 
 
 def family_report(pair: FamilyPair, result: DepthResult) -> dict:
@@ -244,8 +239,8 @@ def family_report(pair: FamilyPair, result: DepthResult) -> dict:
         "family": pair.family,
         "p": pair.p,
         "q": pair.q,
-        "lower": result.paper_lower,
-        "upper": result.paper_upper,
+        "lower": pair.paper_lower,
+        "upper": pair.paper_upper,
         "split_depth": result.split_depth,
     }
 

@@ -12,28 +12,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .abelian import _xgcd2
 from .wreath import ContractError
-
-
-def _xgcd2(u: int, v: int) -> tuple[int, int, int]:
-    """g, s, t with s*u + t*v = g = gcd(u, v), |s| minimized."""
-    if u == 0 and v == 0:
-        return 0, 0, 0
-    if u == 0:
-        return abs(v), 0, 1 if v > 0 else -1
-    if v == 0:
-        return abs(u), 1 if u > 0 else -1, 0
-    g = math.gcd(u, v)
-    uq, vq = u // g, v // g
-    va = abs(vq)
-    if va == 1:
-        s = 0
-    else:
-        s = pow(uq % va, -1, va)
-        if s > va // 2:
-            s -= va
-    t = (g - s * u) // v
-    return g, s, t
 
 
 def _vec_key(a: Sequence[int]) -> tuple[int, int]:
@@ -113,13 +93,7 @@ def ext_gcd_bounded(b: Sequence[int]) -> tuple[int, ...]:
     if g == 0:
         return (0,) * len(b)
 
-    a: list[int] = []
-    acc = 0
-    for x in b:
-        acc2, s, t = _xgcd2(acc, x)
-        a = [s * c for c in a] + [t]
-        acc = acc2
-    a = _greedy_reduce(a, b)
+    a = _greedy_reduce(_bezout_chain(b)[-1][1], b)
 
     if g == 1 and len(b) >= 2:
         bound = max(1, max(abs(x) for x in b) // 2)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, _xgcd2
 from .wreath import ContractError, WreathElement, WreathGroup
 
 
@@ -107,22 +107,6 @@ class LaurentPoly:
             if exp == e:
                 return c
         return 0
-
-    def __add__(self, other):
-        return poly_add(self, other)
-
-    def __sub__(self, other):
-        return poly_add(self, poly_neg(other))
-
-    def __neg__(self):
-        return poly_neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly(self.ring, tuple((e, other * c) for e, c in self.coeffs))
-        return poly_mul(self, other)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return format_laurent(self)
@@ -420,14 +404,8 @@ class SemidirectElement:
     poly: LaurentPoly
     shift: int
 
-    def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
-        return semidirect_mul(self, other)
-
     def inv(self) -> "SemidirectElement":
         return semidirect_inv(self)
-
-    def __str__(self) -> str:
-        return format_semidirect(self)
 
 
 def semidirect_identity(ring: int) -> SemidirectElement:
@@ -669,7 +647,7 @@ def _hnf(rows, d: int, t0: int) -> tuple:
         for r in rows:
             a, b = r[j], piv[j]
             if a and b % a:
-                g, s, u = _egcd(b, a)
+                g, s, u = _xgcd2(b, a)
                 piv, r = (
                     [(s * x + u * y) % d for x, y in zip(piv, r)],
                     [(a // g * x - b // g * y) % d for x, y in zip(piv, r)],
@@ -974,9 +952,9 @@ def _xg_minus_1_factors(
     degree ord_e(p), all of order e (Lidl and Niederreiter, Finite
     Fields, 2.47). f^k has order e times the least power of p at least
     k, so k is the largest power up to p^a with e * p^ceil(log_p k) *
-    p^(k ord_e(p)) <= max_index, and Phi_e is left out when not even
-    k = 1 fits; the cost grows with the budget, not with g. Each Phi_e
-    is factored by `_cyclotomic_factors`."""
+    p^(k ord_e(p)) <= max_index. The factors of Phi_e come from
+    `_irreducibles_of_order`, which leaves Phi_e out when not even k = 1
+    fits; the cost grows with the budget, not with g."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     if g < 1:
@@ -988,17 +966,16 @@ def _xg_minus_1_factors(
     for e in range(1, min(g1, max_index // p) + 1):
         if g1 % e:
             continue
-        deg = _ord_mod(p, e)
-        mult, power = 0, 1
-        while mult < k:
-            if power < mult + 1:
-                power *= p
-            if e * power * p ** ((mult + 1) * deg) > max_index:
-                break
-            mult += 1
-        if not mult:
-            continue
-        out += ((e, f, mult) for f in _cyclotomic_factors(p, e, deg))
+        for f in _irreducibles_of_order(p, e, max_index):
+            deg = len(f) - 1
+            mult, power = 1, 1
+            while mult < k:
+                if power < mult + 1:
+                    power *= p
+                if e * power * p ** ((mult + 1) * deg) > max_index:
+                    break
+                mult += 1
+            out.append((e, f, mult))
     return out
 
 
@@ -1408,22 +1385,10 @@ def _unit_cofactor(a: int, k: int) -> LaurentPoly:
     return poly_shift(poly_neg(pos), a * k)
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def mod_ideal_reduce(m: int, n: int, d: int = 0) -> ModIdealCertificate:
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    g, t, s = _egcd(m, n)
+    g, t, s = _xgcd2(m, n)
     u = _unit_cofactor(g, m // g)
     w = _unit_cofactor(m, t)
     v = poly_shift(_unit_cofactor(n, s), t * m)

@@ -50,7 +50,7 @@ from .laurent import (
     x_power,
     zero_poly,
 )
-from .witness import full_witness, separating_modulus
+from .witness import full_witness, separating_modulus, translation_preserving_modulus
 from .wreath import (
     WreathGroup,
     all_translators,
@@ -78,12 +78,12 @@ def criterion_1() -> CriterionResult:
         res = family_depth(pair)
         good = (
             res.split_depth == exact
-            and res.paper_lower <= res.split_depth <= res.paper_upper
+            and pair.paper_lower <= res.split_depth <= pair.paper_upper
         )
         ok = ok and good
         parts.append(
             f"q={pair.q}: split_depth={res.split_depth}"
-            f" in [{res.paper_lower},{res.paper_upper}]"
+            f" in [{pair.paper_lower},{pair.paper_upper}]"
         )
     return CriterionResult("1", ok, "; ".join(parts))
 
@@ -283,7 +283,7 @@ def _translate_check(rng) -> tuple[bool, int]:
     while done < 1000:
         k = rng.randint(1, 3)
         ell = rng.randint(1, 4)
-        c = 4 * ell
+        c = translation_preserving_modulus(ell)
         A = AbelianGroup(k)
         box = list(itertools.product(range(-(ell - 1), ell), repeat=k))
         size = rng.randint(1, min(4, len(box)))

@@ -140,15 +140,16 @@ def _verify_modulus(pi: QuotientMap, b: AbelianElement, diffs) -> bool:
 
 def _search_start(b: AbelianElement, ell: int) -> tuple[int, int]:
     """(threshold, step) of the modulus search for an acting part b of
-    infinite order at radius ell: 4*ell and lcm(|phi_1|, e) for free rank
-    one, k*2^k*(2*ell)^2 and lcm(gcd(phi), e) for free rank k >= 2, phi
-    the free part of b and e the exponent of the torsion."""
+    infinite order at radius ell: `translation_preserving_modulus(ell)`
+    and lcm(|phi_1|, e) for free rank one, k*2^k*(2*ell)^2 and
+    lcm(gcd(phi), e) for free rank k >= 2, phi the free part of b and e
+    the exponent of the torsion."""
     B = b.group
     k = B.free_rank
     phi = b.free_part()
     e = B.torsion_exponent()
     if k == 1:
-        return 4 * ell, math.lcm(abs(phi[0]), e)
+        return translation_preserving_modulus(ell), math.lcm(abs(phi[0]), e)
     return k * 2**k * (2 * ell) ** 2, math.lcm(math.gcd(*phi), e)
 
 
@@ -258,7 +259,7 @@ def witness_acting_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuot
         )
 
     transcript.append("lamp group infinite; composing lamp quotient")
-    base_stage = _base_quotient(h1, h2, verified=True)
+    base_stage = witness_base_quotient(h1, h2)
     return WitnessQuotient(
         g1,
         g2,
@@ -386,14 +387,10 @@ def witness_base_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuotie
 
     Every range value is kept alive, and for each candidate translation
     the values on one distinguishing coset stay pairwise separated, so
-    the failing value comparison still fails downstairs.
+    the failing value comparison still fails downstairs. Conjugate
+    inputs stay conjugate in every quotient, so the final test of the
+    images rejects them.
     """
-    return _base_quotient(g1, g2, verified=False)
-
-
-def _base_quotient(g1: WreathElement, g2: WreathElement, verified: bool) -> WitnessQuotient:
-    """`witness_base_quotient`; `verified` skips the conjugacy test of
-    the inputs, for a caller that has just proved them nonconjugate."""
     if g1.group != g2.group:
         raise ValueError("elements must share a group")
     B = g1.group.base
@@ -404,8 +401,6 @@ def _base_quotient(g1: WreathElement, g2: WreathElement, verified: bool) -> Witn
         raise ValueError("inputs must be reduced")
     if g1.b != g2.b:
         raise ValueError("acting parts differ; use full_witness")
-    if not verified and conjugate_test(g1, g2) is not None:
-        raise WitnessContractError("inputs are conjugate; no witness exists")
     kind = _certificate_kind(g1, g2)
     transcript: list[str] = []
 

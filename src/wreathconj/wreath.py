@@ -519,7 +519,7 @@ def brute_force_conjugate(
 
 
 # ---------------------------------------------------------------------------
-# quotients and retractions at the wreath level
+# quotients at the wreath level
 
 
 def extend_quotient_acting(g: WreathElement, pi) -> WreathElement:
@@ -538,50 +538,6 @@ def extend_quotient_base(g: WreathElement, pi) -> WreathElement:
     return WreathElement(
         target, tuple((k, pi(v)) for k, v in g.pairs), g.b
     )
-
-
-@dataclass(frozen=True)
-class Retraction:
-    """Projection onto a subset of coordinates of an abelian group."""
-
-    source: AbelianGroup
-    free_keep: tuple[int, ...]
-    torsion_keep: tuple[int, ...]
-
-    @property
-    def target(self) -> AbelianGroup:
-        return AbelianGroup(
-            len(self.free_keep),
-            tuple(self.source.torsion[i] for i in self.torsion_keep),
-        )
-
-    def __call__(self, x: AbelianElement) -> AbelianElement:
-        if x.group != self.source:
-            raise GroupMismatchError("element outside the retraction source")
-        free = x.free_part()
-        tor = x.torsion_part()
-        coords = tuple(free[i] for i in self.free_keep) + tuple(
-            tor[i] for i in self.torsion_keep
-        )
-        return AbelianElement(self.target, coords)
-
-
-def retract_wreath(
-    g: WreathElement, rho_lamp: Retraction, rho_base: Retraction
-) -> WreathElement:
-    """Push (f, b) along coordinate retractions of both groups.
-
-    Keys are projected with fibers summed, values are projected, the
-    acting part is projected. On elements supported inside the kept
-    coordinates this is the identity.
-    """
-    target = WreathGroup(rho_lamp.target, rho_base.target)
-    acc: dict[AbelianElement, AbelianElement] = {}
-    for k, v in g.pairs:
-        kk = rho_base(k)
-        vv = rho_lamp(v)
-        acc[kk] = acc[kk] + vv if kk in acc else vv
-    return WreathElement(target, tuple(acc.items()), rho_base(g.b))
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,37 @@ def test_depth_needs_laurent_group(capsys):
     assert "Fp wr Z or Z wr Z" in err
 
 
+def test_depth_accepts_identity(capsys):
+    # read as (0, 0), as every command that takes an element reads it
+    for x, y in (("identity", "(1, 0)"), ("(1, 0)", "identity")):
+        rc, out, _ = run(capsys, "depth", "--group", "F2 wr Z", "--x", x, "--y", y)
+        assert rc == 0
+        assert out == "split_depth: 2\nsubgroup: F2: t=1, gen=x + 1\n"
+
+
+FORMAT_ARGS = {
+    "conj-test": ("--group", "F2 wr Z", "--x", "(x^3-1, 3)", "--y", "(x-1+x^3-1, 3)"),
+    "reduce": ("--group", "F2 wr Z", "--x", "(x^5+x^2, 3)"),
+    "witness": ("--group", "F2 wr Z", "--x", "(x^3-1, 3)", "--y", "(x-1+x^3-1, 3)"),
+    "depth": ("--group", "F2 wr Z", "--x", "(0, 0)", "--y", "(1, 0)"),
+    "family": ("--tag", "lamplighter", "--p", "2", "--i", "1"),
+    "verify": ("--seed", "0"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [(c, "csv") for c in ("conj-test", "reduce", "witness", "depth", "family")]
+    + [("verify", f) for f in ("json", "csv", "text")],
+)
+def test_format_offers_only_what_the_command_prints(capsys, command, fmt):
+    # only sweep prints csv, and verify prints its scorecard only
+    rc, out, err = run(capsys, command, *FORMAT_ARGS[command], "--format", fmt)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--format" in err
+
+
 def test_sweep_csv_shape_and_determinism(capsys):
     args = ("sweep", "--ring", "F2", "--n", "3", "--budget", "16")
     rc1, out1, _ = run(capsys, *args)

@@ -101,7 +101,7 @@ def test_lamplighter_depth_q3_exact():
     pair = family_lamplighter(2, 1)
     res = family_depth(pair)
     assert res.split_depth == 12
-    assert res.paper_lower <= res.split_depth <= res.paper_upper
+    assert pair.paper_lower <= res.split_depth <= pair.paper_upper
     assert res.subgroup is not None and res.subgroup.index == 12
 
 
@@ -110,7 +110,7 @@ def test_lamplighter_depth_q5_exact():
     assert (pair.q, pair.paper_lower, pair.paper_upper) == (5, 32, 80)
     res = family_depth(pair)
     assert res.split_depth == 80
-    assert res.paper_lower <= res.split_depth <= res.paper_upper
+    assert pair.paper_lower <= res.split_depth <= pair.paper_upper
 
 
 def test_lamplighter_depth_p3_q7_exact():
@@ -250,7 +250,7 @@ def test_zwrz_depth_q3_exact():
     # the claimed lower bound is larger than the computed depth; the
     # index-6 quotient above is a genuine separator, so the bound's
     # instance at q=3 is simply false
-    assert res.split_depth < res.paper_lower
+    assert res.split_depth < pair.paper_lower
 
 
 def test_zwrz_conjugate_below_six():

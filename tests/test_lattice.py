@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from wreathconj import lattice
 from wreathconj.lattice import (
     ext_gcd_bounded,
     int_det,
@@ -37,6 +38,18 @@ def test_ext_gcd_bound_randomized():
         a = ext_gcd_bounded(b)
         assert sum(x * y for x, y in zip(a, b)) == 1
         assert max(abs(x) for x in a) <= max(1, max(abs(x) for x in b) // 2)
+
+
+def test_ext_gcd_box_search_fallback(monkeypatch):
+    # the greedy pass leaves this Bezout vector outside the half-max box
+    # 457, so the exact box search runs, once, and supplies the answer
+    calls = []
+    search = lattice._dp_box_search
+    monkeypatch.setattr(
+        lattice, "_dp_box_search", lambda *args: calls.append(args) or search(*args)
+    )
+    assert ext_gcd_bounded((524, -914, 887)) == (61, 34, -1)
+    assert calls == [((524, -914, 887), 1, 457)]
 
 
 def test_ext_gcd_degenerate():

@@ -13,7 +13,6 @@ from wreathconj.abelian import (
     word_length_abelian,
 )
 from wreathconj.wreath import (
-    Retraction,
     WreathElement,
     WreathGroup,
     _walk_cost_dp,
@@ -30,7 +29,6 @@ from wreathconj.wreath import (
     is_reduced,
     multiply,
     reduce,
-    retract_wreath,
     word_length_info,
 )
 
@@ -304,37 +302,6 @@ def test_extend_quotient_base_example_and_homomorphism():
         assert extend_quotient_base(a * b, pi) == extend_quotient_base(
             a, pi
         ) * extend_quotient_base(b, pi)
-
-
-def test_retraction():
-    G = AbelianGroup(2, (2,))
-    rho = Retraction(G, (0,), ())
-    assert rho.target == Z
-    assert rho(G.element((3, 5, 1))) == Z.element((3,))
-    with pytest.raises(GroupMismatchError):
-        rho(Z.element((1,)))
-
-
-def test_retract_wreath():
-    G = AbelianGroup(2)
-    W = WreathGroup(Z, G)
-    rho_base = Retraction(G, (0,), ())
-    rho_lamp = Retraction(Z, (0,), ())
-    g = W.element([((1, 2), (4,)), ((1, 5), (-4,)), ((2, 0), (3,))], (1, 1))
-    image = retract_wreath(g, rho_lamp, rho_base)
-    small = WreathGroup(Z, Z)
-    assert image == small.element([((2,), (3,))], (1,))
-    # keeping every coordinate is the identity
-    rho_all = Retraction(G, (0, 1), ())
-    rho_id = Retraction(Z, (0,), ())
-    same = retract_wreath(g, rho_id, rho_all)
-    assert same.pairs == g.pairs and same.b == g.b
-    rng = random.Random(20013)
-    for _ in range(200):
-        a, b = random_wreath(rng, W), random_wreath(rng, W)
-        assert retract_wreath(a * b, rho_lamp, rho_base) == retract_wreath(
-            a, rho_lamp, rho_base
-        ) * retract_wreath(b, rho_lamp, rho_base)
 
 
 def test_json_round_trip():
