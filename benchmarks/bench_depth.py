@@ -12,7 +12,7 @@ Sweep rows (marked "section": "sweep"): for each (ring, n, budget) the
 script times `depth_sweep` in this process, wrapping four functions as
 `wreathconj.depth` binds them: `_ball` for the ball's size,
 `conjugacy_classes` for the classes and the seconds spent finding them,
-`_first_separators` for the seconds of the refinement (reading the
+`_split_events` for the seconds of the refinement (reading the
 subgroup stream and keying the classes) and the subgroups it reads, and
 `quotient_class_key` for the class keys computed. Each row holds ring
 (0 for Z), n, budget, the rows' max depths, the median seconds over the
@@ -139,7 +139,7 @@ def measure(p: int, i: int, runs: int) -> dict:
 def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
     bound = {
         name: getattr(depth, name)
-        for name in ("quotient_class_key", "_ball", "conjugacy_classes", "_first_separators")
+        for name in ("quotient_class_key", "_ball", "conjugacy_classes", "_split_events")
     }
     seen = {}
 
@@ -159,14 +159,14 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
         seen["classes"] = len(out)
         return out
 
-    def separators(reps, subgroups):
+    def split_events(reps, subgroups):
         def read():
             for N in subgroups:
                 seen["subgroups_read"] += 1
                 yield N
 
         start = time.perf_counter()
-        out = bound["_first_separators"](reps, read())
+        out = bound["_split_events"](reps, read())
         seen["refine_s"] = time.perf_counter() - start
         return out
 
@@ -175,7 +175,7 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
         ("quotient_class_key", keyed),
         ("_ball", ball),
         ("conjugacy_classes", classes),
-        ("_first_separators", separators),
+        ("_split_events", split_events),
     ]:
         setattr(depth, name, fn)
     try:

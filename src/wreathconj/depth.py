@@ -405,39 +405,43 @@ def _pair_id(s1: SemidirectElement, s2: SemidirectElement) -> str:
     return f"{format_semidirect(s1)} | {format_semidirect(s2)}"
 
 
-def _first_separators(reps: list, subgroups) -> list:
-    """sep[i][j], for i < j, (index, subgroup) for the first subgroup of
-    the stream whose quotient separates reps[i] and reps[j], or None if
-    none does.
+def _split_events(reps: list, subgroups) -> tuple:
+    """(events, unsplit) for the classes reps refined along the stream.
 
     Partition refinement (Paige and Tarjan, SIAM J. Comput. 1987): the
     blocks hold classes whose keys agree on every subgroup read so far.
     Each subgroup's keys are computed only for classes in blocks of two
-    or more; a block whose keys differ splits, and each pair across its
-    parts was first separated by that subgroup. The stream is read no
-    further once every block is a single class."""
-    sep = [[None] * len(reps) for _ in reps]
+    or more; a block whose keys differ splits, and events gets (N,
+    parts), parts the ascending class-index lists it split into, in
+    stream order. N is the first subgroup separating each pair across
+    two parts. unsplit holds the blocks of two or more classes that no
+    subgroup split. The stream is read no further once every block is a
+    single class."""
     if len(reps) < 2:
-        return sep
-    blocks = [list(range(len(reps)))]
+        return [], []
+    events, blocks = [], [list(range(len(reps)))]
     for N in subgroups:
-        entry = (N.index, N)
         refined = []
         for block in blocks:
             parts = {}
             for i in block:
                 parts.setdefault(quotient_class_key(reps[i], N), []).append(i)
-            groups = list(parts.values())
-            for a, A in enumerate(groups):
-                for B in groups[a + 1 :]:
-                    for i in A:
-                        for j in B:
-                            sep[min(i, j)][max(i, j)] = entry
-            refined += (g for g in groups if len(g) > 1)
+            if len(parts) > 1:
+                events.append((N, list(parts.values())))
+            refined += (g for g in parts.values() if len(g) > 1)
         blocks = refined
         if not blocks:
             break
-    return sep
+    return events, blocks
+
+
+def _least_pair(parts, inside) -> Optional[tuple]:
+    """The least pair (i, j), i < j, of classes with inside[i] and
+    inside[j] true that lie in two different parts, each part ascending,
+    or None: the least first class across the parts, then the least
+    first class of any other part."""
+    firsts = sorted(next((i for i in g if inside[i]), math.inf) for g in parts)
+    return tuple(firsts[:2]) if firsts[1] < math.inf else None
 
 
 def depth_sweep(
@@ -451,45 +455,37 @@ def depth_sweep(
     each n up to n_max. The classes of Ball(n_max) are refined along the
     subgroups of `split_subgroup_stream`, in index order, until every
     pair is separated or the budget is spent; row n is then read off the
-    separators of the pairs inside Ball(n). The witness is the first
-    pair, in class-key order, at the row's maximum; a row exceeds the
-    budget at the first pair never separated. `jobs` is accepted and has
-    no effect. The elapsed_ms column, the time to read the row, is
-    measurement, not contract."""
+    split events, keeping the classes inside Ball(n). Its value is the
+    largest index of an event that parts two of them, and its witness
+    the least pair, in class-key order, that such an event parts; a row
+    exceeds the budget if an unsplit block holds two of them, with
+    witness the least such pair. `jobs` is accepted and has no effect.
+    The elapsed_ms column, the time to read the row, is measurement, not
+    contract."""
+    if budget < 1:
+        raise ValueError("budget must be positive")
     if n_max < 1:
         raise ValueError("n_max must be positive")
     classes = conjugacy_classes(ring, n_max, ceiling)
     reps = [from_wreath(rep) for _, rep, _ in classes]
-    wls = [wl for _, _, wl in classes]
-    sep = _first_separators(reps, split_subgroup_stream(ring, budget))
+    events, unsplit = _split_events(reps, split_subgroup_stream(ring, budget))
 
     rows = []
     for n in range(1, n_max + 1):
         start = time.perf_counter()
-        idx = [i for i in range(len(reps)) if wls[i] <= n]
-        best = exceeded = None
-        for a, i in enumerate(idx):
-            row = sep[i]
-            for j in idx[a + 1 :]:
-                entry = row[j]
-                if entry is None:
-                    exceeded = (i, j)
-                    break
-                if best is None or entry[0] > best[0]:
-                    best = (entry[0], entry[1], i, j)
-            if exceeded:
-                break
-        elapsed = int((time.perf_counter() - start) * 1000)
-        if exceeded:
-            i, j = exceeded
-            rows.append(SweepRow(n, EXCEEDS_BUDGET, _pair_id(reps[i], reps[j]), "", elapsed))
-        elif best:
-            index, N, i, j = best
-            rows.append(
-                SweepRow(n, index, _pair_id(reps[i], reps[j]), describe_subgroup(N), elapsed)
-            )
+        inside = [wl <= n for _, _, wl in classes]
+        unseparated = [p for block in unsplit if (p := _least_pair([[i] for i in block], inside))]
+        parted = [(N.index, p, N) for N, parts in events if (p := _least_pair(parts, inside))]
+        if unseparated:
+            i, j = min(unseparated)
+            row = (EXCEEDS_BUDGET, _pair_id(reps[i], reps[j]), "")
+        elif parted:
+            # the largest index, then the least pair any event there parts
+            index, (i, j), N = min(parted, key=lambda e: (-e[0], e[1]))
+            row = (index, _pair_id(reps[i], reps[j]), describe_subgroup(N))
         else:
-            rows.append(SweepRow(n, 0, "", "", elapsed))
+            row = (0, "", "")
+        rows.append(SweepRow(n, *row, int((time.perf_counter() - start) * 1000)))
     return rows
 
 

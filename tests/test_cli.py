@@ -366,6 +366,17 @@ def test_sweep_non_prime_ring_exit_1(capsys, ring):
     assert err.startswith("error: ") and ring in err
 
 
+@pytest.mark.parametrize("ring, n, budget", [("F2", "40", "0"), ("Z", "9", "-1")])
+def test_sweep_nonpositive_budget_exit_1(capsys, ring, n, budget):
+    # rejected before the ball walk: Ball(40) over F2 would exceed the
+    # ball ceiling, and the Z ball would be walked before the stream
+    # rejected the budget
+    rc, out, err = run(capsys, "sweep", "--ring", ring, "--n", n, "--budget", budget)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: budget must be positive\n"
+
+
 def test_sweep_ring_any_case(capsys):
     args = ("--n", "3", "--budget", "16")
     for upper, lower in (("Z", "z"), ("F2", "f2")):

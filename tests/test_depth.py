@@ -546,19 +546,24 @@ def test_classes_pairwise_nonconjugate():
 
 
 def direct_row_max(ring, n, budget):
+    """(max depth, witness pair id, descriptor) of row n, pair by pair:
+    the first pair in class-key order at the maximum, with its first
+    separator, or the first pair no subgroup separates."""
     subs = (enumerate_split_subgroups_z(budget) if ring == 0
             else enumerate_split_subgroups_fp(ring, budget))
     reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(ring, n)]
-    best, exceeded = 0, False
+    best = (0, "", "")
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
+            pair_id = f"{format_semidirect(reps[i])} | {format_semidirect(reps[j])}"
             for N in subs:
                 if not conjugate_in_split_quotient(reps[i], reps[j], N):
-                    best = max(best, N.index)
+                    if N.index > best[0]:
+                        best = (N.index, pair_id, describe_subgroup(N))
                     break
             else:
-                exceeded = True
-    return EXCEEDS_BUDGET if exceeded else best
+                return (EXCEEDS_BUDGET, pair_id, "")
+    return best
 
 
 def test_sweep_frozen_f2():
@@ -573,10 +578,48 @@ def test_sweep_frozen_f2():
 
 
 def test_sweep_matches_direct_oracle():
-    for ring, n_max, budget in ((2, 4, 16), (0, 2, 8)):
+    # whole rows, the last three inputs with budgets that run out part-way
+    cases = {
+        (2, 4, 16): [3, 3, 4, 8],
+        (0, 2, 8): [3, 3],
+        (2, 4, 4): [3, 3, 4, EXCEEDS_BUDGET],
+        (0, 3, 3): [3, 3, EXCEEDS_BUDGET],
+        (3, 3, 3): [3, 3, EXCEEDS_BUDGET],
+    }
+    for (ring, n_max, budget), depths in cases.items():
         rows = depth_sweep(ring, n_max, budget)
+        assert [r.max_split_depth for r in rows] == depths
         for row in rows:
-            assert row.max_split_depth == direct_row_max(ring, row.n, budget)
+            got = (row.max_split_depth, row.witness_pair_id, row.subgroup_descriptor)
+            assert got == direct_row_max(ring, row.n, budget), (ring, budget, row.n)
+
+
+@pytest.mark.parametrize("budget, isolated", [(16, True), (4, False)])
+def test_sweep_reads_the_stream_to_the_last_split(monkeypatch, budget, isolated):
+    # the stream is read up to the subgroup that isolates the last class
+    # and no further, or to its end when some classes stay together
+    reads = []
+
+    def counted(ring, max_index):
+        for N in split_subgroup_stream(ring, max_index):
+            reads.append(N)
+            yield N
+
+    monkeypatch.setattr(depth, "split_subgroup_stream", counted)
+    depth_sweep(2, 4, budget)
+    reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(2, 4)]
+    subs = enumerate_split_subgroups_fp(2, budget)
+
+    def apart(k):
+        keys = {tuple(quotient_class_key(s, N) for N in subs[:k]) for s in reps}
+        return len(keys) == len(reps)
+
+    if isolated:
+        last = next(k for k in range(1, len(subs) + 1) if apart(k))
+        assert len(reads) == last < len(subs)
+    else:
+        assert not apart(len(subs))
+        assert len(reads) == len(subs)
 
 
 def test_sweep_monotone_and_witnessed():
