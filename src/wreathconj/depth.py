@@ -200,14 +200,14 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
 
     Over F_p with shifts a1, a2 not both 0, only the candidates of
     `pair_split_subgroups_fp` are tested: (D) x| t0(D)Z for the monic
-    D | x^g - 1, g = gcd(a1, a2), with t0(D) | a1 - a2, and, if
-    a1 != a2, (1) x| tZ for the least t not dividing a1 - a2. The first
-    separator is the one the full stream finds. A subgroup (J) x| tZ
-    with t not dividing a1 - a2 has index at least that least t. One
-    with t | a1 - a2 tests membership in J' = J + (x^(a1 mod t) - 1),
-    which contains x^gcd(a1, t) - 1 and hence x^g - 1; (J') x| t0(J')Z
-    gives the same test at no larger index, and at equal index it is
-    the same subgroup. Otherwise, and over Z, every split subgroup is
+    D | x^g - 1, g = gcd(a1, a2), whose order t0(D) divides g and so
+    a1 - a2, and, if a1 != a2, (1) x| tZ for the least t not dividing
+    a1 - a2. The first separator is the one the full stream finds. A
+    subgroup (J) x| tZ with t not dividing a1 - a2 has index at least
+    that least t. One with t | a1 - a2 tests membership in
+    J' = J + (x^(a1 mod t) - 1), which contains x^gcd(a1, t) - 1 and
+    hence x^g - 1; (J') x| t0(J')Z gives the same test at no larger
+    index, and at equal index it is the same subgroup. Otherwise, and over Z, every split subgroup is
     read from `split_subgroup_stream`, which builds only what is read."""
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -366,7 +366,7 @@ def _ball(ring: int, n: int, ceiling: Optional[int]) -> list:
     return out
 
 
-def conjugacy_classes(ring: int, n: int, ceiling: Optional[int] = None) -> list:
+def conjugacy_classes(ring: int, n: int) -> list:
     """Deterministic list of (class_key, reduced representative,
     least word length) for Ball(n), sorted by class key.
 
@@ -375,7 +375,7 @@ def conjugacy_classes(ring: int, n: int, ceiling: Optional[int] = None) -> list:
     `WreathElement`."""
     W = wreath_group_for_ring(ring)
     classes = {}
-    for pairs, b, wl in _ball(ring, n, ceiling):
+    for pairs, b, wl in _ball(ring, n, None):
         r = _reduce_line(ring, pairs, b)
         key = _reduced_class_key(b, r)
         rank = (wl, b, r)
@@ -449,7 +449,6 @@ def depth_sweep(
     n_max: int,
     budget: int,
     jobs: int = 1,
-    ceiling: Optional[int] = None,
 ) -> list:
     """Max split depth over all nonconjugate class pairs in Ball(n) for
     each n up to n_max. The classes of Ball(n_max) are refined along the
@@ -466,7 +465,7 @@ def depth_sweep(
         raise ValueError("budget must be positive")
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    classes = conjugacy_classes(ring, n_max, ceiling)
+    classes = conjugacy_classes(ring, n_max)
     reps = [from_wreath(rep) for _, rep, _ in classes]
     events, unsplit = _split_events(reps, split_subgroup_stream(ring, budget))
 

@@ -1018,22 +1018,20 @@ def pair_split_subgroups_fp(
     """The split subgroups of index <= max_index that can be the least
     separator of a pair over F_p with shifts a1, a2, not both 0, sorted
     as `enumerate_split_subgroups_fp` sorts them:
-    - (D) x| t0(D)Z for every monic D | x^g - 1, g = gcd(a1, a2), whose
-      order t0(D) divides a1 - a2;
+    - (D) x| t0(D)Z for every monic D | x^g - 1, g = gcd(a1, a2); its
+      order t0(D) divides g, hence a1 - a2;
     - when a1 != a2, (1) x| tZ for the least t not dividing a1 - a2.
 
     The order of D = prod f^k, f of order e, is the lcm of the e times
     the least power of p that is at least every k (Lidl and
-    Niederreiter, 3.8). Both index and order only grow as factors are
-    multiplied in, so a divisor past the budget or with order not
-    dividing a1 - a2 is not extended, and x^g - 1 is factored only as
-    far as max_index reaches."""
+    Niederreiter, 3.8). The index only grows as factors are multiplied
+    in, so a divisor past the budget is not extended, and x^g - 1 is
+    factored only as far as max_index reaches."""
     g = math.gcd(a1, a2)
     if g == 0:
         raise ValueError("the shifts must not both be 0")
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    diff = a1 - a2
     # (lcm of the orders e, power of p, dense divisor); the order is the product
     divs = [(1, 1, [1])]
     for e, f, mult in _xg_minus_1_factors(p, g, max_index):
@@ -1045,11 +1043,12 @@ def pair_split_subgroups_fp(
                     power *= p
                 D = _dmul(D, f, p)
                 t0 = orders * power
-                if diff % t0 or t0 * p ** (len(D) - 1) > max_index:
+                if t0 * p ** (len(D) - 1) > max_index:
                     break
                 more.append((orders, power, D))
         divs += more
     pairs = [(orders * power, D) for orders, power, D in divs]
+    diff = a1 - a2
     if diff:
         t = 2
         while diff % t == 0:
@@ -1181,14 +1180,14 @@ def _p_lattices(p: int, t0: int, bound: int) -> list[tuple]:
     Z^t0 / L is a module over Z[x]/(x^t0 - 1) of order p^k. Its
     composition series has simple factors F_p[x]/(g), g an irreducible
     factor of x^t0 - 1 over F_p, so L is reached from Z^t0 by the steps
-    of `_simple_steps`, never past the bound."""
-    # x^t0 - 1 = (x^t1 - 1)^(p^a), t1 prime to p, has the irreducible
-    # factors of x^t1 - 1; their orders e divide t1, so the factors with
-    # e * p^deg <= t1 * bound include every one with p^deg <= bound
+    of `_simple_steps`, never past the bound. x^t0 - 1 = (x^t1 - 1)^(p^a),
+    t1 prime to p, so the g are the factors of order e | t1 with
+    p^deg g <= bound."""
     t1 = t0
     while t1 % p == 0:
         t1 //= p
-    factors = sorted((f for _, f, _ in _xg_minus_1_factors(p, t1, t1 * bound)), key=len)
+    orders = [e for e in range(1, t1 + 1) if t1 % e == 0]
+    factors = sorted((f for e in orders for f in _irreducibles_of_order(p, e, e * bound)), key=len)
     root = tuple(tuple(int(i == j) for j in range(t0)) for i in range(t0))
     found = {root: 1}
     queue = [root]
@@ -1218,59 +1217,48 @@ def _lattices_of_period(t0: int, bound: int) -> list[tuple]:
     """The basis of every ideal of Z[x]/(x^t0 - 1), t0 > 1, with least
     period t0 and co-index in 2..bound. The quotient ring is the product
     of its p-parts, so the lattice is the intersection of one of p-power
-    co-index per prime, combined only while the product of the
-    co-indices stays within bound."""
-    combos = [(1, 1, None)]
+    co-index per prime. Combinations of parts are listed while the
+    product of the co-indices stays within bound, and their parts are
+    joined only when the lcm of their periods is t0."""
+    combos = [(1, 1, ())]
     for p in range(2, bound + 1):
         if is_prime(p):
             combos += [
-                (Q * Qp, math.lcm(s, sp), Hp if H is None else _crt_join(H, Hp))
+                (Q * Qp, math.lcm(s, sp), parts + (Hp,))
                 for Qp, sp, Hp in _p_lattices(p, t0, bound)
-                for Q, s, H in combos
+                for Q, s, parts in combos
                 if Q * Qp <= bound
             ]
-    return [H for _, s, H in combos if H is not None and s == t0]
-
-
-class _ByVectors:
-    """Orders lattices of equal d, t0 and co-index as the sorted tuples
-    of their vectors in [0, d)^t0 compare, reading the vectors lazily in
-    lexicographic order; tied lattices usually differ within the first
-    few."""
-
-    __slots__ = ("basis", "d")
-
-    def __init__(self, basis: tuple, d: int):
-        self.basis, self.d = basis, d
-
-    def __eq__(self, other) -> bool:
-        return self.basis == other.basis
-
-    def __lt__(self, other) -> bool:
-        for u, v in zip(_elements(self.basis, self.d), _elements(other.basis, other.d)):
-            if u != v:
-                return u < v
-        return False
+    return [functools.reduce(_crt_join, parts) for _, s, parts in combos if s == t0]
 
 
 def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
     """Every subgroup J x| tZ of Z[x, x^-1] x| Z of index <= max_index,
     each exactly once, sorted by nondecreasing index, then by d, t0, t
-    and the sorted tuple of the ideal's vectors."""
+    and the sorted tuple of the ideal's vectors in [0, d)^t0.
+
+    The last key is read off the Hermite basis, compared from its last
+    row up. The vectors whose first j coordinates are 0 are spanned by
+    rows j.. and form a prefix of the sorted tuple; the least of them
+    with coordinate j nonzero is row j, since the entries right of a
+    pivot lie below that column's pivot. So two tuples first differ
+    where the lowest differing rows do, and compare as those rows do."""
     return list(split_subgroup_stream(0, max_index))
 
 
 def _z_stream(max_index: int):
-    """The Z split subgroups in the order of `enumerate_split_subgroups_z`.
+    """The Z split subgroups in the order of `enumerate_split_subgroups_z`,
+    each index's bucket sorted by (d, t0, t, basis rows from the last up).
 
     Each ideal is built as a lattice in Hermite normal form, with t0 its
     least period and d its characteristic, and only if its co-index is
     at most max_index // t0; the cost grows with the ideals returned,
-    not with d^t0. For t0 = 1 the ideals are the dZ, and the subgroups
-    of index k are the (dZ, k / d) for d | k. A quotient ring of least
-    period t0 > 1 holds 0 and t0 distinct powers of x, so its order is
-    at least t0 + 1: the lattices of period t0 are built when the stream
-    reaches index t0 (t0 + 1), the least they can have.
+    not with d^t0. For t0 = 1 the ideals are the dZ: (dZ, 1) is filed
+    when the stream reaches index d, and (dZ, t + 1) when it reaches
+    (dZ, t). A quotient ring of least period t0 > 1 holds 0 and t0 distinct
+    powers of x, so its order is at least t0 + 1: the lattices of period
+    t0 are built when the stream reaches index t0 (t0 + 1), the least
+    they can have.
     """
     buckets: dict[int, list] = {}  # index -> (d, t0, t, basis)
     t0 = 2
@@ -1282,9 +1270,11 @@ def _z_stream(max_index: int):
                     buckets.setdefault(t * c, []).append((H[-1][-1], t0, t, H))
             t0 += 1
         bucket = buckets.pop(k, [])
-        bucket += ((d, 1, k // d, ((d,),)) for d in range(1, k + 1) if k % d == 0)
-        bucket.sort(key=lambda s: (*s[:3], _ByVectors(s[3], s[0])))
+        bucket.append((k, 1, 1, ((k,),)))
+        bucket.sort(key=lambda s: (*s[:3], s[3][::-1]))
         for d, s0, t, H in bucket:
+            if s0 == 1 and k + d <= max_index:
+                buckets.setdefault(k + d, []).append((d, 1, t + 1, H))
             yield ZSplitSubgroup._from_basis(d, s0, H, t)
 
 

@@ -53,10 +53,12 @@ from wreathconj.laurent import (
     zero_poly,
 )
 from wreathconj.laurent import (
+    _coindex,
     _crt_join,
     _dirreducible,
     _laurent_div,
     _dpow_x,
+    _elements,
     _prime_factors,
     _rotate,
     _xg_minus_1_factors,
@@ -822,6 +824,42 @@ def test_enumerate_z_frozen_digest_48():
     assert hashlib.sha256(repr(listed).encode()).hexdigest() == (
         "c48c38f94b3186914068d5baf003dd95a5ac5e2636948945f372f3c011c10df1"
     )
+
+
+def _vectors_less(A: ZSplitSubgroup, B: ZSplitSubgroup) -> bool:
+    # whether A's sorted vector tuple is below B's, for ideals of equal d
+    # and t0, read lazily: both are sorted, so the first difference decides
+    for u, v in zip(_elements(A.basis, A.d), _elements(B.basis, B.d)):
+        if u != v:
+            return u < v
+    return False
+
+
+def test_enumerate_z_ties_in_vector_order():
+    # within each (index, d, t0, t), the lattices come in the order of
+    # their sorted vector tuples, the order the documentation states;
+    # the unreversed basis rows would order 23 of these groups otherwise
+    groups = itertools.groupby(
+        enumerate_split_subgroups_z(64), key=lambda N: (N.index, N.d, N.t0, N.t)
+    )
+    by_rows = 0
+    for _, tied in groups:
+        tied = list(tied)
+        for A, B in zip(tied, tied[1:]):
+            assert _vectors_less(A, B), (A, B)
+        by_rows += [N.basis for N in tied] != sorted(N.basis for N in tied)
+    assert by_rows == 23
+
+
+def test_lattices_joined_only_when_kept(monkeypatch):
+    # the p-parts of a lattice are joined only if the stream yields it:
+    # one join per prime of its co-index after the first
+    joins = []
+    monkeypatch.setattr(laurent, "_crt_join", lambda A, B: joins.append(1) or _crt_join(A, B))
+    for budget, expected in ((48, 36), (96, 138)):
+        joins.clear()
+        kept = {N.basis for N in enumerate_split_subgroups_z(budget) if N.t0 > 1}
+        assert len(joins) == sum(len(_prime_factors(_coindex(H))) - 1 for H in kept) == expected
 
 
 def test_stream_prefix_is_smaller_budget():
