@@ -33,8 +33,15 @@ answer lies at index 8 or below, at the pool's budget; each op's time is
 the median over the runs, and the row holds the median and the total
 over the ops. The "pair" rows run the pair (1 - x^-1, 0), (-1 + x^-1,
 0), whose depth is 21, at budgets 18 (the query reads every subgroup
-and exceeds the budget) and 24, and hold the depth and the median
-seconds over the runs.
+and exceeds the budget) and 24, and hold the ring, the depth and the
+median seconds over the runs.
+
+F_p-depth rows (marked "section": "depth_fp"): the same over F_p. The
+"s8" row runs every op of the `fp_depth` pool
+(`perfbench/pool/fp_depth.json`) whose answer lies at index 8 or below.
+The "pair" rows run (1 + x, m), (x, m) over F2, whose depth is 2, for
+large shifts m: the primes 10000019 at budget 10^9 and 999983 at 2^24,
+and 9699690 (the product of the primes up to 19) at 2^30.
 
 Witness rows (marked "section": "witness"): for each of the five groups
 of the benchmark's `witness` workload the script draws, from a seed fixed
@@ -84,6 +91,12 @@ SWEEPS = [(2, 8, 256), (3, 5, 243), (5, 4, 125), (0, 3, 16), (2, 10, 2048), (3, 
 ENUM_BUDGETS = [8, 16, 18, 24, 32, 48, 96, 256]
 DEEP_PAIR = ("(1 - x^-1, 0)", "(-1 + x^-1, 0)")
 DEEP_BUDGETS = [18, 24]
+# (ring, pair, budget) of the large-shift F_p depth rows
+SHIFT_FP = [
+    (2, ("(1 + x, 10000019)", "(x, 10000019)"), 10**9),
+    (2, ("(1 + x, 999983)", "(x, 999983)"), 2**24),
+    (2, ("(1 + x, 9699690)", "(x, 9699690)"), 2**30),
+]
 WITNESS_GROUPS = ["F2 wr Z", "Z wr Z", "Z/4 wr Z x Z/2", "Z wr Z^2", "Z/3 wr Z^2"]
 WITNESS_PAIRS = 40  # per group and kind (conjugate, near-conjugate)
 
@@ -230,15 +243,16 @@ def _timed_depth(s1, s2, budget: int, runs: int) -> tuple:
     return res, statistics.median(seconds)
 
 
-def measure_depth_z_pool(runs: int) -> dict:
-    pool = json.loads((ROOT / "perfbench" / "pool" / "z_depth.json").read_text())
+def measure_depth_pool(workload: str, runs: int) -> dict:
+    """The "s8" row of a depth workload's pool (`z_depth` or `fp_depth`)."""
+    pool = json.loads((ROOT / "perfbench" / "pool" / f"{workload}.json").read_text())
     ops = [op["spec"] for op in pool["ops"] if op["stratum"].endswith("/s8")]
     seconds = []
     for spec in ops:
         s1, s2 = (laurent.parse_semidirect(spec[v], spec["ring"]) for v in ("x", "y"))
         seconds.append(_timed_depth(s1, s2, spec["budget"], runs)[1])
     return {
-        "section": "depth_z",
+        "section": "depth_fp" if ops[0]["ring"] else "depth_z",
         "ops": "s8",
         "budget": ops[0]["budget"],
         "queries": len(ops),
@@ -248,13 +262,14 @@ def measure_depth_z_pool(runs: int) -> dict:
     }
 
 
-def measure_depth_z_pair(budget: int, runs: int) -> dict:
-    s1, s2 = (laurent.parse_semidirect(text, 0) for text in DEEP_PAIR)
+def measure_depth_pair(ring: int, pair: tuple, budget: int, runs: int) -> dict:
+    s1, s2 = (laurent.parse_semidirect(text, ring) for text in pair)
     res, seconds = _timed_depth(s1, s2, budget, runs)
     return {
-        "section": "depth_z",
+        "section": "depth_fp" if ring else "depth_z",
         "ops": "pair",
-        "pair": " | ".join(DEEP_PAIR),
+        "ring": ring,
+        "pair": " | ".join(pair),
         "budget": budget,
         "split_depth": res.split_depth,
         "seconds": round(seconds, 6),
@@ -394,8 +409,10 @@ def main() -> None:
     results = [measure(p, i, args.runs) for p, i in PAIRS]
     results += [measure_sweep(*sweep, args.runs) for sweep in SWEEPS]
     results += [measure_enum_z(budget, args.runs) for budget in ENUM_BUDGETS]
-    results.append(measure_depth_z_pool(args.runs))
-    results += [measure_depth_z_pair(budget, args.runs) for budget in DEEP_BUDGETS]
+    results.append(measure_depth_pool("z_depth", args.runs))
+    results += [measure_depth_pair(0, DEEP_PAIR, budget, args.runs) for budget in DEEP_BUDGETS]
+    results.append(measure_depth_pool("fp_depth", args.runs))
+    results += [measure_depth_pair(ring, pair, budget, args.runs) for ring, pair, budget in SHIFT_FP]
     results += [measure_witness(text, args.runs) for text in WITNESS_GROUPS]
     for result in results:
         row = {**result, **env}

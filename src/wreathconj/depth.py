@@ -202,7 +202,11 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     `pair_split_subgroups_fp` are tested: (D) x| t0(D)Z for the monic
     D | x^g - 1, g = gcd(a1, a2), whose order t0(D) divides g and so
     a1 - a2, and, if a1 != a2, (1) x| tZ for the least t not dividing
-    a1 - a2. The first separator is the one the full stream finds. A
+    a1 - a2. They are generated lazily in index order: Phi_e, e | g, is
+    split only when the stream reaches e * p^ord_e(p), the least index
+    of a divisor holding one of its factors, so the query factors x^g - 1
+    only as far as its answer. The first separator is the one the full
+    stream finds. A
     subgroup (J) x| tZ with t not dividing a1 - a2 has index at least
     that least t. One with t | a1 - a2 tests membership in
     J' = J + (x^(a1 mod t) - 1), which contains x^gcd(a1, t) - 1 and

@@ -38,17 +38,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
+def _prime_factors(n: int, bound: Optional[int] = None) -> list[int]:
+    """The primes dividing n, ascending; with a bound, those up to it,
+    so trial division stops at min(sqrt(n), bound)."""
+    bound = n if bound is None else bound
     out = []
     f = 2
-    while f * f <= n:
+    while f * f <= n and f <= bound:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
         f += 1
-    if n > 1:
+    # what is left is 1, a prime, or a product of primes past the bound
+    if 1 < n <= bound:
         out.append(n)
+    return out
+
+
+def _divisors(n: int, bound: int) -> list[int]:
+    """The divisors of n up to bound, and 1."""
+    out = [1]
+    for q in _prime_factors(n, bound):
+        for d in list(out):
+            m = n
+            while m % q == 0 and d * q <= bound:
+                d, m = d * q, m // q
+                out.append(d)
     return out
 
 
@@ -870,10 +886,15 @@ def _fp_stream(p: int, max_index: int):
                 gens += powers
         for g_deg, g in gens:
             buckets.setdefault(t * p**g_deg, []).append((t, g))
-        bucket = buckets.pop(t, [])
-        bucket.sort(key=lambda sg: _fp_key(p, *sg))
-        for s, g in bucket:
-            yield FpSplitSubgroup(p, s, _from_dense(p, 0, g))
+        yield from _fp_read(p, buckets.pop(t, []))
+
+
+def _fp_read(p: int, bucket: list):
+    """The filed candidates (t, dense generator) of one index in the
+    order of `_fp_key`, each built as an FpSplitSubgroup when read."""
+    bucket.sort(key=lambda sg: _fp_key(p, *sg))
+    for t, g in bucket:
+        yield FpSplitSubgroup(p, t, _from_dense(p, 0, g))
 
 
 def _fp_key(p: int, t: int, g: list) -> tuple:
@@ -882,20 +903,24 @@ def _fp_key(p: int, t: int, g: list) -> tuple:
     return t * p ** (len(g) - 1), t, len(g), [(i, c) for i, c in enumerate(g) if c]
 
 
-def _irreducibles_of_order(p: int, e: int, max_index: int) -> list[list]:
-    """Every monic irreducible f != x over F_p of order e with
-    e * p^deg f <= max_index: the irreducible factors of Phi_e, all of
-    degree ord_e(p) (Lidl and Niederreiter, Finite Fields, 2.47), or none
-    when that degree does not fit."""
+def _factor_degree(p: int, e: int, max_index: int) -> int:
+    """ord_e(p), the degree of the irreducible factors of Phi_e over F_p
+    (Lidl and Niederreiter, Finite Fields, 2.47), or 0 when p divides e
+    or e * p^ord_e(p) exceeds max_index: the count gives up there."""
     if e % p == 0 or e * p > max_index:
-        return []
-    # deg = ord_e(p), given up once e * p^deg exceeds the budget
+        return 0
     deg, power = 1, p % e
     while power != 1 % e and e * p ** (deg + 1) <= max_index:
         deg, power = deg + 1, power * p % e
-    if power != 1 % e:
-        return []
-    return _cyclotomic_factors(p, e, deg)
+    return deg if power == 1 % e else 0
+
+
+def _irreducibles_of_order(p: int, e: int, max_index: int) -> list[list]:
+    """Every monic irreducible f != x over F_p of order e with
+    e * p^deg f <= max_index: the irreducible factors of Phi_e, all of
+    degree ord_e(p), or none when that degree does not fit."""
+    deg = _factor_degree(p, e, max_index)
+    return _cyclotomic_factors(p, e, deg) if deg else []
 
 
 # ---------------------------------------------------------------------------
@@ -939,46 +964,6 @@ def _split_equal_degree(f, d: int, p: int, rng) -> list:
             )
 
 
-def _xg_minus_1_factors(
-    p: int, g: int, max_index: int
-) -> list[tuple[int, list, int]]:
-    """(e, f, k) for every monic irreducible factor f of x^g - 1 over
-    F_p that a divisor D of index t0(D) * p^deg D <= max_index can hold:
-    f has order e, and k is the highest power of f that such a D holds.
-
-    With g = p^a * g', p not dividing g', x^g - 1 = (x^g' - 1)^(p^a), and
-    x^g' - 1 is the product of the cyclotomic polynomials Phi_e, e | g'.
-    Over F_p, Phi_e is the product of phi(e) / ord_e(p) irreducibles of
-    degree ord_e(p), all of order e (Lidl and Niederreiter, Finite
-    Fields, 2.47). f^k has order e times the least power of p at least
-    k, so k is the largest power up to p^a with e * p^ceil(log_p k) *
-    p^(k ord_e(p)) <= max_index. The factors of Phi_e come from
-    `_irreducibles_of_order`, which leaves Phi_e out when not even k = 1
-    fits; the cost grows with the budget, not with g."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if g < 1:
-        raise ValueError("g must be positive")
-    k, g1 = 1, g
-    while g1 % p == 0:
-        k, g1 = k * p, g1 // p
-    out = []
-    for e in range(1, min(g1, max_index // p) + 1):
-        if g1 % e:
-            continue
-        for f in _irreducibles_of_order(p, e, max_index):
-            deg = len(f) - 1
-            mult, power = 1, 1
-            while mult < k:
-                if power < mult + 1:
-                    power *= p
-                if e * power * p ** ((mult + 1) * deg) > max_index:
-                    break
-                mult += 1
-            out.append((e, f, mult))
-    return out
-
-
 def _cyclotomic(p: int, e: int) -> list:
     """Phi_e over F_p, dense: the product of (x^(e/s) - 1)^mu(s) over the
     squarefree s | e."""
@@ -1012,51 +997,87 @@ def _cyclotomic_factors(p: int, e: int, deg: int) -> list:
     return factors
 
 
-def pair_split_subgroups_fp(
-    p: int, a1: int, a2: int, max_index: int
-) -> list[FpSplitSubgroup]:
+def pair_split_subgroups_fp(p: int, a1: int, a2: int, max_index: int):
     """The split subgroups of index <= max_index that can be the least
-    separator of a pair over F_p with shifts a1, a2, not both 0, sorted
-    as `enumerate_split_subgroups_fp` sorts them:
+    separator of a pair over F_p with shifts a1, a2, not both 0, yielded
+    in the order `enumerate_split_subgroups_fp` lists them, each built
+    only when read:
     - (D) x| t0(D)Z for every monic D | x^g - 1, g = gcd(a1, a2); its
       order t0(D) divides g, hence a1 - a2;
     - when a1 != a2, (1) x| tZ for the least t not dividing a1 - a2.
 
-    The order of D = prod f^k, f of order e, is the lcm of the e times
-    the least power of p that is at least every k (Lidl and
-    Niederreiter, 3.8). The index only grows as factors are multiplied
-    in, so a divisor past the budget is not extended, and x^g - 1 is
-    factored only as far as max_index reaches."""
+    The arguments are checked at the call; the candidates are generated
+    lazily, in index order, by `_pair_stream`."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
     g = math.gcd(a1, a2)
     if g == 0:
         raise ValueError("the shifts must not both be 0")
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    # (lcm of the orders e, power of p, dense divisor); the order is the product
-    divs = [(1, 1, [1])]
-    for e, f, mult in _xg_minus_1_factors(p, g, max_index):
-        more = []
-        for orders, power, D in divs:
-            orders = math.lcm(orders, e)
-            for k in range(1, mult + 1):
-                if power < k:
-                    power *= p
-                D = _dmul(D, f, p)
-                t0 = orders * power
-                if t0 * p ** (len(D) - 1) > max_index:
-                    break
-                more.append((orders, power, D))
-        divs += more
-    pairs = [(orders * power, D) for orders, power, D in divs]
-    diff = a1 - a2
+    return _pair_stream(p, g, a1 - a2, max_index)
+
+
+def _pair_stream(p: int, g: int, diff: int, max_index: int):
+    """The candidates of `pair_split_subgroups_fp` for g = gcd(a1, a2)
+    and diff = a1 - a2, filed by index as they are generated.
+
+    With g = p^a * g', p not dividing g', x^g - 1 = (x^g' - 1)^(p^a), and
+    x^g' - 1 is the product of the cyclotomic polynomials Phi_e, e | g'.
+    Over F_p, Phi_e is the product of phi(e) / ord_e(p) irreducibles of
+    degree ord_e(p), all of order e (Lidl and Niederreiter, Finite
+    Fields, 2.47). The order of D = prod f^k, f of order e, k <= p^a, is
+    the lcm of the e times the least power of p that is at least every
+    k (ibid., 3.8), so a divisor holding a factor of order e has index at
+    least e * p^ord_e(p). Phi_e is split only when the stream reaches that
+    index, and its factors are multiplied into every divisor built so
+    far. The index only grows as factors are multiplied in, so a divisor
+    past the budget is not extended; that caps each power. Once the
+    stream reaches the next order's least index, nothing left to
+    generate lands below it, and the buckets below it are yielded."""
+    cap, g1 = 1, g
+    while g1 % p == 0:
+        cap, g1 = cap * p, g1 // p
+    # (least index of a divisor holding a factor of order e, e)
+    orders = []
+    for e in _divisors(g1, max_index // p):
+        deg = _factor_degree(p, e, max_index)
+        if deg:
+            orders.append((e * p**deg, e))
+    orders.sort()
+    buckets = {1: [(1, [1])]}  # index -> (t, dense generator)
     if diff:
         t = 2
         while diff % t == 0:
             t += 1
         if t <= max_index:
-            pairs.append((t, [1]))
-    pairs.sort(key=lambda sg: _fp_key(p, *sg))
-    return [FpSplitSubgroup(p, t, _from_dense(p, 0, D)) for t, D in pairs]
+            buckets.setdefault(t, []).append((t, [1]))
+    # (lcm of the orders e, power of p, dense divisor); the order is the product
+    divs = [(1, 1, [1])]
+    for least, e in orders:
+        yield from _fp_drain(p, buckets, least)
+        for f in _irreducibles_of_order(p, e, max_index):
+            more = []
+            for lcm_e, power, D in divs:
+                lcm_e = math.lcm(lcm_e, e)
+                for k in range(1, cap + 1):
+                    if power < k:
+                        power *= p
+                    D = _dmul(D, f, p)
+                    index = lcm_e * power * p ** (len(D) - 1)
+                    if index > max_index:
+                        break
+                    more.append((lcm_e, power, D))
+                    buckets.setdefault(index, []).append((lcm_e * power, D))
+            divs += more
+    yield from _fp_drain(p, buckets, max_index + 1)
+
+
+def _fp_drain(p: int, buckets: dict, below: int):
+    """Every filed candidate of index < below, by index, then as
+    `_fp_read` orders and builds them; their buckets are emptied."""
+    for index in sorted(i for i in buckets if i < below):
+        yield from _fp_read(p, buckets.pop(index))
 
 
 # ---------------------------------------------------------------------------

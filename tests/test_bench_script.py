@@ -1,11 +1,12 @@
-"""The benchmark script's sweep and Z-enumeration rows still run.
+"""The benchmark script's sweep, Z-enumeration and F_p-depth rows still run.
 
 `benchmarks/bench_depth.py` times `depth_sweep` by wrapping functions
-as `wreathconj.depth` binds them, looked up by name, and calls
-`enumerate_split_subgroups_z` the same way, so renaming one of them
-would break the script without failing any library test. This test
-loads the script and measures one small sweep and one small
-enumeration."""
+as `wreathconj.depth` binds them, looked up by name, calls
+`enumerate_split_subgroups_z` the same way, and reads the `fp_depth`
+pool of the benchmark, so renaming one of them would break the script
+without failing any library test. This test loads the script and
+measures one small sweep, one small enumeration and the F_p depth
+rows."""
 
 import importlib.util
 from pathlib import Path
@@ -32,3 +33,13 @@ def test_measure_enum_z_runs():
     row = _bench().measure_enum_z(8, 1)
     assert row["section"] == "enum_z"
     assert row["subgroups"] == 23
+
+
+def test_measure_depth_fp_runs():
+    bench = _bench()
+    row = bench.measure_depth_pool("fp_depth", 1)
+    assert (row["section"], row["ops"], row["budget"]) == ("depth_fp", "s8", 1024)
+    assert row["queries"] == 682
+    for ring, pair, budget in bench.SHIFT_FP:
+        row = bench.measure_depth_pair(ring, pair, budget, 1)
+        assert (row["section"], row["split_depth"]) == ("depth_fp", 2)

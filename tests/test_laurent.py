@@ -56,13 +56,15 @@ from wreathconj.laurent import (
     _coindex,
     _crt_join,
     _dirreducible,
+    _divisors,
     _laurent_div,
     _dpow_x,
     _elements,
+    _irreducibles_of_order,
     _prime_factors,
     _rotate,
-    _xg_minus_1_factors,
 )
+from wreathconj.depth import split_conjugacy_depth
 from wreathconj.wreath import conjugate, conjugate_test, multiply
 
 
@@ -426,88 +428,137 @@ def test_dpow_x_against_division():
 NO_BOUND = 10**100
 
 
-def test_xg_minus_1_factors():
+def _dense(f, p):
+    return LaurentPoly(p, tuple(enumerate(f)))
+
+
+def _power(P, k):
+    out = one_poly(P.ring)
+    for _ in range(k):
+        out = poly_mul(out, P)
+    return out
+
+
+def _p_free(g, p):
+    """(g', p^a) with g = p^a * g', p not dividing g'."""
+    cap = 1
+    while g % p == 0:
+        g, cap = g // p, cap * p
+    return g, cap
+
+
+def _least_power(p, k):
+    return next(p**a for a in itertools.count() if p**a >= k)
+
+
+def test_divisors_up_to_bound():
+    for n in range(1, 300):
+        for bound in (1, 2, 7, 30, n // 2 + 1, n, n + 1):
+            assert sorted(_divisors(n, bound)) == [d for d in range(1, bound + 1) if n % d == 0]
+    # trial division stops at the bound: 2^61 - 1 is prime
+    assert _prime_factors(6 * (2**61 - 1), 100) == [2, 3]
+    assert sorted(_divisors(6 * (2**61 - 1), 100)) == [1, 2, 3, 6]
+
+
+def test_irreducibles_of_order():
+    # x^g - 1 = (prod over e | g' of Phi_e)^(p^a), g = p^a * g', and Phi_e
+    # is the product of phi(e) / ord_e(p) irreducibles of degree
+    # ord_e(p) and order e
     irreducible = {}
     for p in (2, 3, 5, 7):
         for g in range(1, 61):
-            factors = _xg_minus_1_factors(p, g, NO_BOUND)
-            if g in (7, 21, 31, 60):
-                # the seeded splitting gives the same list on every call
-                assert _xg_minus_1_factors(p, g, NO_BOUND) == factors
+            g1, cap = _p_free(g, p)
             product = one_poly(p)
-            for _, f, k in factors:
-                for _ in range(k):
-                    product = poly_mul(product, LaurentPoly(p, tuple(enumerate(f))))
-            assert product == xt_minus_1(p, g)
-            g1 = g
-            while g1 % p == 0:
-                g1 //= p
             for e in range(1, g1 + 1):
                 if g1 % e:
                     continue
-                of_e = [(f, k) for e2, f, k in factors if e2 == e]
+                of_e = _irreducibles_of_order(p, e, NO_BOUND)
+                if e in (7, 21, 31):
+                    # the seeded splitting gives the same list on every call
+                    assert _irreducibles_of_order(p, e, NO_BOUND) == of_e
                 order = next(d for d in range(1, e + 1) if pow(p, d, e) == 1 % e)
                 phi = sum(1 for r in range(1, e + 1) if math.gcd(r, e) == 1)
                 assert len(of_e) == phi // order
-                for f, k in of_e:
-                    assert k == g // g1 and f[-1] == 1 and len(f) - 1 == order
+                for f in of_e:
+                    assert f[-1] == 1 and len(f) - 1 == order
                     assert _dpow_x(e, f, p) == [1]
                     key = (p, tuple(f))
                     if key not in irreducible:
                         irreducible[key] = _dirreducible(f, p)
                     assert irreducible[key]
+                    product = poly_mul(product, _power(_dense(f, p), cap))
+            assert product == xt_minus_1(p, g)
     # Phi_7 over F_2 is the product of the two irreducible cubics
-    assert _xg_minus_1_factors(2, 7, NO_BOUND) == [(1, [1, 1], 1), (7, [1, 0, 1, 1], 1), (7, [1, 1, 0, 1], 1)]
-    assert _xg_minus_1_factors(3, 6, NO_BOUND) == [(1, [2, 1], 3), (2, [1, 1], 3)]
+    assert _irreducibles_of_order(2, 7, NO_BOUND) == [[1, 0, 1, 1], [1, 1, 0, 1]]
 
 
-def test_xg_minus_1_factors_bounded_by_budget():
-    # with a budget, Phi_e is kept only while e * p^ord_e(p) fits, and
-    # f^k only while e * (least power of p >= k) * p^(k deg f) fits
+def test_pair_split_subgroups_fp_power_caps():
+    # f^k, f of order e and degree d, is a candidate of shifts (g, g) iff
+    # k <= p^a and its index e * (least power of p >= k) * p^(k d) fits
     for p in (2, 3, 5):
         for g in range(1, 61):
-            factors = _xg_minus_1_factors(p, g, NO_BOUND)
+            g1, cap = _p_free(g, p)
+            powers = []  # (f^k, index of (f^k) x| t0 Z)
+            for e in range(1, g1 + 1):
+                if g1 % e:
+                    continue
+                for f in _irreducibles_of_order(p, e, NO_BOUND):
+                    for k in range(1, cap + 1):
+                        index = e * _least_power(p, k) * p ** (k * (len(f) - 1))
+                        powers.append((_power(_dense(f, p), k), index))
             for budget in (1, p, 8, 56, 125, 243, 512, 4096):
-                expected = []
-                for e, f, k in factors:
-                    fit = [
-                        j
-                        for j in range(1, k + 1)
-                        if e * next(p**a for a in range(j + 1) if p**a >= j)
-                        * p ** (j * (len(f) - 1)) <= budget
-                    ]
-                    if fit:
-                        expected.append((e, f, max(fit)))
-                assert _xg_minus_1_factors(p, g, budget) == expected
+                gens = {N.gen for N in pair_split_subgroups_fp(p, g, g, budget)}
+                assert [P in gens for P, _ in powers] == [i <= budget for _, i in powers]
+    # x^6 - 1 = (x - 1)^3 (x + 1)^3 over F3 has 16 monic divisors
+    x1, x2 = parse_laurent("x + 1", 3), parse_laurent("x + 2", 3)
+    gens = [N.gen for N in pair_split_subgroups_fp(3, 6, 6, NO_BOUND)]
+    want = {poly_mul(_power(x1, i), _power(x2, j)) for i in range(4) for j in range(4)}
+    assert len(gens) == 16 and set(gens) == want
     # the cost follows the budget, not g: (x + 1)^4 is all that fits in
     # 64 for x^(2^20) - 1 over F2, and x - 1 alone for a prime g
-    assert _xg_minus_1_factors(2, 2**20, 64) == [(1, [1, 1], 4)]
-    assert _xg_minus_1_factors(3, 1000003, 243) == [(1, [2, 1], 1)]
-    assert _xg_minus_1_factors(2, 7 * 2**16, 512) == [
-        (1, [1, 1], 6),
-        (7, [1, 0, 1, 1], 1),
-        (7, [1, 1, 0, 1], 1),
-    ]
+    x1 = parse_laurent("x + 1", 2)
+    stream = pair_split_subgroups_fp(2, 2**20, 2**20, 64)
+    assert [(N.t, N.gen) for N in stream] == [(_least_power(2, k), _power(x1, k)) for k in range(5)]
+    stream = pair_split_subgroups_fp(3, 1000003, 1000003, 243)
+    assert [(N.t, N.gen) for N in stream] == [(1, one_poly(3)), (1, x2)]
+    # x^(7 * 2^16) - 1 over F2 at 512: (x + 1)^k up to k = 6 and each
+    # cubic factor of Phi_7 once
+    c1, c2 = (_dense(f, 2) for f in _irreducibles_of_order(2, 7, NO_BOUND))
+    want = set()
+    for i, j, k in itertools.product(range(8), range(3), range(3)):
+        t0 = (7 if j or k else 1) * _least_power(2, max(i, j, k))
+        D = poly_mul(poly_mul(_power(x1, i), _power(c1, j)), _power(c2, k))
+        if t0 * 2**D.degree <= 512:
+            want.add((t0, D))
+    stream = pair_split_subgroups_fp(2, 7 * 2**16, 7 * 2**16, 512)
+    got = [(N.t, N.gen) for N in stream]
+    assert len(got) == len(want) and set(got) == want
+    assert (8, _power(x1, 6)) in want and (8, _power(x1, 7)) not in want
+    assert not any(D in (_power(c1, 2), _power(c2, 2)) for _, D in want)
 
 
-def test_xg_minus_1_factors_check_raises(monkeypatch):
-    # a factor list that does not multiply back to x^g - 1 is refused;
-    # Phi_7 over F2 is reducible, so its factors come from the splitter
+def test_pair_split_subgroups_fp_check_raises(monkeypatch):
+    # a factor list that does not multiply back to Phi_e is refused when
+    # the stream reaches it; Phi_7 over F2 is reducible, so its factors
+    # come from the splitter
     monkeypatch.setattr(laurent, "_split_equal_degree", lambda f, d, p, rng: [f, f])
+    stream = pair_split_subgroups_fp(2, 7, 7, NO_BOUND)
+    assert [N.index for N in itertools.islice(stream, 2)] == [1, 2]
     with pytest.raises(ContractError):
-        _xg_minus_1_factors(2, 7, NO_BOUND)
+        next(stream)
 
 
-def test_xg_minus_1_factors_seed_only_reducible(monkeypatch):
+def test_pair_split_subgroups_fp_seed_only_reducible(monkeypatch):
     # x^15 - 1 over F2: Phi_1, Phi_3 and Phi_5 are irreducible and kept
     # whole; only Phi_15 (degree 8, factors of degree ord_15(2) = 4) is
     # split, with a generator seeded by 15
     seeds = []
     make = random.Random
     monkeypatch.setattr(laurent.random, "Random", lambda e: seeds.append(e) or make(e))
-    factors = _xg_minus_1_factors(2, 15, NO_BOUND)
+    subs = list(pair_split_subgroups_fp(2, 15, 15, NO_BOUND))
     assert seeds == [15]
-    assert [(e, len(f) - 1) for e, f, _ in factors] == [(1, 1), (3, 2), (5, 4), (15, 4), (15, 4)]
+    factors = [(N.t, N.gen.degree) for N in subs if N.gen.degree and is_irreducible_fp(N.gen)]
+    assert factors == [(1, 1), (3, 2), (5, 4), (15, 4), (15, 4)]
 
 
 def test_pair_split_subgroups_fp_against_full_stream():
@@ -531,7 +582,52 @@ def test_pair_split_subgroups_fp_against_full_stream():
                 if (N.t == t0 and g % N.t == 0)
                 or (N.gen == one_poly(p) and N.t == least)
             ]
-            assert pair_split_subgroups_fp(p, a1, a2, budget) == want, (p, a1, a2)
+            assert list(pair_split_subgroups_fp(p, a1, a2, budget)) == want, (p, a1, a2)
+
+
+def test_pair_stream_prefix_is_smaller_budget():
+    # the budget-B pair stream cut at index k lists exactly the budget-k
+    # candidates
+    cases = [
+        (2, 48, 80, 4096, (1, 2, 8, 12, 100, 1024)),
+        (2, 9699690, 9699690, 2**16, (2, 12, 80, 896, 4096)),
+        (3, 36, 90, 2187, (3, 12, 26, 81, 1000)),
+        (5, 20, -40, 3125, (5, 24, 125, 624, 3000)),
+        (7, 6, 12, 2401, (5, 7, 49, 400)),
+    ]
+    for p, a1, a2, budget, cuts in cases:
+        for k in cuts:
+            head = itertools.takewhile(
+                lambda N: N.index <= k, pair_split_subgroups_fp(p, a1, a2, budget)
+            )
+            assert list(head) == list(pair_split_subgroups_fp(p, a1, a2, k)), (p, a1, a2, k)
+
+
+def test_pair_stream_builds_only_what_is_read(monkeypatch):
+    asked, built = [], []
+    irreducibles = laurent._irreducibles_of_order
+    monkeypatch.setattr(
+        laurent, "_irreducibles_of_order", lambda p, e, b: asked.append(e) or irreducibles(p, e, b)
+    )
+    init = FpSplitSubgroup.__post_init__
+    monkeypatch.setattr(FpSplitSubgroup, "__post_init__", lambda N: built.append(N.index) or init(N))
+    # x^12 - 1 over F2: Phi_3 is split only when the stream reaches
+    # 3 * 2^ord_3(2) = 12, and each subgroup is built when read
+    stream = pair_split_subgroups_fp(2, 12, 12, 1024)
+    assert [N.index for N in itertools.islice(stream, 3)] == [1, 2, 8]
+    assert asked == [1] and built == [1, 2, 8]
+    assert next(stream).index == 12 and asked == [1, 3] and built[-1] == 12
+    # the depth query over shift 2 * 3 * ... * 19 at budget 2^30 stops at
+    # index 2: no order past e = 1 is factored
+    asked.clear()
+    built.clear()
+    s1, s2 = parse_semidirect("(1 + x, 9699690)", 2), parse_semidirect("(x, 9699690)", 2)
+    assert split_conjugacy_depth(s1, s2, 2**30).split_depth == 2
+    assert asked == [1] and built == [1, 2]
+    # the arguments are checked at the call, before any iteration
+    for args in ((2, 0, 0, 8), (2, 1, 2, 0), (4, 1, 2, 8)):
+        with pytest.raises(ValueError):
+            pair_split_subgroups_fp(*args)
 
 
 def divmod_oracle(num, den, p):
