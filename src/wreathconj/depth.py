@@ -198,20 +198,22 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     subgroup) is what the answer means, so same-index ties are
     harmless.
 
-    Over F_p with shifts a1, a2 not both 0, only the candidates of
-    `pair_split_subgroups_fp` are tested: (D) x| t0(D)Z for the monic
-    D | x^g - 1, g = gcd(a1, a2), whose order t0(D) divides g and so
-    a1 - a2, and, if a1 != a2, (1) x| tZ for the least t not dividing
-    a1 - a2. They are generated lazily in index order: Phi_e, e | g, is
-    split only when the stream reaches e * p^ord_e(p), the least index
-    of a divisor holding one of its factors, so the query factors x^g - 1
-    only as far as its answer. The first separator is the one the full
-    stream finds. A
-    subgroup (J) x| tZ with t not dividing a1 - a2 has index at least
-    that least t. One with t | a1 - a2 tests membership in
-    J' = J + (x^(a1 mod t) - 1), which contains x^gcd(a1, t) - 1 and
-    hence x^g - 1; (J') x| t0(J')Z gives the same test at no larger
-    index, and at equal index it is the same subgroup. Otherwise, and over Z, every split subgroup is
+    Over F_p only the candidates of `pair_split_subgroups_fp` are
+    tested: (D) x| t0(D)Z for the monic D | x^g - 1, g = gcd(a1, a2),
+    whose order t0(D) divides g and so a1 - a2, and, if a1 != a2,
+    (1) x| tZ for the least t not dividing a1 - a2. They are generated
+    lazily in index order: Phi_e is split only when the stream reaches
+    e * p^ord_e(p), the least index of a divisor holding one of its
+    factors, so the query factors x^g - 1 only as far as its answer.
+    The first separator is the one the full stream finds. A subgroup
+    (J) x| tZ with t not dividing a1 - a2 has index at least that least
+    t. One with t | a1 - a2 tests membership in J' = J + (x^(a1 mod t) - 1),
+    which contains x^gcd(a1, t) - 1 and hence x^g - 1; (J') x| t0(J')Z
+    gives the same test at no larger index, and at equal index it is the
+    same subgroup. With both shifts 0, g = 0 and every D is a candidate:
+    the test at (J, t) asks whether P2 lies in x^m P1 + J for some m,
+    which does not depend on t, and (J) x| t0(J)Z is the least-index
+    subgroup giving it. Over Z every split subgroup is
     read from `split_subgroup_stream`, which builds only what is read."""
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -221,7 +223,7 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     if same_conjugacy_class(s1, s2) is not None:
         raise ValueError("inputs are conjugate; depth undefined")
     ring = s1.poly.ring
-    if ring and (s1.shift or s2.shift):
+    if ring:
         candidates = pair_split_subgroups_fp(ring, s1.shift, s2.shift, budget)
     else:
         candidates = split_subgroup_stream(ring, budget)

@@ -12,6 +12,7 @@ Ring tags are integers: 0 for Z, a prime p for F_p.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import random
@@ -832,11 +833,14 @@ def split_subgroup_stream(ring: int, max_index: int):
     Subgroups are filed by index as they are generated. The generation
     follows a lower bound on the index, so once the stream reaches index
     k nothing left to generate can land at k or below, and the subgroups
-    of index k are sorted and yielded."""
+    of index k are sorted and yielded. Each ideal J is filed once, as
+    J x| t0Z with t0 its least period, and reading J x| tZ files
+    J x| (t + t0)Z. Over F_p the ideals are the (D), D monic with
+    D(0) != 0, of `_fp_stream` with g = 0."""
     if max_index < 1:
         raise ValueError("max_index must be positive")
     _check_ring(ring)
-    return _fp_stream(ring, max_index) if ring else _z_stream(max_index)
+    return _fp_stream(ring, 0, 0, max_index, True) if ring else _z_stream(max_index)
 
 
 def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup]:
@@ -846,61 +850,6 @@ def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup
     if not is_prime(p):
         raise ValueError("p must be prime")
     return list(split_subgroup_stream(p, max_index))
-
-
-def _fp_stream(p: int, max_index: int):
-    """The F_p split subgroups in the order of `enumerate_split_subgroups_fp`.
-
-    The generators are products of irreducible factors of x^t - 1
-    (cyclotomic cosets; Lidl & Niederreiter, Finite Fields, ch. 3). An
-    irreducible f of order e has degree ord_e(p), and with t = p^a * t',
-    p not dividing t', f divides x^t - 1 iff e | t', with multiplicity
-    exactly p^a. The least shift at which f can occur is e, so the
-    factors of order e are listed once, when t reaches e. Each t then
-    multiplies its usable factors, with each power capped at p^a and
-    the degree at the budget's limit for t. Every subgroup of shift t
-    has index at least t, so after shift t the bucket of index t is
-    complete.
-    """
-    by_degree: dict[int, list] = {}  # degree -> (e, f), the factors listed so far
-    buckets: dict[int, list] = {}  # index -> (t, dense generator)
-    for t in range(1, max_index + 1):
-        dmax = 0
-        while t * p ** (dmax + 1) <= max_index:
-            dmax += 1
-        mult, tp = 1, t
-        while tp % p == 0:
-            mult, tp = mult * p, tp // p
-        for f in _irreducibles_of_order(p, t, max_index):
-            by_degree.setdefault(len(f) - 1, []).append((t, f))
-        gens = [(0, [1])]
-        for deg in range(1, dmax + 1):
-            for e, f in by_degree.get(deg, ()):
-                if tp % e:
-                    continue
-                powers = []
-                for g_deg, g in gens:
-                    for k in range(1, min(mult, (dmax - g_deg) // deg) + 1):
-                        g = _dmul(g, f, p)
-                        powers.append((g_deg + k * deg, g))
-                gens += powers
-        for g_deg, g in gens:
-            buckets.setdefault(t * p**g_deg, []).append((t, g))
-        yield from _fp_read(p, buckets.pop(t, []))
-
-
-def _fp_read(p: int, bucket: list):
-    """The filed candidates (t, dense generator) of one index in the
-    order of `_fp_key`, each built as an FpSplitSubgroup when read."""
-    bucket.sort(key=lambda sg: _fp_key(p, *sg))
-    for t, g in bucket:
-        yield FpSplitSubgroup(p, t, _from_dense(p, 0, g))
-
-
-def _fp_key(p: int, t: int, g: list) -> tuple:
-    """The order of the F_p split subgroups (g) x| tZ, g dense: index,
-    then t, degree and the nonzero coefficients of g."""
-    return t * p ** (len(g) - 1), t, len(g), [(i, c) for i, c in enumerate(g) if c]
 
 
 def _factor_degree(p: int, e: int, max_index: int) -> int:
@@ -924,7 +873,7 @@ def _irreducibles_of_order(p: int, e: int, max_index: int) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# the split subgroups a depth query over F_p needs: divisors of x^g - 1
+# the F_p split subgroups: divisors of x^g - 1, or of every x^t - 1
 
 
 def _ord_mod(p: int, e: int) -> int:
@@ -999,85 +948,108 @@ def _cyclotomic_factors(p: int, e: int, deg: int) -> list:
 
 def pair_split_subgroups_fp(p: int, a1: int, a2: int, max_index: int):
     """The split subgroups of index <= max_index that can be the least
-    separator of a pair over F_p with shifts a1, a2, not both 0, yielded
-    in the order `enumerate_split_subgroups_fp` lists them, each built
-    only when read:
+    separator of a pair over F_p with shifts a1, a2, yielded in the order
+    `enumerate_split_subgroups_fp` lists them, each built only when read:
     - (D) x| t0(D)Z for every monic D | x^g - 1, g = gcd(a1, a2); its
-      order t0(D) divides g, hence a1 - a2;
+      order t0(D) divides g, hence a1 - a2. When a1 = a2 = 0, g = 0 and
+      D runs over every monic divisor of some x^t - 1;
     - when a1 != a2, (1) x| tZ for the least t not dividing a1 - a2.
 
     The arguments are checked at the call; the candidates are generated
-    lazily, in index order, by `_pair_stream`."""
+    lazily, in index order, by `_fp_stream`."""
     if not is_prime(p):
         raise ValueError("p must be prime")
-    g = math.gcd(a1, a2)
-    if g == 0:
-        raise ValueError("the shifts must not both be 0")
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    return _pair_stream(p, g, a1 - a2, max_index)
+    return _fp_stream(p, math.gcd(a1, a2), a1 - a2, max_index, False)
 
 
-def _pair_stream(p: int, g: int, diff: int, max_index: int):
-    """The candidates of `pair_split_subgroups_fp` for g = gcd(a1, a2)
-    and diff = a1 - a2, filed by index as they are generated.
+def _fp_stream(p: int, g: int, diff: int, max_index: int, every: bool):
+    """(D) x| tZ of index <= max_index for the monic D | x^g - 1, or
+    every monic D with D(0) != 0 when g = 0, in the order of
+    `enumerate_split_subgroups_fp`, each built only when read: at t the
+    order t0(D) of D, and, when every is set, at each multiple of t0(D);
+    and when diff != 0, (1) x| tZ for the least t not dividing diff.
 
     With g = p^a * g', p not dividing g', x^g - 1 = (x^g' - 1)^(p^a), and
     x^g' - 1 is the product of the cyclotomic polynomials Phi_e, e | g'.
     Over F_p, Phi_e is the product of phi(e) / ord_e(p) irreducibles of
     degree ord_e(p), all of order e (Lidl and Niederreiter, Finite
-    Fields, 2.47). The order of D = prod f^k, f of order e, k <= p^a, is
-    the lcm of the e times the least power of p that is at least every
-    k (ibid., 3.8), so a divisor holding a factor of order e has index at
-    least e * p^ord_e(p). Phi_e is split only when the stream reaches that
-    index, and its factors are multiplied into every divisor built so
-    far. The index only grows as factors are multiplied in, so a divisor
-    past the budget is not extended; that caps each power. Once the
-    stream reaches the next order's least index, nothing left to
-    generate lands below it, and the buckets below it are yielded."""
-    cap, g1 = 1, g
-    while g1 % p == 0:
-        cap, g1 = cap * p, g1 // p
-    # (least index of a divisor holding a factor of order e, e)
-    orders = []
-    for e in _divisors(g1, max_index // p):
-        deg = _factor_degree(p, e, max_index)
-        if deg:
-            orders.append((e * p**deg, e))
-    orders.sort()
-    buckets = {1: [(1, [1])]}  # index -> (t, dense generator)
+    Fields, 2.47). The order of D = prod f^k, f of order e, is the lcm
+    of the e times the least power of p that is at least every k (ibid.,
+    3.8), so a divisor holding a factor of order e has index at least
+    L(e) = e * p^ord_e(p). Phi_e is split only when the stream reaches
+    L(e), and its factors are multiplied into every divisor built so
+    far, each power capped at p^a, or uncapped when g = 0. The index
+    only grows as factors are multiplied in, so a divisor past the
+    budget is not extended. The orders e are the divisors of g', or
+    every e when g = 0; as L(e) > e, an order is looked at only once the
+    stream passes it. Divisors are filed by index, and reading (D) x| tZ
+    files (D) x| (t + t0(D))Z when every is set. A bucket is read once
+    no order left to split has L(e) at or below its index, so nothing
+    left to generate lands there."""
+    top = max_index // p  # L(e) >= e * p, so no order past top fits
+    if g:
+        cap, g1 = 1, g
+        while g1 % p == 0:
+            cap, g1 = cap * p, g1 // p
+        orders = iter(sorted(_divisors(g1, top)))
+    else:
+        # f^k has index at least p^k > k, so the budget alone caps k
+        cap, orders = max_index, iter(range(1, top + 1))
+    e = next(orders, None)
+    splits: list = []  # heap of (L(e), e) for the orders looked at, not yet split
+    buckets: dict = {}  # index -> (t, t0(D), dense D)
+    keys: list = []  # heap of the indexes of the buckets
+
+    def file(index, t, t0, D):
+        if index not in buckets:
+            buckets[index] = []
+            heapq.heappush(keys, index)
+        buckets[index].append((t, t0, D))
+
+    file(1, 1, 1, [1])
     if diff:
         t = 2
         while diff % t == 0:
             t += 1
         if t <= max_index:
-            buckets.setdefault(t, []).append((t, [1]))
+            file(t, t, 1, [1])
     # (lcm of the orders e, power of p, dense divisor); the order is the product
     divs = [(1, 1, [1])]
-    for least, e in orders:
-        yield from _fp_drain(p, buckets, least)
-        for f in _irreducibles_of_order(p, e, max_index):
-            more = []
-            for lcm_e, power, D in divs:
-                lcm_e = math.lcm(lcm_e, e)
-                for k in range(1, cap + 1):
-                    if power < k:
-                        power *= p
-                    D = _dmul(D, f, p)
-                    index = lcm_e * power * p ** (len(D) - 1)
-                    if index > max_index:
-                        break
-                    more.append((lcm_e, power, D))
-                    buckets.setdefault(index, []).append((lcm_e * power, D))
-            divs += more
-    yield from _fp_drain(p, buckets, max_index + 1)
-
-
-def _fp_drain(p: int, buckets: dict, below: int):
-    """Every filed candidate of index < below, by index, then as
-    `_fp_read` orders and builds them; their buckets are emptied."""
-    for index in sorted(i for i in buckets if i < below):
-        yield from _fp_read(p, buckets.pop(index))
+    while True:
+        k = keys[0] if keys else max_index + 1
+        while e is not None and e < min(k, splits[0][0] if splits else k):
+            deg = _factor_degree(p, e, max_index)
+            if deg:
+                heapq.heappush(splits, (e * p**deg, e))
+            e = next(orders, None)
+        if splits and splits[0][0] <= k:
+            order = heapq.heappop(splits)[1]
+            for f in _irreducibles_of_order(p, order, max_index):
+                more = []
+                for lcm_e, power, D in divs:
+                    lcm_e = math.lcm(lcm_e, order)
+                    for n in range(1, cap + 1):
+                        if power < n:
+                            power *= p
+                        D = _dmul(D, f, p)
+                        index = lcm_e * power * p ** (len(D) - 1)
+                        if index > max_index:
+                            break
+                        more.append((lcm_e, power, D))
+                        file(index, lcm_e * power, lcm_e * power, D)
+                divs += more
+            continue
+        if not keys:
+            return
+        heapq.heappop(keys)
+        bucket = buckets.pop(k)
+        bucket.sort(key=lambda c: (c[0], len(c[2]), [(i, a) for i, a in enumerate(c[2]) if a]))
+        for t, t0, D in bucket:
+            if every and (later := k + k // t * t0) <= max_index:
+                file(later, t + t0, t0, D)
+            yield FpSplitSubgroup(p, t, _from_dense(p, 0, D))
 
 
 # ---------------------------------------------------------------------------
@@ -1272,30 +1244,28 @@ def _z_stream(max_index: int):
     each index's bucket sorted by (d, t0, t, basis rows from the last up).
 
     Each ideal is built as a lattice in Hermite normal form, with t0 its
-    least period and d its characteristic, and only if its co-index is
+    least period and d its characteristic, and only if its co-index c is
     at most max_index // t0; the cost grows with the ideals returned,
-    not with d^t0. For t0 = 1 the ideals are the dZ: (dZ, 1) is filed
-    when the stream reaches index d, and (dZ, t + 1) when it reaches
-    (dZ, t). A quotient ring of least period t0 > 1 holds 0 and t0 distinct
-    powers of x, so its order is at least t0 + 1: the lattices of period
-    t0 are built when the stream reaches index t0 (t0 + 1), the least
-    they can have.
+    not with d^t0. It is filed at t0 * c, as (J, t0), and reading
+    (J, t) files (J, t + t0). For t0 = 1 the ideals are the dZ, filed
+    when the stream reaches index d. A quotient ring of least period
+    t0 > 1 holds 0 and t0 distinct powers of x, so its order is at least
+    t0 + 1: the lattices of period t0 are built when the stream reaches
+    index t0 (t0 + 1), the least they can have.
     """
     buckets: dict[int, list] = {}  # index -> (d, t0, t, basis)
     t0 = 2
     for k in range(1, max_index + 1):
         if k == t0 * (t0 + 1):
             for H in _lattices_of_period(t0, max_index // t0):
-                c = _coindex(H)
-                for t in range(t0, max_index // c + 1, t0):
-                    buckets.setdefault(t * c, []).append((H[-1][-1], t0, t, H))
+                buckets.setdefault(t0 * _coindex(H), []).append((H[-1][-1], t0, t0, H))
             t0 += 1
         bucket = buckets.pop(k, [])
         bucket.append((k, 1, 1, ((k,),)))
         bucket.sort(key=lambda s: (*s[:3], s[3][::-1]))
         for d, s0, t, H in bucket:
-            if s0 == 1 and k + d <= max_index:
-                buckets.setdefault(k + d, []).append((d, 1, t + 1, H))
+            if (later := k + k // t * s0) <= max_index:
+                buckets.setdefault(later, []).append((d, s0, t + s0, H))
             yield ZSplitSubgroup._from_basis(d, s0, H, t)
 
 

@@ -138,10 +138,15 @@ def test_lamplighter_depth_reaches_upper_bound(p, i, q):
     assert describe_subgroup(res.subgroup) == f"F{p}: t={q}, gen={psi}"
 
 
-def test_pair_aware_depth_against_full_enumeration():
+def _no_full_stream(ring, max_index):
+    raise AssertionError("an F_p depth query read split_subgroup_stream")
+
+
+def test_pair_aware_depth_against_full_enumeration(monkeypatch):
     # split_conjugacy_depth tests only the divisors of x^g - 1 (and one
-    # shift-only quotient); the answer and the subgroup must be the first
-    # separator in the full enumeration's order
+    # shift-only quotient), every divisor when both shifts are 0; the
+    # answer and the subgroup must be the first separator in the full
+    # enumeration's order, and no F_p query reads the full stream
     def rand_poly(rng, p):
         P = zero_poly(p)
         for _ in range(rng.randint(0, 6)):
@@ -171,14 +176,16 @@ def test_pair_aware_depth_against_full_enumeration():
             for a1, a2 in large[p]
             for _ in range(3)
         )
-        for n in range(450):
-            kind = ("equal", "unequal", "one zero")[n % 3]
+        for n in range(600):
+            kind = ("equal", "unequal", "one zero", "both zero")[n % 4]
             if kind == "equal":
                 a1 = a2 = rng.choice(nonzero)
             elif kind == "unequal":
                 a1, a2 = rng.sample(nonzero, 2)
-            else:
+            elif kind == "one zero":
                 a1, a2 = rng.choice([(rng.choice(nonzero), 0), (0, rng.choice(nonzero))])
+            else:
+                a1 = a2 = 0
             pairs.append(
                 (SemidirectElement(rand_poly(rng, p), a1), SemidirectElement(rand_poly(rng, p), a2))
             )
@@ -186,7 +193,9 @@ def test_pair_aware_depth_against_full_enumeration():
             if same_conjugacy_class(s1, s2) is not None:
                 continue
             first = next((N for N in full if not conjugate_in_split_quotient(s1, s2, N)), None)
-            res = split_conjugacy_depth(s1, s2, budget)
+            with monkeypatch.context() as m:
+                m.setattr(depth, "split_subgroup_stream", _no_full_stream)
+                res = split_conjugacy_depth(s1, s2, budget)
             if first is None:
                 assert res.split_depth == EXCEEDS_BUDGET and res.subgroup is None
             else:
@@ -198,6 +207,7 @@ def test_pair_aware_depth_against_full_enumeration():
                 found.add((p, res.subgroup.t, res.subgroup.gen.degree))
         assert {("equal", False, True), ("equal", False, False)} <= seen
         assert {("unequal", False, True), ("unequal", True, True)} <= seen
+        assert ("equal", True, True) in seen
     # an answer generated by one of Phi_7's cubic factors over F2
     assert (2, 7, 3) in found
 

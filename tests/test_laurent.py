@@ -572,8 +572,6 @@ def test_pair_split_subgroups_fp_against_full_stream():
             for N in full
         ]
         for a1, a2 in itertools.product(range(-6, 13), repeat=2):
-            if a1 == a2 == 0:
-                continue
             g, diff = math.gcd(a1, a2), a1 - a2
             least = next((t for t in itertools.count(2) if diff % t), None) if diff else None
             want = [
@@ -624,8 +622,17 @@ def test_pair_stream_builds_only_what_is_read(monkeypatch):
     s1, s2 = parse_semidirect("(1 + x, 9699690)", 2), parse_semidirect("(x, 9699690)", 2)
     assert split_conjugacy_depth(s1, s2, 2**30).split_depth == 2
     assert asked == [1] and built == [1, 2]
+    # both shifts 0: every order is a candidate, looked at only as the
+    # stream passes it, so a budget of 10^12 splits no more than order 1
+    # for the first three candidates, and order 3 once index 12 is read
+    asked.clear()
+    built.clear()
+    stream = pair_split_subgroups_fp(2, 0, 0, 10**12)
+    assert [N.index for N in itertools.islice(stream, 3)] == [1, 2, 8]
+    assert asked == [1] and built == [1, 2, 8]
+    assert next(stream).index == 12 and asked == [1, 3] and built[-1] == 12
     # the arguments are checked at the call, before any iteration
-    for args in ((2, 0, 0, 8), (2, 1, 2, 0), (4, 1, 2, 8)):
+    for args in ((2, 1, 2, 0), (4, 1, 2, 8)):
         with pytest.raises(ValueError):
             pair_split_subgroups_fp(*args)
 
