@@ -41,10 +41,10 @@ F_p-depth rows (marked "section": "depth_fp"): the same over F_p. The
 (`perfbench/pool/fp_depth.json`) whose answer lies at index 8 or below.
 The "pair" rows run (1 + x, m), (x, m) over F2, whose depth is 2, for
 large shifts m: the primes 10000019 at budget 10^9 and 999983 at 2^24,
-and 9699690 (the product of the primes up to 19) at 2^30. Two more run
+and 9699690 (the product of the primes up to 19) at 2^30. Three more run
 pairs whose shifts are both 0, so every divisor of every x^t - 1 is a
-candidate: (x^60 - 1, 0), (0, 0) over F2 at 4096, depth 56, and
-(x^24 - 1, 0), (0, 0) over F3 at 2187, depth 351.
+candidate: (x^60 - 1, 0), (0, 0) over F2 at 4096 and at 10^12, depth
+56 at both, and (x^24 - 1, 0), (0, 0) over F3 at 2187, depth 351.
 
 Witness rows (marked "section": "witness"): for each of the five groups
 of the benchmark's `witness` workload the script draws, from a seed fixed
@@ -100,6 +100,7 @@ SHIFT_FP = [
     (2, ("(1 + x, 999983)", "(x, 999983)"), 2**24),
     (2, ("(1 + x, 9699690)", "(x, 9699690)"), 2**30),
     (2, ("(x^60 - 1, 0)", "(0, 0)"), 4096),
+    (2, ("(x^60 - 1, 0)", "(0, 0)"), 10**12),
     (3, ("(x^24 - 1, 0)", "(0, 0)"), 2187),
 ]
 WITNESS_GROUPS = ["F2 wr Z", "Z wr Z", "Z/4 wr Z x Z/2", "Z wr Z^2", "Z/3 wr Z^2"]

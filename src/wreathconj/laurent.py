@@ -596,18 +596,6 @@ class FpSplitSubgroup:
             tail = self._tails[k] = _dtail(g0, self.p)
         return tail
 
-    def _orbit(self, P: LaurentPoly, m: int):
-        """The residues of x^l P modulo g0 for l = 0, 1, ... until they
-        repeat. g0(0) != 0 and g0 divides x^t - 1, so x is a unit mod
-        g0 and the orbit is a cycle whose length divides t; the factor
-        x^low of P only moves its start, so it is dropped."""
-        p, tail = self.p, self._tail(m)
-        start = r = _dreduce(_normalize(P)[1], tail, p)
-        yield r
-        if tail:
-            while (r := _dtimes_x(r, tail, p)) != start:
-                yield r
-
     @property
     def ring(self) -> int:
         return self.p
@@ -830,13 +818,14 @@ def split_subgroup_stream(ring: int, max_index: int):
     (ring 0), in the order `enumerate_split_subgroups_fp` and
     `enumerate_split_subgroups_z` list them, each built only when read.
 
-    Subgroups are filed by index as they are generated. The generation
-    follows a lower bound on the index, so once the stream reaches index
-    k nothing left to generate can land at k or below, and the subgroups
-    of index k are sorted and yielded. Each ideal J is filed once, as
-    J x| t0Z with t0 its least period, and reading J x| tZ files
-    J x| (t + t0)Z. Over F_p the ideals are the (D), D monic with
-    D(0) != 0, of `_fp_stream` with g = 0."""
+    The subgroups wait on one heap, keyed in the order of the listing,
+    and reading one files those that follow it. New ideals are generated
+    only when the stream reaches a lower bound on their index, so every
+    entry filed lies above each index read, and the heap yields the
+    listing's order. Each ideal J is filed once, as J x| t0Z with t0 its
+    least period, and reading J x| tZ files J x| (t + t0)Z. Over F_p the
+    ideals are the (D), D monic with D(0) != 0, of `_fp_stream` with
+    g = 0."""
     if max_index < 1:
         raise ValueError("max_index must be positive")
     _check_ring(ring)
@@ -978,16 +967,21 @@ def _fp_stream(p: int, g: int, diff: int, max_index: int, every: bool):
     Fields, 2.47). The order of D = prod f^k, f of order e, is the lcm
     of the e times the least power of p that is at least every k (ibid.,
     3.8), so a divisor holding a factor of order e has index at least
-    L(e) = e * p^ord_e(p). Phi_e is split only when the stream reaches
-    L(e), and its factors are multiplied into every divisor built so
-    far, each power capped at p^a, or uncapped when g = 0. The index
-    only grows as factors are multiplied in, so a divisor past the
-    budget is not extended. The orders e are the divisors of g', or
-    every e when g = 0; as L(e) > e, an order is looked at only once the
-    stream passes it. Divisors are filed by index, and reading (D) x| tZ
-    files (D) x| (t + t0(D))Z when every is set. A bucket is read once
-    no order left to split has L(e) at or below its index, so nothing
-    left to generate lands there."""
+    L(e) = e * p^ord_e(p). The orders e are the divisors of g', or every
+    e when g = 0; as L(e) > e, an order is looked at only once the
+    stream passes it, and Phi_e is split only when the stream reaches
+    L(e), before anything of index L(e) or more is read.
+
+    The subgroups wait on one heap, keyed by (index, t, deg D, the
+    coefficients of D), the order of the enumeration. The factors are
+    numbered as they are split, and each divisor D != 1 is D' f with f
+    its last factor. Reading D at t0(D) files D f for each factor f
+    split so far from the last factor of D on, each power capped at
+    p^a, or uncapped when g = 0; splitting Phi_e files D f, for each of
+    its factors f, only for the divisors D read so far. So each divisor
+    is built once, when both its parent is read and its last factor is
+    split, and its index is above all read so far. Reading (D) x| tZ
+    files (D) x| (t + t0(D))Z when every is set."""
     top = max_index // p  # L(e) >= e * p, so no order past top fits
     if g:
         cap, g1 = 1, g
@@ -999,26 +993,39 @@ def _fp_stream(p: int, g: int, diff: int, max_index: int, every: bool):
         cap, orders = max_index, iter(range(1, top + 1))
     e = next(orders, None)
     splits: list = []  # heap of (L(e), e) for the orders looked at, not yet split
-    buckets: dict = {}  # index -> (t, t0(D), dense D)
-    keys: list = []  # heap of the indexes of the buckets
+    factors: list = []  # (e, dense f) for the factors split so far, in split order
+    read: list = []  # the divisors read so far
+    # (index, t, deg D, coefficients of D, divisor); a divisor is (lcm of
+    # the orders e, power of p, position of its last factor, that
+    # factor's power, dense D), and t0(D) is the product of the first
+    # two; 1 is the 0th power of the first factor
+    heap: list = []
 
-    def file(index, t, t0, D):
-        if index not in buckets:
-            buckets[index] = []
-            heapq.heappush(keys, index)
-        buckets[index].append((t, t0, D))
+    def file(t, div):
+        D = div[-1]
+        if (index := t * p ** (len(D) - 1)) <= max_index:
+            sparse = tuple((i, a) for i, a in enumerate(D) if a)
+            heapq.heappush(heap, (index, t, len(D), sparse, div))
 
-    file(1, 1, 1, [1])
+    def grow(div, first):
+        # file D f for the factors f from position first on; the index
+        # is known from the degrees, so D f is multiplied only if it fits
+        lcm_e, power, last, n, D = div
+        for j in range(first, len(factors)):
+            order, f = factors[j]
+            n1, power1 = (n + 1, power * p if power == n else power) if j == last else (1, power)
+            lcm1 = math.lcm(lcm_e, order)
+            if n1 <= cap and lcm1 * power1 * p ** (len(D) + len(f) - 2) <= max_index:
+                file(lcm1 * power1, (lcm1, power1, j, n1, _dmul(D, f, p)))
+
+    file(1, (1, 1, 0, 0, [1]))
     if diff:
         t = 2
         while diff % t == 0:
             t += 1
-        if t <= max_index:
-            file(t, t, 1, [1])
-    # (lcm of the orders e, power of p, dense divisor); the order is the product
-    divs = [(1, 1, [1])]
+        file(t, (1, 1, 0, 0, [1]))  # read at t > t0, so it grows nothing
     while True:
-        k = keys[0] if keys else max_index + 1
+        k = heap[0][0] if heap else max_index + 1
         while e is not None and e < min(k, splits[0][0] if splits else k):
             deg = _factor_degree(p, e, max_index)
             if deg:
@@ -1026,30 +1033,21 @@ def _fp_stream(p: int, g: int, diff: int, max_index: int, every: bool):
             e = next(orders, None)
         if splits and splits[0][0] <= k:
             order = heapq.heappop(splits)[1]
-            for f in _irreducibles_of_order(p, order, max_index):
-                more = []
-                for lcm_e, power, D in divs:
-                    lcm_e = math.lcm(lcm_e, order)
-                    for n in range(1, cap + 1):
-                        if power < n:
-                            power *= p
-                        D = _dmul(D, f, p)
-                        index = lcm_e * power * p ** (len(D) - 1)
-                        if index > max_index:
-                            break
-                        more.append((lcm_e, power, D))
-                        file(index, lcm_e * power, lcm_e * power, D)
-                divs += more
+            first = len(factors)
+            factors += [(order, f) for f in _irreducibles_of_order(p, order, max_index)]
+            for div in read:
+                grow(div, first)
             continue
-        if not keys:
+        if not heap:
             return
-        heapq.heappop(keys)
-        bucket = buckets.pop(k)
-        bucket.sort(key=lambda c: (c[0], len(c[2]), [(i, a) for i, a in enumerate(c[2]) if a]))
-        for t, t0, D in bucket:
-            if every and (later := k + k // t * t0) <= max_index:
-                file(later, t + t0, t0, D)
-            yield FpSplitSubgroup(p, t, _from_dense(p, 0, D))
+        _, t, _, _, div = heapq.heappop(heap)
+        lcm_e, power, last, _, D = div
+        if t == lcm_e * power:
+            read.append(div)
+            grow(div, last)
+        if every:
+            file(t + lcm_e * power, div)
+        yield FpSplitSubgroup(p, t, _from_dense(p, 0, D))
 
 
 # ---------------------------------------------------------------------------
@@ -1241,32 +1239,32 @@ def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
 
 def _z_stream(max_index: int):
     """The Z split subgroups in the order of `enumerate_split_subgroups_z`,
-    each index's bucket sorted by (d, t0, t, basis rows from the last up).
+    off one heap keyed by (index, d, t0, t, basis rows from the last up).
 
     Each ideal is built as a lattice in Hermite normal form, with t0 its
     least period and d its characteristic, and only if its co-index c is
     at most max_index // t0; the cost grows with the ideals returned,
     not with d^t0. It is filed at t0 * c, as (J, t0), and reading
-    (J, t) files (J, t + t0). For t0 = 1 the ideals are the dZ, filed
-    when the stream reaches index d. A quotient ring of least period
+    (J, t) files (J, t + t0). For t0 = 1 the ideals are the dZ, and
+    reading (dZ, 1) files ((d + 1)Z, 1). A quotient ring of least period
     t0 > 1 holds 0 and t0 distinct powers of x, so its order is at least
     t0 + 1: the lattices of period t0 are built when the stream reaches
-    index t0 (t0 + 1), the least they can have.
+    index t0 (t0 + 1), the least they can have, before anything there
+    is read.
     """
-    buckets: dict[int, list] = {}  # index -> (d, t0, t, basis)
+    heap = [(1, 1, 1, 1, ((1,),))]  # (index, d, t0, t, basis rows from the last up)
     t0 = 2
-    for k in range(1, max_index + 1):
-        if k == t0 * (t0 + 1):
+    while heap:
+        while t0 * (t0 + 1) <= heap[0][0]:
             for H in _lattices_of_period(t0, max_index // t0):
-                buckets.setdefault(t0 * _coindex(H), []).append((H[-1][-1], t0, t0, H))
+                heapq.heappush(heap, (t0 * _coindex(H), H[-1][-1], t0, t0, H[::-1]))
             t0 += 1
-        bucket = buckets.pop(k, [])
-        bucket.append((k, 1, 1, ((k,),)))
-        bucket.sort(key=lambda s: (*s[:3], s[3][::-1]))
-        for d, s0, t, H in bucket:
-            if (later := k + k // t * s0) <= max_index:
-                buckets.setdefault(later, []).append((d, s0, t + s0, H))
-            yield ZSplitSubgroup._from_basis(d, s0, H, t)
+        index, d, s0, t, R = heapq.heappop(heap)
+        if t == 1 and d < max_index:
+            heapq.heappush(heap, (d + 1, d + 1, 1, 1, ((d + 1,),)))
+        if (later := index + index // t * s0) <= max_index:
+            heapq.heappush(heap, (later, d, s0, t + s0, R))
+        yield ZSplitSubgroup._from_basis(d, s0, R[::-1], t)
 
 
 # ---------------------------------------------------------------------------
@@ -1281,17 +1279,16 @@ def conjugate_in_split_quotient(
 
     The image criterion: shifts agree mod t, and P2 - x^l P1 lies in
     J + (x^{m mod t} - 1) for some l. Over F_p that ideal is (g0), so
-    P2 mod g0 must lie in the x-orbit of P1 mod g0; over Z, l runs over
-    the period t0.
+    P2 mod g0 must lie in the x-orbit of P1 mod g0: the two class keys
+    agree. Over Z, l runs over the period t0.
     """
     if g1.poly.ring != N.ring or g2.poly.ring != N.ring:
         raise ValueError("ring mismatch")
     if (g1.shift - g2.shift) % N.t:
         return False
-    m = g1.shift % N.t
     if isinstance(N, FpSplitSubgroup):
-        target = next(N._orbit(g2.poly, m))
-        return any(r == target for r in N._orbit(g1.poly, m))
+        return quotient_class_key(g1, N) == quotient_class_key(g2, N)
+    m = g1.shift % N.t
     R = N._reachable(m)
     target = _reduce(R, N.vec(g2.poly))
     return any(_reduce(R, w) == target for w in _rotations(N.vec(g1.poly)))

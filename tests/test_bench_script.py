@@ -40,7 +40,7 @@ def test_measure_depth_fp_runs():
     row = bench.measure_depth_pool("fp_depth", 1)
     assert (row["section"], row["ops"], row["budget"]) == ("depth_fp", "s8", 1024)
     assert row["queries"] == 682
-    depths = [2, 2, 2, 56, 351]
+    depths = [2, 2, 2, 56, 56, 351]
     for (ring, pair, budget), want in zip(bench.SHIFT_FP, depths, strict=True):
         row = bench.measure_depth_pair(ring, pair, budget, 1)
         assert (row["section"], row["split_depth"]) == ("depth_fp", want)

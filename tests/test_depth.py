@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from test_laurent import divmod_oracle, gcd_oracle
 from wreathconj import depth
 from wreathconj.cli import main
 from wreathconj.depth import (
@@ -29,6 +30,7 @@ from wreathconj.depth import (
 )
 from wreathconj.laurent import (
     ContractError,
+    LaurentPoly,
     SemidirectElement,
     conjugate_in_split_quotient,
     enumerate_split_subgroups_fp,
@@ -40,6 +42,7 @@ from wreathconj.laurent import (
     split_subgroup_stream,
     wreath_group_for_ring,
     x_power,
+    xt_minus_1,
     zero_poly,
 )
 from wreathconj.wreath import (
@@ -670,15 +673,22 @@ def test_import_leaves_multiprocessing_out():
 
 @pytest.mark.parametrize("p, n, budget", [(2, 5, 64), (3, 4, 81)])
 def test_fp_class_key_is_the_orbit_minimum(p, n, budget):
-    # the key skips the orbit when g0 = gcd(gen, x^gcd(m, t) - 1) is 1;
-    # with or without the shortcut it is the least residue of the orbit
+    # the key skips the orbit when g0 = gcd(gen, x^m - 1) is 1; with or
+    # without the shortcut it is the least residue of x^l P mod g0 over
+    # l < t, x^t being 1 mod g0, found by schoolbook division
     reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(p, n)]
     units = 0
     for N in split_subgroup_stream(p, budget):
         for s in reps:
             m = s.shift % N.t
-            units += not N._tail(m)
-            assert quotient_class_key(s, N) == (m, min(N._orbit(s.poly, m)))
+            g0 = gcd_oracle(N.gen, xt_minus_1(p, m), p)
+            units += not g0.degree
+            orbit = []
+            for ell in range(N.t):
+                folded = LaurentPoly(p, tuple(((e + ell) % N.t, c) for e, c in s.poly.coeffs))
+                rem = divmod_oracle(folded, g0, p)[1]
+                orbit.append(tuple(rem.get(i, 0) for i in range(g0.degree)))
+            assert quotient_class_key(s, N) == (m, min(orbit))
     assert units
 
 

@@ -1012,6 +1012,42 @@ def test_stream_builds_only_what_is_read(monkeypatch):
         split_subgroup_stream(4, 8)
 
 
+def test_streams_yield_each_subgroup_once_in_key_order():
+    # each subgroup's enumeration key is strictly above the last one's:
+    # a divisor built both when its parent is read and when its last
+    # factor is split would show up as a repeated key
+    def fp_key(N):
+        return N.index, N.t, N.gen.degree, N.gen.coeffs
+
+    def z_key(N):
+        return N.index, N.d, N.t0, N.t, N.basis[::-1]
+
+    for stream, key, count in (
+        (split_subgroup_stream(2, 4096), fp_key, 8040),
+        (pair_split_subgroups_fp(2, 0, 0, 2**20), fp_key, 2485),
+        (split_subgroup_stream(0, 96), z_key, 894),
+    ):
+        keys = [key(N) for N in stream]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(keys) == count
+
+
+def test_depth_cost_follows_the_answer(monkeypatch):
+    # with both shifts 0 every divisor is a candidate, but a divisor is
+    # multiplied out only from one already read, so the query makes the
+    # same products at a budget of 4096 as at 10^12
+    products = []
+    dmul = laurent._dmul
+    monkeypatch.setattr(laurent, "_dmul", lambda a, b, p: products.append(1) or dmul(a, b, p))
+    s1, s2 = parse_semidirect("(x^60 - 1, 0)", 2), parse_semidirect("(0, 0)", 2)
+    runs = []
+    for budget in (4096, 10**12):
+        products.clear()
+        result = split_conjugacy_depth(s1, s2, budget)
+        runs.append((result.split_depth, result.subgroup, len(products)))
+    assert runs[0] == runs[1] and runs[0][0] == 56
+
+
 def test_split_subgroup_validation():
     with pytest.raises(ValueError):
         FpSplitSubgroup(2, 3, parse_laurent("x^2 + 1", 2))  # divides x^4-1, not x^3-1
