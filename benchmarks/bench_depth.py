@@ -90,7 +90,10 @@ from wreathconj import depth, laurent, witness, wreath  # noqa: E402
 from wreathconj.abelian import parse_group  # noqa: E402
 
 PAIRS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
-SWEEPS = [(2, 8, 256), (3, 5, 243), (5, 4, 125), (0, 3, 16), (2, 10, 2048), (3, 7, 2187), (0, 5, 32)]
+SWEEPS = [
+    (2, 8, 256), (3, 5, 243), (5, 4, 125), (0, 3, 16), (2, 10, 2048), (3, 7, 2187), (0, 5, 32),
+    (2, 12, 4096),
+]
 ENUM_BUDGETS = [8, 16, 18, 24, 32, 48, 96, 256]
 DEEP_PAIR = ("(1 - x^-1, 0)", "(-1 + x^-1, 0)")
 DEEP_BUDGETS = [18, 24]

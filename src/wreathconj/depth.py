@@ -205,7 +205,7 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     lazily in index order: Phi_e is split only when the stream reaches
     e * p^ord_e(p), the least index of a divisor holding one of its
     factors, so the query factors x^g - 1 only as far as its answer.
-    The first separator is the one the full stream finds. A subgroup
+    The first separator is the one the full enumeration finds. A subgroup
     (J) x| tZ with t not dividing a1 - a2 has index at least that least
     t. One with t | a1 - a2 tests membership in J' = J + (x^(a1 mod t) - 1),
     which contains x^gcd(a1, t) - 1 and hence x^g - 1; (J') x| t0(J')Z
@@ -213,8 +213,10 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     same subgroup. With both shifts 0, g = 0 and every D is a candidate:
     the test at (J, t) asks whether P2 lies in x^m P1 + J for some m,
     which does not depend on t, and (J) x| t0(J)Z is the least-index
-    subgroup giving it. Over Z every split subgroup is
-    read from `split_subgroup_stream`, which builds only what is read."""
+    subgroup giving it. Over Z the candidates are those of
+    `split_subgroup_stream`: each ideal J at its least period t0(J), and
+    the unit ideal at every shift, which hold the first separator of the
+    full enumeration; the stream builds only what is read."""
     if budget < 1:
         raise ValueError("budget must be positive")
     s1, s2 = _as_semidirect(g1), _as_semidirect(g2)
@@ -459,12 +461,16 @@ def depth_sweep(
     """Max split depth over all nonconjugate class pairs in Ball(n) for
     each n up to n_max. The classes of Ball(n_max) are refined along the
     subgroups of `split_subgroup_stream`, in index order, until every
-    pair is separated or the budget is spent; row n is then read off the
-    split events, keeping the classes inside Ball(n). Its value is the
-    largest index of an event that parts two of them, and its witness
-    the least pair, in class-key order, that such an event parts; a row
-    exceeds the budget if an unsplit block holds two of them, with
-    witness the least such pair. `jobs` is accepted and has no effect.
+    pair is separated or the budget is spent. That stream holds each
+    ideal only at its least period, and the unit ideal at every shift;
+    no other subgroup is the first to separate a pair, so the first
+    separators, and with them the rows, are those of the full
+    enumeration. Row n is then read off the split events, keeping the
+    classes inside Ball(n). Its value is the largest index of an event
+    that parts two of them, and its witness the least pair, in class-key
+    order, that such an event parts; a row exceeds the budget if an
+    unsplit block holds two of them, with witness the least such pair.
+    `jobs` is accepted and has no effect.
     The elapsed_ms column, the time to read the row, is measurement, not
     contract."""
     if budget < 1:

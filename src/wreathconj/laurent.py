@@ -300,29 +300,22 @@ def _dmulmod(a, b, tail, p) -> tuple:
 
 
 def _dpowmod(a, e: int, tail, p) -> tuple:
-    """The residue of a^e, by square-and-multiply from the top bit."""
+    """The residue of a^e, or of x^e when a is None, by square-and-multiply
+    from the top bit."""
     result = (1,) + (0,) * (len(tail) - 1)
     for bit in bin(e)[2:]:
         result = _dmulmod(result, result, tail, p)
         if bit == "1":
-            result = _dmulmod(result, a, tail, p)
+            result = _dtimes_x(result, tail, p) if a is None else _dmulmod(result, a, tail, p)
     return result
 
 
 def _dpow_x(e: int, mod, p):
-    """x^e reduced mod `mod` over F_p, by square-and-multiply from the
-    top bit."""
+    """x^e reduced mod `mod` over F_p, dense."""
     mod = _trim(list(mod), p)
-    n = len(mod) - 1
-    if n < 1:
+    if len(mod) < 2:
         return []
-    tail = _dtail(mod, p)
-    result = (1,) + (0,) * (n - 1)
-    for bit in bin(e)[2:]:
-        result = _dmulmod(result, result, tail, p)
-        if bit == "1":
-            result = _dtimes_x(result, tail, p)
-    return _trim(list(result), p)
+    return _trim(list(_dpowmod(None, e, _dtail(mod, p), p)), p)
 
 
 def _dirreducible(g, p) -> bool:
@@ -814,31 +807,46 @@ def _check_z_shape(d: int, t0: int, t: int):
 
 
 def split_subgroup_stream(ring: int, max_index: int):
-    """Every split subgroup of index <= max_index over F_p (ring p) or Z
-    (ring 0), in the order `enumerate_split_subgroups_fp` and
-    `enumerate_split_subgroups_z` list them, each built only when read.
+    """The split subgroups of index <= max_index over F_p (ring p) or Z
+    (ring 0) that can be the first to separate two classes, in the order
+    `enumerate_split_subgroups_fp` and `enumerate_split_subgroups_z`
+    list them, each built only when read: every ideal J != (1) once, as
+    J x| t0Z with t0 its least period, and the unit ideal at every shift,
+    (1) x| tZ.
+
+    No other subgroup of the listing is the first to separate a pair.
+    For t a multiple of t0, J holds x^t0 - 1, so J + (x^m - 1) is
+    J + (x^gcd(m, t0) - 1): the class key at J x| tZ is the shift mod t,
+    which (1) x| tZ reads, with the rest of the key at J x| t0Z. For
+    t > t0 both of those have smaller index.
 
     The subgroups wait on one heap, keyed in the order of the listing,
     and reading one files those that follow it. New ideals are generated
     only when the stream reaches a lower bound on their index, so every
     entry filed lies above each index read, and the heap yields the
-    listing's order. Each ideal J is filed once, as J x| t0Z with t0 its
-    least period, and reading J x| tZ files J x| (t + t0)Z. Over F_p the
-    ideals are the (D), D monic with D(0) != 0, of `_fp_stream` with
+    listing's order. Reading (1) x| tZ files (1) x| (t + 1)Z. Over F_p
+    the ideals are the (D), D monic with D(0) != 0, of `_fp_stream` with
     g = 0."""
     if max_index < 1:
         raise ValueError("max_index must be positive")
     _check_ring(ring)
-    return _fp_stream(ring, 0, 0, max_index, True) if ring else _z_stream(max_index)
+    return _fp_stream(ring, 0, max_index, itertools.count(2)) if ring else _z_stream(max_index)
 
 
 def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup]:
     """Every (t, monic P | x^t - 1, P(0) != 0) with t * p^deg P <= max_index,
     sorted by nondecreasing index, then by t, deg P and the coefficients
-    of P."""
+    of P: each (P) x| t0Z of `split_subgroup_stream`, t0 the order of
+    P, at every multiple of t0."""
     if not is_prime(p):
         raise ValueError("p must be prime")
-    return list(split_subgroup_stream(p, max_index))
+    subs = [
+        FpSplitSubgroup(p, t, N.gen)
+        for N in split_subgroup_stream(p, max_index)
+        if N.t == 1 or N.gen.degree
+        for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
+    ]
+    return sorted(subs, key=lambda N: (N.index, N.t, N.gen.degree, N.gen.coeffs))
 
 
 def _factor_degree(p: int, e: int, max_index: int) -> int:
@@ -863,14 +871,6 @@ def _irreducibles_of_order(p: int, e: int, max_index: int) -> list[list]:
 
 # ---------------------------------------------------------------------------
 # the F_p split subgroups: divisors of x^g - 1, or of every x^t - 1
-
-
-def _ord_mod(p: int, e: int) -> int:
-    """The multiplicative order of p mod e, for p prime to e."""
-    k, power = 1, p % e
-    while power != 1 % e:
-        k, power = k + 1, power * p % e
-    return k
 
 
 def _split_equal_degree(f, d: int, p: int, rng) -> list:
@@ -950,15 +950,16 @@ def pair_split_subgroups_fp(p: int, a1: int, a2: int, max_index: int):
         raise ValueError("p must be prime")
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    return _fp_stream(p, math.gcd(a1, a2), a1 - a2, max_index, False)
+    units = [next(t for t in itertools.count(2) if (a1 - a2) % t)] if a1 != a2 else []
+    return _fp_stream(p, math.gcd(a1, a2), max_index, iter(units))
 
 
-def _fp_stream(p: int, g: int, diff: int, max_index: int, every: bool):
+def _fp_stream(p: int, g: int, max_index: int, units):
     """(D) x| tZ of index <= max_index for the monic D | x^g - 1, or
     every monic D with D(0) != 0 when g = 0, in the order of
     `enumerate_split_subgroups_fp`, each built only when read: at t the
-    order t0(D) of D, and, when every is set, at each multiple of t0(D);
-    and when diff != 0, (1) x| tZ for the least t not dividing diff.
+    order t0(D) of D, and for D = 1 also at each t of units, an
+    increasing iterator of shifts above 1.
 
     With g = p^a * g', p not dividing g', x^g - 1 = (x^g' - 1)^(p^a), and
     x^g' - 1 is the product of the cyclotomic polynomials Phi_e, e | g'.
@@ -980,8 +981,8 @@ def _fp_stream(p: int, g: int, diff: int, max_index: int, every: bool):
     p^a, or uncapped when g = 0; splitting Phi_e files D f, for each of
     its factors f, only for the divisors D read so far. So each divisor
     is built once, when both its parent is read and its last factor is
-    split, and its index is above all read so far. Reading (D) x| tZ
-    files (D) x| (t + t0(D))Z when every is set."""
+    split, and its index is above all read so far. Reading (1) x| tZ
+    files (1) x| t'Z, t' the next shift of units."""
     top = max_index // p  # L(e) >= e * p, so no order past top fits
     if g:
         cap, g1 = 1, g
@@ -1019,11 +1020,6 @@ def _fp_stream(p: int, g: int, diff: int, max_index: int, every: bool):
                 file(lcm1 * power1, (lcm1, power1, j, n1, _dmul(D, f, p)))
 
     file(1, (1, 1, 0, 0, [1]))
-    if diff:
-        t = 2
-        while diff % t == 0:
-            t += 1
-        file(t, (1, 1, 0, 0, [1]))  # read at t > t0, so it grows nothing
     while True:
         k = heap[0][0] if heap else max_index + 1
         while e is not None and e < min(k, splits[0][0] if splits else k):
@@ -1045,8 +1041,8 @@ def _fp_stream(p: int, g: int, diff: int, max_index: int, every: bool):
         if t == lcm_e * power:
             read.append(div)
             grow(div, last)
-        if every:
-            file(t + lcm_e * power, div)
+        if len(D) == 1 and (later := next(units, None)):
+            file(later, div)
         yield FpSplitSubgroup(p, t, _from_dense(p, 0, D))
 
 
@@ -1233,24 +1229,34 @@ def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
     rows j.. and form a prefix of the sorted tuple; the least of them
     with coordinate j nonzero is row j, since the entries right of a
     pivot lie below that column's pivot. So two tuples first differ
-    where the lowest differing rows do, and compare as those rows do."""
-    return list(split_subgroup_stream(0, max_index))
+    where the lowest differing rows do, and compare as those rows do.
+
+    The list is each J x| t0Z of `split_subgroup_stream`, t0 the least
+    period of J, at every multiple of t0."""
+    subs = [
+        ZSplitSubgroup._from_basis(N.d, N.t0, N.basis, t)
+        for N in split_subgroup_stream(0, max_index)
+        if N.t == N.t0
+        for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
+    ]
+    return sorted(subs, key=lambda N: (N.index, N.d, N.t0, N.t, N.basis[::-1]))
 
 
 def _z_stream(max_index: int):
-    """The Z split subgroups in the order of `enumerate_split_subgroups_z`,
-    off one heap keyed by (index, d, t0, t, basis rows from the last up).
+    """The Z split subgroups of `split_subgroup_stream`, in the order of
+    `enumerate_split_subgroups_z`, off one heap keyed by (index, d, t0,
+    t, basis rows from the last up).
 
     Each ideal is built as a lattice in Hermite normal form, with t0 its
     least period and d its characteristic, and only if its co-index c is
     at most max_index // t0; the cost grows with the ideals returned,
-    not with d^t0. It is filed at t0 * c, as (J, t0), and reading
-    (J, t) files (J, t + t0). For t0 = 1 the ideals are the dZ, and
-    reading (dZ, 1) files ((d + 1)Z, 1). A quotient ring of least period
-    t0 > 1 holds 0 and t0 distinct powers of x, so its order is at least
-    t0 + 1: the lattices of period t0 are built when the stream reaches
-    index t0 (t0 + 1), the least they can have, before anything there
-    is read.
+    not with d^t0. It is filed once, at t0 * c, as (J, t0). For t0 = 1
+    the ideals are the dZ: reading (dZ, 1) files ((d + 1)Z, 1), and
+    reading the unit ideal (Z, t) files (Z, t + 1). A quotient ring of
+    least period t0 > 1 holds 0 and t0 distinct powers of x, so its
+    order is at least t0 + 1: the lattices of period t0 are built when
+    the stream reaches index t0 (t0 + 1), the least they can have,
+    before anything there is read.
     """
     heap = [(1, 1, 1, 1, ((1,),))]  # (index, d, t0, t, basis rows from the last up)
     t0 = 2
@@ -1262,8 +1268,8 @@ def _z_stream(max_index: int):
         index, d, s0, t, R = heapq.heappop(heap)
         if t == 1 and d < max_index:
             heapq.heappush(heap, (d + 1, d + 1, 1, 1, ((d + 1,),)))
-        if (later := index + index // t * s0) <= max_index:
-            heapq.heappush(heap, (later, d, s0, t + s0, R))
+        if d == 1 and t < max_index:
+            heapq.heappush(heap, (t + 1, 1, 1, t + 1, R))
         yield ZSplitSubgroup._from_basis(d, s0, R[::-1], t)
 
 
@@ -1403,7 +1409,8 @@ def primitive_root_primes(p: int, count: int) -> list[int]:
     q = p
     while len(out) < count:
         q += 1
-        if is_prime(q) and _ord_mod(p, q) == q - 1:
+        # p is a primitive root mod q when the factors of Phi_q have degree q - 1
+        if is_prime(q) and _factor_degree(p, q, q * p ** (q - 1)) == q - 1:
             if not is_irreducible_fp(psi_poly(q, p)):
                 raise ContractError(f"1 + x + ... + x^{q - 1} is reducible over F{p}")
             out.append(q)

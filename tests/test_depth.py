@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from test_laurent import divmod_oracle, gcd_oracle
+from test_laurent import divmod_oracle, gcd_oracle, least_periods
 from wreathconj import depth
 from wreathconj.cli import main
 from wreathconj.depth import (
@@ -38,6 +38,7 @@ from wreathconj.laurent import (
     format_semidirect,
     from_wreath,
     poly_add,
+    poly_sub,
     same_conjugacy_class,
     split_subgroup_stream,
     wreath_group_for_ring,
@@ -213,6 +214,34 @@ def test_pair_aware_depth_against_full_enumeration(monkeypatch):
         assert ("equal", True, True) in seen
     # an answer generated by one of Phi_7's cubic factors over F2
     assert (2, 7, 3) in found
+
+
+def test_z_depth_is_the_first_separator_of_the_full_enumeration():
+    # a Z query reads only the least-period stream; its answer and
+    # subgroup must be the first separator in the full enumeration, and
+    # an exhausting query must exhaust it
+    rng = random.Random(0)
+    deep = (sdep(0, 0, (0, 1), (-1, -1)), sdep(0, 0, (0, -1), (-1, 1)))  # depth 21
+    seen = set()
+    for budget in (18, 24, 48):
+        full = enumerate_split_subgroups_z(budget)
+        pairs = [deep]
+        for _ in range(100):
+            # one pair at random, one that differs by c x^i - x^j only
+            s1 = rand_semidirect(rng, 0)
+            i, j = rng.sample(range(-3, 4), 2)
+            delta = poly_sub(x_power(0, i, rng.choice([-2, -1, 1, 2])), x_power(0, j, 1))
+            near = SemidirectElement(poly_add(s1.poly, delta), s1.shift)
+            pairs += [(s1, rand_semidirect(rng, 0)), (s1, near)]
+        for s1, s2 in pairs:
+            if same_conjugacy_class(s1, s2) is not None:
+                continue
+            first = next((N for N in full if not conjugate_in_split_quotient(s1, s2, N)), None)
+            res = split_conjugacy_depth(s1, s2, budget)
+            want = (first.index, first) if first else (EXCEEDS_BUDGET, None)
+            assert (res.split_depth, res.subgroup) == want, (budget, s1, s2)
+            seen.add((budget, res.found()))
+    assert seen == {(b, found) for b in (18, 24, 48) for found in (True, False)}
 
 
 def test_lamplighter_conjugate_below_lower_bound():
@@ -621,7 +650,8 @@ def test_sweep_reads_the_stream_to_the_last_split(monkeypatch, budget, isolated)
     monkeypatch.setattr(depth, "split_subgroup_stream", counted)
     depth_sweep(2, 4, budget)
     reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(2, 4)]
-    subs = enumerate_split_subgroups_fp(2, budget)
+    subs = least_periods(enumerate_split_subgroups_fp(2, budget))
+    assert reads == subs[: len(reads)]
 
     def apart(k):
         keys = {tuple(quotient_class_key(s, N) for N in subs[:k]) for s in reps}
@@ -700,6 +730,10 @@ def test_sweep_frozen_digests():
         (3, 5, 243): "3a6cda05d4788a33022be640d425a18f8c2bfa409c701b381d80fbbc6c425ec0",
         (5, 4, 125): "159f9f729e2d4ae695873483c13c8b5c989562ee55dae1c563de8a3cb3649983",
         (0, 3, 16): "f06715766ff5984230cdc6166f59a7676854170cb615d6915b37a67bd643e730",
+        # the largest F2 and F3 sweeps, as the stream of every split
+        # subgroup computed them
+        (2, 12, 4096): "623925863ee5fe6e68645771f00696b8cda1e9fd42b2c529208ca1b1a2c8f106",
+        (3, 8, 2187): "b477f5017285a655114599f7387afb722b6e689079756ec32e15dd669aced536",
     }
     for (ring, n_max, budget), digest in frozen.items():
         rows = depth_sweep(ring, n_max, budget)

@@ -965,9 +965,27 @@ def test_lattices_joined_only_when_kept(monkeypatch):
         assert len(joins) == sum(len(_prime_factors(_coindex(H))) - 1 for H in kept) == expected
 
 
+def least_periods(subs):
+    """The subgroups of a full listing that `split_subgroup_stream`
+    keeps: the unit ideal at every shift, and every other ideal J only at
+    its least period, the least s with x^s - 1 in J (by schoolbook
+    division over F_p, by membership over Z)."""
+
+    def holds(N, s):
+        if N.ring:
+            return not divmod_oracle(xt_minus_1(N.ring, s), N.gen, N.ring)[1]
+        return N.contains(xt_minus_1(0, s))
+
+    return [
+        N for N in subs
+        if N.quotient_ring_order == 1 or next(s for s in range(1, N.t + 1) if holds(N, s)) == N.t
+    ]
+
+
 def test_stream_prefix_is_smaller_budget():
-    # the budget-B stream cut at index k lists exactly the budget-k
-    # enumeration, and read to its end it is the budget-B enumeration
+    # the budget-B stream is the full enumeration thinned to least
+    # periods, read to its end and cut at every index k; cut at k it is
+    # also the budget-k stream
     cases = [
         (0, 18, (1, 5, 6, 12, 17)),
         (0, 24, (2, 11, 20, 23)),
@@ -977,17 +995,23 @@ def test_stream_prefix_is_smaller_budget():
         (5, 125, (5, 24, 25, 100)),
     ]
     for ring, budget, cuts in cases:
-        def enum(b):
-            return enumerate_split_subgroups_z(b) if ring == 0 else enumerate_split_subgroups_fp(ring, b)
-
-        assert list(split_subgroup_stream(ring, budget)) == enum(budget)
+        if ring == 0:
+            full = enumerate_split_subgroups_z(budget)
+        else:
+            full = enumerate_split_subgroups_fp(ring, budget)
+        thin = least_periods(full)
+        assert len(thin) < len(full)
+        assert list(split_subgroup_stream(ring, budget)) == thin
         for k in cuts:
-            head = itertools.takewhile(lambda N: N.index <= k, split_subgroup_stream(ring, budget))
-            assert list(head) == enum(k), (ring, budget, k)
+            stream = split_subgroup_stream(ring, budget)
+            head = list(itertools.takewhile(lambda N: N.index <= k, stream))
+            assert head == [N for N in thin if N.index <= k], (ring, budget, k)
+            assert head == list(split_subgroup_stream(ring, k)), (ring, budget, k)
 
 
 def test_stream_builds_only_what_is_read(monkeypatch):
-    z5, f8 = enumerate_split_subgroups_z(5), enumerate_split_subgroups_fp(2, 8)
+    z5 = least_periods(enumerate_split_subgroups_z(5))
+    f8 = least_periods(enumerate_split_subgroups_fp(2, 8))
     # Z: ideals of least period t0 >= 2 have index at least t0 (t0 + 1),
     # so through index 5 no lattice of period 2 or more is built
     periods = []
@@ -1023,9 +1047,11 @@ def test_streams_yield_each_subgroup_once_in_key_order():
         return N.index, N.d, N.t0, N.t, N.basis[::-1]
 
     for stream, key, count in (
-        (split_subgroup_stream(2, 4096), fp_key, 8040),
+        (enumerate_split_subgroups_fp(2, 4096), fp_key, 8040),
+        (split_subgroup_stream(2, 4096), fp_key, 4187),
         (pair_split_subgroups_fp(2, 0, 0, 2**20), fp_key, 2485),
-        (split_subgroup_stream(0, 96), z_key, 894),
+        (enumerate_split_subgroups_z(96), z_key, 894),
+        (split_subgroup_stream(0, 96), z_key, 431),
     ):
         keys = [key(N) for N in stream]
         assert all(a < b for a, b in zip(keys, keys[1:]))
