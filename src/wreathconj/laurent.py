@@ -300,22 +300,29 @@ def _dmulmod(a, b, tail, p) -> tuple:
 
 
 def _dpowmod(a, e: int, tail, p) -> tuple:
-    """The residue of a^e, or of x^e when a is None, by square-and-multiply
-    from the top bit."""
+    """The residue of a^e, by square-and-multiply from the top bit."""
     result = (1,) + (0,) * (len(tail) - 1)
     for bit in bin(e)[2:]:
         result = _dmulmod(result, result, tail, p)
         if bit == "1":
-            result = _dtimes_x(result, tail, p) if a is None else _dmulmod(result, a, tail, p)
+            result = _dmulmod(result, a, tail, p)
     return result
 
 
 def _dpow_x(e: int, mod, p):
-    """x^e reduced mod `mod` over F_p, dense."""
+    """x^e reduced mod `mod` over F_p, by square-and-multiply from the
+    top bit."""
     mod = _trim(list(mod), p)
-    if len(mod) < 2:
+    n = len(mod) - 1
+    if n < 1:
         return []
-    return _trim(list(_dpowmod(None, e, _dtail(mod, p), p)), p)
+    tail = _dtail(mod, p)
+    result = (1,) + (0,) * (n - 1)
+    for bit in bin(e)[2:]:
+        result = _dmulmod(result, result, tail, p)
+        if bit == "1":
+            result = _dtimes_x(result, tail, p)
+    return _trim(list(result), p)
 
 
 def _dirreducible(g, p) -> bool:
@@ -601,6 +608,11 @@ class FpSplitSubgroup:
     def index(self) -> int:
         return self.t * self.quotient_ring_order
 
+    @property
+    def listing_key(self) -> tuple:
+        """The order of `enumerate_split_subgroups_fp`."""
+        return self.index, self.t, self.gen.degree, self.gen.coeffs
+
     def contains(self, P: LaurentPoly) -> bool:
         # x is a unit mod gen, so the factor x^low of P is dropped
         return not any(_dreduce(_normalize(P)[1], self._tail(0), self.p))
@@ -787,6 +799,11 @@ class ZSplitSubgroup:
     def index(self) -> int:
         return self.t * self.quotient_ring_order
 
+    @property
+    def listing_key(self) -> tuple:
+        """The order of `enumerate_split_subgroups_z`."""
+        return self.index, self.d, self.t0, self.t, self.basis[::-1]
+
     def vec(self, P: LaurentPoly) -> tuple:
         if P.ring != 0:
             raise ValueError("ring mismatch")
@@ -841,12 +858,12 @@ def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup
     if not is_prime(p):
         raise ValueError("p must be prime")
     subs = [
-        FpSplitSubgroup(p, t, N.gen)
+        N if t == N.t else FpSplitSubgroup(p, t, N.gen)
         for N in split_subgroup_stream(p, max_index)
         if N.t == 1 or N.gen.degree
         for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
     ]
-    return sorted(subs, key=lambda N: (N.index, N.t, N.gen.degree, N.gen.coeffs))
+    return sorted(subs, key=lambda N: N.listing_key)
 
 
 def _factor_degree(p: int, e: int, max_index: int) -> int:
@@ -871,6 +888,14 @@ def _irreducibles_of_order(p: int, e: int, max_index: int) -> list[list]:
 
 # ---------------------------------------------------------------------------
 # the F_p split subgroups: divisors of x^g - 1, or of every x^t - 1
+
+
+def _ord_mod(p: int, e: int) -> int:
+    """The multiplicative order of p mod e, for p prime to e."""
+    k, power = 1, p % e
+    while power != 1 % e:
+        k, power = k + 1, power * p % e
+    return k
 
 
 def _split_equal_degree(f, d: int, p: int, rng) -> list:
@@ -1234,18 +1259,18 @@ def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
     The list is each J x| t0Z of `split_subgroup_stream`, t0 the least
     period of J, at every multiple of t0."""
     subs = [
-        ZSplitSubgroup._from_basis(N.d, N.t0, N.basis, t)
+        N if t == N.t else ZSplitSubgroup._from_basis(N.d, N.t0, N.basis, t)
         for N in split_subgroup_stream(0, max_index)
         if N.t == N.t0
         for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
     ]
-    return sorted(subs, key=lambda N: (N.index, N.d, N.t0, N.t, N.basis[::-1]))
+    return sorted(subs, key=lambda N: N.listing_key)
 
 
 def _z_stream(max_index: int):
     """The Z split subgroups of `split_subgroup_stream`, in the order of
-    `enumerate_split_subgroups_z`, off one heap keyed by (index, d, t0,
-    t, basis rows from the last up).
+    `enumerate_split_subgroups_z`, off one heap keyed by the
+    `listing_key` of the subgroup each entry builds.
 
     Each ideal is built as a lattice in Hermite normal form, with t0 its
     least period and d its characteristic, and only if its co-index c is
@@ -1409,8 +1434,7 @@ def primitive_root_primes(p: int, count: int) -> list[int]:
     q = p
     while len(out) < count:
         q += 1
-        # p is a primitive root mod q when the factors of Phi_q have degree q - 1
-        if is_prime(q) and _factor_degree(p, q, q * p ** (q - 1)) == q - 1:
+        if is_prime(q) and _ord_mod(p, q) == q - 1:
             if not is_irreducible_fp(psi_poly(q, p)):
                 raise ContractError(f"1 + x + ... + x^{q - 1} is reducible over F{p}")
             out.append(q)
