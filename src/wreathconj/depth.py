@@ -424,13 +424,24 @@ def _split_events(reps: list, subgroups) -> tuple:
     stream order. N is the first subgroup separating each pair across
     two parts. unsplit holds the blocks of two or more classes that no
     subgroup split. The stream is read no further once every block is a
-    single class."""
+    single class.
+
+    A proper ideal J, read at its least period t, keys only the blocks
+    whose every shift t divides. If t does not divide a shift a, the key
+    at J x| tZ is the key at J' = J + (x^gcd(a, t) - 1) at its least
+    period, which divides gcd(a, t) < t, with the shift mod t, which
+    (1) x| tZ reads. Both have smaller index, so the block is split no
+    further by J x| tZ than it already is."""
     if len(reps) < 2:
         return [], []
     events, blocks = [], [list(range(len(reps)))]
     for N in subgroups:
+        proper = N.quotient_ring_order > 1
         refined = []
         for block in blocks:
+            if proper and any(reps[i].shift % N.t for i in block):
+                refined.append(block)
+                continue
             parts = {}
             for i in block:
                 parts.setdefault(quotient_class_key(reps[i], N), []).append(i)

@@ -585,12 +585,13 @@ class FpSplitSubgroup:
     def _tail(self, m: int) -> tuple:
         """Tail of the monic g0 = gcd(gen, x^m - 1), the modulus of the
         quotient test at shift residue m. As gen divides x^t - 1, g0 is
-        gcd(gen, x^k - 1) with k = gcd(m, t), computed once per k."""
+        gcd(gen, x^k - 1) with k = gcd(m, t), computed once per k; for
+        gen = 1 it is 1 at every k."""
         k = math.gcd(m, self.t)
         tail = self._tails.get(k)
         if tail is None:
             _, g0 = _normalize(self.gen)
-            if k < self.t:
+            if k < self.t and len(g0) > 1:
                 xk = _dsub(_dpow_x(k, g0, self.p), [1], self.p)
                 g0 = _dgcd(g0, xk, self.p)
             tail = self._tails[k] = _dtail(g0, self.p)

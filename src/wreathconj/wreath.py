@@ -3,7 +3,8 @@
 Elements are pairs (f, b): f a finitely supported map B -> A, b in B.
 The acting copy of B translates supports, (b.f)(x) = f(x - b), so the
 support of b.f is supp(f) + b. Multiplication is
-(f1, b1)(f2, b2) = (f1 + b1.f2, b1 + b2).
+(f1, b1)(f2, b2) = (f1 + b1.f2, b1 + b2), so (h, c)^{-1} = (-(-c).h, -c)
+and conjugation is (h, c)(f, b)(h, c)^{-1} = (h + c.f - b.h, b).
 """
 
 from __future__ import annotations
@@ -138,10 +139,10 @@ def _check_same_group(g1: WreathElement, g2: WreathElement):
         raise GroupMismatchError("elements of different wreath products")
 
 
-# multiply and inverse build their results with `_wreath`: the factors
-# are valid elements of one group, so only merging, dropping zeros and
-# sorting are left to do. A factor without pairs adds only its acting
-# part, and a translation by 0 keeps g2's pairs as they are.
+# multiply, inverse and conjugate build their results with `_wreath`:
+# the factors are valid elements of one group, so only merging, dropping
+# zeros and sorting are left to do. A factor without pairs adds only its
+# acting part, and a translation by 0 keeps the pairs as they are.
 
 
 def multiply(g1: WreathElement, g2: WreathElement) -> WreathElement:
@@ -166,8 +167,20 @@ def inverse(g: WreathElement) -> WreathElement:
 
 
 def conjugate(z: WreathElement, g: WreathElement) -> WreathElement:
-    """z g z^{-1}."""
-    return multiply(multiply(z, g), inverse(z))
+    """z g z^{-1} = (h + c.f - b.h, b) for z = (h, c) and g = (f, b),
+    merged in one pass."""
+    _check_same_group(z, g)
+    c, b = z.b, g.b
+    no_shift = c.is_zero()
+    if no_shift and not z.pairs:
+        return g
+    merged = dict(z.pairs)
+    for k, v in g.pairs if no_shift else [(k + c, v) for k, v in g.pairs]:
+        merged[k] = merged[k] + v if k in merged else v
+    for k, v in z.pairs:
+        k = k + b
+        merged[k] = merged[k] - v if k in merged else -v
+    return _wreath(z.group, _sorted_nonzero(merged), b)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +453,10 @@ def conjugate_test(g1: WreathElement, g2: WreathElement) -> Optional[WreathEleme
     the coset-sum maps of the reduced lamp configurations, after which
     the leftover difference has vanishing coset sums and lifts to an
     explicit corrector. Candidate translations only matter modulo <b>,
-    so they are read off support point differences. Every witness is
-    re-verified by multiplication before it is returned.
+    so they are read off support point differences, and none is tried
+    when the reduced lamp values of g1 and g2 differ as multisets. Every
+    witness w is re-checked, conjugate(w, g1) == g2, before it is
+    returned.
     """
     _check_same_group(g1, g2)
     if g1.b != g2.b:
@@ -467,6 +482,10 @@ def conjugate_reduced(
         if conjugate(w, g1) != g2:
             raise ContractError("conjugator fails its own check")
         return w
+    # a conjugating translation matches the reduced points one to one,
+    # value for value, so the value multisets must agree
+    if sorted(v.coords for _, v in r1.pairs) != sorted(v.coords for _, v in r2.pairs):
+        return None
     # both configurations are reduced: one support point per coset, so a
     # point of the translated r1 can only match the r2 point of its coset
     key = coset_key(b)

@@ -1,12 +1,14 @@
-"""The benchmark script's sweep, Z-enumeration and F_p-depth rows still run.
+"""The benchmark script's sweep, Z-enumeration, F_p-depth and witness rows
+still run.
 
 `benchmarks/bench_depth.py` times `depth_sweep` by wrapping functions
 as `wreathconj.depth` binds them, looked up by name, calls
 `enumerate_split_subgroups_z` the same way, and reads the `fp_depth`
-pool of the benchmark, so renaming one of them would break the script
-without failing any library test. This test loads the script and
-measures one small sweep, one small enumeration and the F_p depth
-rows."""
+pool of the benchmark, and counts the witness path's calls by wrapping
+functions as `wreathconj.wreath` and `wreathconj.witness` bind them, so
+renaming one of them would break the script without failing any library
+test. This test loads the script and measures one small sweep, one
+small enumeration, the F_p depth rows and one witness group."""
 
 import importlib.util
 from pathlib import Path
@@ -44,3 +46,13 @@ def test_measure_depth_fp_runs():
     for (ring, pair, budget), want in zip(bench.SHIFT_FP, depths, strict=True):
         row = bench.measure_depth_pair(ring, pair, budget, 1)
         assert (row["section"], row["split_depth"]) == ("depth_fp", want)
+
+
+def test_measure_witness_runs():
+    bench = _bench()
+    row = bench.measure_witness(bench.WITNESS_GROUPS[0], 1)
+    assert (row["section"], row["group"]) == ("witness", "F2 wr Z")
+    assert (row["elements"], row["pairs"], row["nonconjugate"]) == (160, 80, 40)
+    assert row["conjugate_test_reduce_calls"] == 160
+    assert row["full_witness_verify_modulus"] > 0
+    assert row["contract_failures"] == 0

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from test_laurent import divmod_oracle, gcd_oracle, least_periods
-from wreathconj import depth
+from wreathconj import depth, laurent
 from wreathconj.cli import main
 from wreathconj.depth import (
     EXCEEDS_BUDGET,
@@ -742,12 +742,30 @@ def test_sweep_frozen_digests():
         # subgroup computed them
         (2, 12, 4096): "623925863ee5fe6e68645771f00696b8cda1e9fd42b2c529208ca1b1a2c8f106",
         (3, 8, 2187): "b477f5017285a655114599f7387afb722b6e689079756ec32e15dd669aced536",
+        # rows 3, 3, 4, 8, 12, 32, 80, 80, 448, 448, 1024, 2304, 11264, as
+        # the sweep keying every block on every subgroup computed them
+        (2, 13, 65536): "f0d7d647bd8fdf1aced73bbf558e00ac882e6364b264c03ba05e1ac17dc3fd77",
     }
     for (ring, n_max, budget), digest in frozen.items():
         rows = depth_sweep(ring, n_max, budget)
         listed = repr([(r.n, r.max_split_depth, r.witness_pair_id, r.subgroup_descriptor)
                        for r in rows]).encode()
         assert hashlib.sha256(listed).hexdigest() == digest, (ring, n_max, budget)
+
+
+@pytest.mark.parametrize("ring, n, budget, name", [(2, 10, 2048, "_dgcd"), (0, 6, 64, "_hnf")])
+def test_sweep_keys_reduce_no_ideal(monkeypatch, ring, n, budget, name):
+    # a proper ideal keys only the blocks whose shifts its period divides,
+    # and the unit ideal's g0 is 1, so no class key of a sweep reduces
+    # J + (x^m - 1) to a smaller ideal: F_p keys take no gcd and Z keys
+    # no Hermite form (the stream is built before the count starts)
+    reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(ring, n)]
+    subs = list(split_subgroup_stream(ring, budget))
+    calls = []
+    fn = getattr(laurent, name)
+    monkeypatch.setattr(laurent, name, lambda *args: calls.append(args) or fn(*args))
+    events, _ = depth._split_events(reps, subs)
+    assert events and not calls
 
 
 def test_sweep_frozen_digests_larger():

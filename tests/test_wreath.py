@@ -9,6 +9,7 @@ from wreathconj.abelian import (
     AbelianElement,
     AbelianGroup,
     GroupMismatchError,
+    parse_group,
     quotient_mod,
     word_length_abelian,
 )
@@ -84,6 +85,42 @@ def test_conjugation_is_a_homomorphism():
         g, h = random_wreath(rng, W), random_wreath(rng, W)
         assert conjugate(z, g * h) == conjugate(z, g) * conjugate(z, h)
         assert conjugate(z, g).b == g.b
+
+
+# the five groups of the benchmark's witness workload
+WITNESS_GROUPS = ["F2 wr Z", "Z wr Z", "Z/4 wr Z x Z/2", "Z wr Z^2", "Z/3 wr Z^2"]
+
+
+def _group(text):
+    return WreathGroup(*(parse_group(s) for s in text.split(" wr ")))
+
+
+def test_conjugate_closed_form_matches_products():
+    # (h + c.f - b.h, b) against (z g) z^-1, for z the identity, a pure
+    # lamp configuration (c = 0), a pure translation (no lamps) and
+    # general; test_kernel_round_trip_and_conjugation checks it against
+    # the packed kernel's conjugation on two finite groups
+    rng = random.Random(20013)
+    for W in SAMPLE_GROUPS + [_group(text) for text in WITNESS_GROUPS]:
+        zero = W.base.zero()
+        for _ in range(60):
+            g = random_wreath(rng, W, max_lamps=4)
+            z = random_wreath(rng, W, max_lamps=4)
+            for w in (W.identity(), WreathElement(W, z.pairs, zero), WreathElement(W, (), z.b), z):
+                assert conjugate(w, g) == multiply(multiply(w, g), inverse(w))
+
+
+def test_conjugate_test_exhaustive_against_brute_force():
+    # every pair of three small groups; over Z/3 lamps the value-multiset
+    # exit rejects pairs of equal support size
+    for text in ("Z/2 wr Z/3", "Z/3 wr Z/2", "Z/2 wr Z/4"):
+        W = _group(text)
+        kern = kernel.kernel_for(W)
+        elements = [kernel.decode(kern, W, eid) for eid in range(kern.order)]
+        for g in elements:
+            for h in elements:
+                found = conjugate_test(g, h) is not None
+                assert found == (brute_force_conjugate(g, h) is not None), (text, g, h)
 
 
 def test_cross_group_multiplication_rejected():
