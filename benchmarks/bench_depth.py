@@ -9,15 +9,14 @@ holds p, i, q, the depth, the separating subgroup, the median seconds
 over the runs and the candidates tested.
 
 Sweep rows (marked "section": "sweep"): for each (ring, n, budget) the
-script times `depth_sweep` in this process, wrapping four functions as
-`wreathconj.depth` binds them: `_ball` for the ball's size,
-`conjugacy_classes` for the classes and the seconds spent finding them,
-`_split_events` for the seconds of the refinement (reading the
-subgroup stream and keying the classes) and the subgroups it reads, and
-`quotient_class_key` for the class keys computed. Each row holds ring
-(0 for Z), n, budget, the rows' max depths, the median seconds over the
-runs of the whole sweep, of its classes and of its refinement, and the
-counts of one run. The first four are the sweeps of the benchmark's
+script times `depth_sweep` in this process, wrapping three functions as
+`wreathconj.depth` binds them: `conjugacy_classes` for the classes and
+the seconds spent listing them, `_split_events` for the seconds of the
+refinement (reading the subgroup stream and keying the classes) and the
+subgroups it reads, and `quotient_class_key` for the class keys
+computed. Each row holds ring (0 for Z), n, budget, the rows' max
+depths, the median seconds over the runs of the whole sweep, of its
+classes and of its refinement, and the counts of one run. The first four are the sweeps of the benchmark's
 `sweep` workload.
 
 Z-enumeration rows (marked "section": "enum_z"): for each budget the
@@ -161,18 +160,13 @@ def measure(p: int, i: int, runs: int) -> dict:
 def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
     bound = {
         name: getattr(depth, name)
-        for name in ("quotient_class_key", "_ball", "conjugacy_classes", "_split_events")
+        for name in ("quotient_class_key", "conjugacy_classes", "_split_events")
     }
     seen = {}
 
     def keyed(*args):
         seen["class_keys"] += 1
         return bound["quotient_class_key"](*args)
-
-    def ball(*args):
-        out = bound["_ball"](*args)
-        seen["ball"] = len(out)
-        return out
 
     def classes(*args):
         start = time.perf_counter()
@@ -195,7 +189,6 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
     seconds, classes_s, refine_s = [], [], []
     for name, fn in [
         ("quotient_class_key", keyed),
-        ("_ball", ball),
         ("conjugacy_classes", classes),
         ("_split_events", split_events),
     ]:
@@ -221,7 +214,6 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
         "classes_seconds": round(statistics.median(classes_s), 6),
         "refine_seconds": round(statistics.median(refine_s), 6),
         "runs": runs,
-        "ball": seen["ball"],
         "classes": seen["classes"],
         "subgroups_read": seen["subgroups_read"],
         "class_keys": seen["class_keys"],

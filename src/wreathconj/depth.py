@@ -54,8 +54,8 @@ SplitSubgroup = Union[FpSplitSubgroup, ZSplitSubgroup]
 
 EXCEEDS_BUDGET = "exceeds budget"
 
-# most elements a ball may hold before enumeration gives up
-BALL_CEILING = 200000
+# most conjugacy classes a ball may hold before listing gives up
+BALL_CEILING = 20000
 
 
 class BudgetExceeded(RuntimeError):
@@ -254,7 +254,7 @@ def family_report(pair: FamilyPair, result: DepthResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# ball enumeration and conjugacy classes over base Z
+# conjugacy classes of balls over base Z
 
 
 def _lamp_cost(ring: int, v: int) -> int:
@@ -293,103 +293,63 @@ def _reduced_class_key(b: int, pairs: tuple):
     return (b, min(tuple(vec[s:] + vec[:s]) for s in range(n)))
 
 
-def _reduce_line(ring: int, pairs: tuple, b: int) -> tuple:
-    """The reduced form of a ball element (pairs, b), as `reduce` gives
-    it: every lamp value of a coset k mod |b| summed onto the coset's
-    least support point, zero sums dropped. pairs holds (position,
-    value) ints by increasing position; the result holds (position,
-    (value,)), the form the class key reads. For b = 0 every coset is a
-    single point, so the element is already reduced."""
-    if b == 0:
-        return tuple((k, (v,)) for k, v in pairs)
-    n = abs(b)
-    least, total = {}, {}
-    for k, v in pairs:
-        c = k % n
-        if c in least:
-            total[c] += v
-        else:
-            least[c], total[c] = k, v
-    out = []
-    for c, k in least.items():
-        v = total[c] % ring if ring else total[c]
-        if v:
-            out.append((k, (v,)))
-    out.sort()
-    return tuple(out)
-
-
-def ball_elements(ring: int, n: int, ceiling: Optional[int] = None) -> list:
-    """Every element of word length at most n, exactly filtered."""
-    W = wreath_group_for_ring(ring)
-    return [
-        W.element([((k,), (v,)) for k, v in pairs], (b,))
-        for pairs, b, _ in _ball(ring, n, ceiling)
-    ]
-
-
-def _ball(ring: int, n: int, ceiling: Optional[int]) -> list:
-    """(pairs, b, word length) for every element of Ball(n), pairs the
-    (position, value) ints of its lamps by increasing position.
-
-    On a line the shortest walk from 0 past every lamp to b covers
-    [lo, hi], the hull of the lamps, 0 and b, and costs
-    2 (hi - lo) - |b|; with the lamp cost added this is the exact word
-    length. Adding a lamp never shrinks the hull, so a lamp is placed
-    only where the element keeps word length at most n, and each element
-    reached is in the ball. Elements come in the order of a walk over
-    the positions in increasing order that first leaves a position
-    empty, then tries each lamp value there: an element, then its
-    extensions by a last lamp at each position past its lamps, the
-    rightmost first."""
-    if ceiling is None:
-        ceiling = BALL_CEILING
-    if ring == 0:
-        values = [v for a in range(1, n + 1) for v in (a, -a)]
-    else:
-        values = [v for v in range(1, ring) if _lamp_cost(ring, v) <= n]
-    costs = [(v, _lamp_cost(ring, v)) for v in values]
-    least = min((c for _, c in costs), default=n + 1)
-    out = []
-
-    def rec(start, pairs, lampcost, lo, hi, b, wl):
-        out.append((tuple(pairs), b, wl))
-        if len(out) > ceiling:
-            raise BudgetExceeded(f"ball ceiling {ceiling} exceeded")
-        # a lamp at p stretches the hull by max(lo - p, p - hi, 0), at
-        # twice that in word length, so only [hi - reach, lo + reach]
-        # can hold one
-        reach = (n + abs(b) - lampcost - least) // 2
-        for p in range(lo + reach, max(start, hi - reach) - 1, -1):
-            plo, phi = min(lo, p), max(hi, p)
-            walk = 2 * (phi - plo) - abs(b) + lampcost
-            for v, c in costs:
-                if walk + c <= n:
-                    pairs.append((p, v))
-                    rec(p + 1, pairs, lampcost + c, plo, phi, b, walk + c)
-                    pairs.pop()
-
-    for b in range(-n, n + 1):
-        rec(-n, [], 0, min(0, b), max(0, b), b, abs(b))
-    return out
+def _lines(costs: list, length: int, most: int):
+    """(values, cost) for every tuple of `length` lamp values, 0 for no
+    lamp, whose costs sum to at most `most`."""
+    if length == 0:
+        yield (), 0
+        return
+    for line, c in _lines(costs, length - 1, most):
+        yield line + (0,), c
+        for v, cv in costs:
+            if c + cv <= most:
+                yield line + (v,), c + cv
 
 
 def conjugacy_classes(ring: int, n: int) -> list:
     """Deterministic list of (class_key, reduced representative,
     least word length) for Ball(n), sorted by class key.
 
-    Each class keeps the ball element whose reduced form ranks least by
-    (word length, acting part, lamps); only that winner is built as a
-    `WreathElement`."""
+    The classes are listed in closed form, one placement per rotation
+    or pattern, not by walking the ball's elements (Parry, Trans. AMS
+    1992, gives the word length on the line). Every walk from 0 to b
+    covers [min(0, b), max(0, b)], and lamp cost is subadditive.
+    - b != 0: a class is its vector s of lamp sums over the cosets of
+      <b>, up to rotation. Its least word length |b| + sum cost(s_k) is
+      attained by putting s_k at L + k, L = min(0, b), a multiple of b;
+      the representative is the least such placement over the
+      rotations.
+    - b = 0: a class is a pattern u_0..u_w, u_0 and u_w nonzero, up to
+      translation, of least word length 2w + sum cost(u_k); the
+      representative ends at 0.
+    Each representative is the element of least (word length, acting
+    part, lamps) in its class. BALL_CEILING caps the number of classes.
+    """
     W = wreath_group_for_ring(ring)
-    classes = {}
-    for pairs, b, wl in _ball(ring, n, None):
-        r = _reduce_line(ring, pairs, b)
+    if ring == 0:
+        values = [v for a in range(1, n + 1) for v in (a, -a)]
+    else:
+        values = range(1, ring)
+    costs = [(v, c) for v in values if (c := _lamp_cost(ring, v)) <= n]
+    classes = {(0, ()): (0, 0, ())}
+
+    def add(b, r, wl):
         key = _reduced_class_key(b, r)
-        rank = (wl, b, r)
-        prev = classes.get(key)
-        if prev is None or rank < prev:
-            classes[key] = rank
+        if key in classes:
+            classes[key] = min(classes[key], (wl, b, r))
+        elif len(classes) < BALL_CEILING:
+            classes[key] = (wl, b, r)
+        else:
+            raise BudgetExceeded(f"ball ceiling {BALL_CEILING} exceeded")
+
+    for w in range(n // 2 + 1):
+        for line, c in _lines(costs, w + 1, n - 2 * w):
+            if line[0] and line[-1]:
+                add(0, tuple((k - w, (v,)) for k, v in enumerate(line) if v), 2 * w + c)
+    for m in range(1, n + 1):
+        for line, c in _lines(costs, m, n - m):
+            for b, lo in ((m, 0), (-m, -m)):
+                add(b, tuple((lo + k, (v,)) for k, v in enumerate(line) if v), m + c)
     return [
         (key, W.element([((k,), v) for k, v in r], (b,)), wl)
         for key, (wl, b, r) in sorted(classes.items())
@@ -431,7 +391,12 @@ def _split_events(reps: list, subgroups) -> tuple:
     at J x| tZ is the key at J' = J + (x^gcd(a, t) - 1) at its least
     period, which divides gcd(a, t) < t, with the shift mod t, which
     (1) x| tZ reads. Both have smaller index, so the block is split no
-    further by J x| tZ than it already is."""
+    further by J x| tZ than it already is.
+
+    The unit ideal, whose key is the shift mod t, keys only the blocks
+    whose classes do not all share one shift. reps must come sorted by
+    class key, which starts with the shift, so a block's first and last
+    classes bound its shifts."""
     if len(reps) < 2:
         return [], []
     events, blocks = [], [list(range(len(reps)))]
@@ -439,7 +404,11 @@ def _split_events(reps: list, subgroups) -> tuple:
         proper = N.quotient_ring_order > 1
         refined = []
         for block in blocks:
-            if proper and any(reps[i].shift % N.t for i in block):
+            if (
+                any(reps[i].shift % N.t for i in block)
+                if proper
+                else reps[block[0]].shift == reps[block[-1]].shift
+            ):
                 refined.append(block)
                 continue
             parts = {}

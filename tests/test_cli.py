@@ -358,7 +358,7 @@ def test_sweep_budget_exceeded_exit_2(capsys):
 
 @pytest.mark.parametrize("ring", ["F0", "F1", "F4", "F9"])
 def test_sweep_non_prime_ring_exit_1(capsys, ring):
-    # rejected before any work: no Z wr Z sweep for F0, no ball walk
+    # rejected before any work: no Z wr Z sweep for F0, no class listing
     # ending in exit 2 for F4
     rc, out, err = run(capsys, "sweep", "--ring", ring, "--n", "16")
     assert rc == 1
@@ -368,9 +368,9 @@ def test_sweep_non_prime_ring_exit_1(capsys, ring):
 
 @pytest.mark.parametrize("ring, n, budget", [("F2", "40", "0"), ("Z", "9", "-1")])
 def test_sweep_nonpositive_budget_exit_1(capsys, ring, n, budget):
-    # rejected before the ball walk: Ball(40) over F2 would exceed the
-    # ball ceiling, and the Z ball would be walked before the stream
-    # rejected the budget
+    # rejected before the classes are listed: Ball(40) over F2 would
+    # exceed the ball ceiling, and the Z classes would be listed before
+    # the stream rejected the budget
     rc, out, err = run(capsys, "sweep", "--ring", ring, "--n", n, "--budget", budget)
     assert rc == 1
     assert out == ""

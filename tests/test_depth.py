@@ -13,8 +13,6 @@ from wreathconj.cli import main
 from wreathconj.depth import (
     EXCEEDS_BUDGET,
     BudgetExceeded,
-    _ball,
-    ball_elements,
     conjugacy_class_key,
     conjugacy_classes,
     depth_sweep,
@@ -49,7 +47,6 @@ from wreathconj.laurent import (
 from wreathconj.wreath import (
     conjugate,
     conjugate_test,
-    element_to_json,
     reduce,
     word_length_info,
 )
@@ -404,53 +401,7 @@ def test_class_key_constant_on_conjugates():
 
 
 # ---------------------------------------------------------------------------
-# ball enumeration
-
-
-def test_ball_frozen_counts():
-    assert len(ball_elements(2, 1)) == 4
-    assert len(ball_elements(2, 2)) == 10
-
-
-def test_ball_is_exactly_the_ball():
-    rng = random.Random(11)
-    for ring, n in ((2, 3), (0, 2)):
-        ball = ball_elements(ring, n)
-        seen = {(g.pairs, g.b) for g in ball}
-        assert len(seen) == len(ball)
-        for g in ball:
-            wl, exact = word_length_info(g)
-            assert exact and wl <= n
-        # membership: random small elements inside the ball are found
-        for _ in range(200):
-            g = rand_wreath(rng, ring, span=2)
-            wl, _ = word_length_info(g)
-            if wl <= n:
-                assert (g.pairs, g.b) in seen
-
-
-def test_ball_ceiling():
-    with pytest.raises(RuntimeError):
-        ball_elements(2, 4, ceiling=10)
-
-
-def test_ball_frozen_order():
-    # SHA-256 of the elements, one JSON line each, in the order of the
-    # ball walk that tried every position before the word-length prune;
-    # the ceiling trips once the walk passes it, at element ceiling + 1
-    frozen = {
-        (2, 6): (155, "398da044a6c1447d1ee14174e75c7b3a4eee7a35ba687382a99cd30c978be00e"),
-        (3, 4): (99, "28c78d96030a1f87f8177b54e60eaf8433b7f2a143f5a9c858681c059d4db821"),
-        (0, 4): (153, "074f556c62e77d7e102a0cd0544ff1026b62d01c986b3d2fad41535dba54433f"),
-    }
-    for (ring, n), (size, digest) in frozen.items():
-        ball = ball_elements(ring, n)
-        text = "\n".join(element_to_json(g) for g in ball)
-        assert (len(ball), hashlib.sha256(text.encode()).hexdigest()) == (size, digest)
-    assert len(ball_elements(2, 4, ceiling=44)) == 44
-    for ceiling in (10, 43):
-        with pytest.raises(BudgetExceeded, match=f"^ball ceiling {ceiling} exceeded$"):
-            ball_elements(2, 4, ceiling=ceiling)
+# conjugacy classes of balls
 
 
 def test_ball_ceiling_stops_sweeps(monkeypatch, capsys):
@@ -556,24 +507,36 @@ def reference_classes(ring, n):
     return [(key, rep, rank[0]) for key, (rank, rep) in sorted(classes.items())]
 
 
-@pytest.mark.parametrize("ring, n", [(2, 8), (3, 6), (5, 5), (7, 4), (0, 5)])
+@pytest.mark.parametrize(
+    "ring, n",
+    [(2, 8), (3, 6), (5, 5), (7, 4), (0, 5), (2, 10), (3, 7), (0, 6), (11, 4)],
+)
 def test_integer_classes_match_wreath_reduction(ring, n):
     got = conjugacy_classes(ring, n)
     want = reference_classes(ring, n)
     assert [(key, str(rep), wl) for key, rep, wl in got] == \
            [(key, str(rep), wl) for key, rep, wl in want]
     assert [rep for _, rep, _ in got] == [rep for _, rep, _ in want]
-    ball = {(pairs, b): wl for pairs, b, wl in _ball(ring, n, None)}
-    ref = {(tuple((k.coords[0], v.coords[0]) for k, v in g.pairs), g.b.coords[0]): wl
-           for g, wl in reference_ball(ring, n)}
-    assert ball == ref
-    assert {(g.pairs, g.b) for g in ball_elements(ring, n)} == \
-           {(g.pairs, g.b) for g, _ in reference_ball(ring, n)}
 
 
 def test_class_counts_frozen():
     assert len(conjugacy_classes(2, 1)) == 4
     assert len(conjugacy_classes(2, 2)) == 8
+
+
+def test_classes_reach_large_balls():
+    # both balls hold more than 200,000 elements, which are not visited
+    assert len(conjugacy_classes(2, 20)) == 4642
+    assert len(conjugacy_classes(0, 12)) == 13671
+
+
+def test_ball_ceiling_counts_classes(monkeypatch):
+    # Ball(4) over F2 holds 44 elements in 19 classes
+    monkeypatch.setattr(depth, "BALL_CEILING", 19)
+    assert len(conjugacy_classes(2, 4)) == 19
+    monkeypatch.setattr(depth, "BALL_CEILING", 18)
+    with pytest.raises(BudgetExceeded, match="^ball ceiling 18 exceeded$"):
+        conjugacy_classes(2, 4)
 
 
 def test_classes_reject_non_prime_ring_before_the_ball():
@@ -766,6 +729,17 @@ def test_sweep_keys_reduce_no_ideal(monkeypatch, ring, n, budget, name):
     monkeypatch.setattr(laurent, name, lambda *args: calls.append(args) or fn(*args))
     events, _ = depth._split_events(reps, subs)
     assert events and not calls
+
+
+def test_sweep_skips_unit_ideal_on_blocks_of_one_shift(monkeypatch):
+    # (1) x| tZ keys a class by its shift mod t alone, so it is read only
+    # on blocks whose shifts differ
+    calls = []
+    key = depth.quotient_class_key
+    monkeypatch.setattr(depth, "quotient_class_key", lambda *args: calls.append(1) or key(*args))
+    rows = depth_sweep(2, 12, 4096)
+    assert [r.max_split_depth for r in rows][-3:] == [448, 1024, 2304]
+    assert len(calls) == 2247
 
 
 def test_sweep_frozen_digests_larger():
