@@ -14,10 +14,13 @@ script times `depth_sweep` in this process, wrapping three functions as
 the seconds spent listing them, `_split_events` for the seconds of the
 refinement (reading the subgroup stream and keying the classes) and the
 subgroups it reads, and `quotient_class_key` for the class keys
-computed. Each row holds ring (0 for Z), n, budget, the rows' max
-depths, the median seconds over the runs of the whole sweep, of its
-classes and of its refinement, and the counts of one run. The first four are the sweeps of the benchmark's
-`sweep` workload.
+computed. The seconds from the refinement's end to the sweep's return
+are those of reading the rows. Each row holds ring (0 for Z), n,
+budget, the rows' max depths, the median seconds over the runs of the
+whole sweep, of its classes, of its refinement and of reading its rows
+(`rows_seconds`; rows recorded before that column came in lack it),
+and the counts of one run. The first four are the sweeps of the
+benchmark's `sweep` workload.
 
 Z-enumeration rows (marked "section": "enum_z"): for each budget the
 script times `enumerate_split_subgroups_z` in this process. Each row
@@ -183,10 +186,11 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
 
         start = time.perf_counter()
         out = bound["_split_events"](reps, read())
-        seen["refine_s"] = time.perf_counter() - start
+        seen["refined_at"] = time.perf_counter()
+        seen["refine_s"] = seen["refined_at"] - start
         return out
 
-    seconds, classes_s, refine_s = [], [], []
+    seconds, classes_s, refine_s, rows_s = [], [], [], []
     for name, fn in [
         ("quotient_class_key", keyed),
         ("conjugacy_classes", classes),
@@ -198,9 +202,11 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
             seen.update(class_keys=0, subgroups_read=0)
             start = time.perf_counter()
             rows = depth.depth_sweep(ring, n, budget)
-            seconds.append(time.perf_counter() - start)
+            end = time.perf_counter()
+            seconds.append(end - start)
             classes_s.append(seen["classes_s"])
             refine_s.append(seen["refine_s"])
+            rows_s.append(end - seen["refined_at"])
     finally:
         for name, fn in bound.items():
             setattr(depth, name, fn)
@@ -213,6 +219,7 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
         "seconds": round(statistics.median(seconds), 6),
         "classes_seconds": round(statistics.median(classes_s), 6),
         "refine_seconds": round(statistics.median(refine_s), 6),
+        "rows_seconds": round(statistics.median(rows_s), 6),
         "runs": runs,
         "classes": seen["classes"],
         "subgroups_read": seen["subgroups_read"],

@@ -21,8 +21,10 @@ from typing import Optional, Union
 from .laurent import (
     ContractError,
     FpSplitSubgroup,
+    LaurentPoly,
     SemidirectElement,
     ZSplitSubgroup,
+    _check_ring,
     conjugate_in_split_quotient,
     # not called here; bound so that callers tracing or timing the
     # enumerators as this module's names find them
@@ -39,7 +41,6 @@ from .laurent import (
     same_conjugacy_class,
     split_subgroup_stream,
     to_wreath,
-    wreath_group_for_ring,
     x_power,
     xt_minus_1,
 )
@@ -308,7 +309,9 @@ def _lines(costs: list, length: int, most: int):
 
 def conjugacy_classes(ring: int, n: int) -> list:
     """Deterministic list of (class_key, reduced representative,
-    least word length) for Ball(n), sorted by class key.
+    least word length) for Ball(n), sorted by class key. Each
+    representative is the SemidirectElement (P, b) a sweep keys, its
+    lamps the coefficients of P; `to_wreath` gives the WreathElement.
 
     The classes are listed in closed form, one placement per rotation
     or pattern, not by walking the ball's elements (Parry, Trans. AMS
@@ -318,14 +321,16 @@ def conjugacy_classes(ring: int, n: int) -> list:
       <b>, up to rotation. Its least word length |b| + sum cost(s_k) is
       attained by putting s_k at L + k, L = min(0, b), a multiple of b;
       the representative is the least such placement over the
-      rotations.
+      rotations. Both placements of a line, at 0 for b = m and at -m
+      for b = -m, give the line itself as the coset vector, so its
+      least rotation is taken once for both signs.
     - b = 0: a class is a pattern u_0..u_w, u_0 and u_w nonzero, up to
       translation, of least word length 2w + sum cost(u_k); the
       representative ends at 0.
     Each representative is the element of least (word length, acting
     part, lamps) in its class. BALL_CEILING caps the number of classes.
     """
-    W = wreath_group_for_ring(ring)
+    _check_ring(ring)
     if ring == 0:
         values = [v for a in range(1, n + 1) for v in (a, -a)]
     else:
@@ -333,8 +338,7 @@ def conjugacy_classes(ring: int, n: int) -> list:
     costs = [(v, c) for v in values if (c := _lamp_cost(ring, v)) <= n]
     classes = {(0, ()): (0, 0, ())}
 
-    def add(b, r, wl):
-        key = _reduced_class_key(b, r)
+    def add(key, b, r, wl):
         if key in classes:
             classes[key] = min(classes[key], (wl, b, r))
         elif len(classes) < BALL_CEILING:
@@ -345,13 +349,16 @@ def conjugacy_classes(ring: int, n: int) -> list:
     for w in range(n // 2 + 1):
         for line, c in _lines(costs, w + 1, n - 2 * w):
             if line[0] and line[-1]:
-                add(0, tuple((k - w, (v,)) for k, v in enumerate(line) if v), 2 * w + c)
+                r = tuple((k - w, (v,)) for k, v in enumerate(line) if v)
+                add(_reduced_class_key(0, r), 0, r, 2 * w + c)
     for m in range(1, n + 1):
         for line, c in _lines(costs, m, n - m):
+            vec = tuple((v,) if v else () for v in line)
+            least = min(vec[s:] + vec[:s] for s in range(m))
             for b, lo in ((m, 0), (-m, -m)):
-                add(b, tuple((lo + k, (v,)) for k, v in enumerate(line) if v), m + c)
+                add((b, least), b, tuple((lo + k, (v,)) for k, v in enumerate(line) if v), m + c)
     return [
-        (key, W.element([((k,), v) for k, v in r], (b,)), wl)
+        (key, SemidirectElement(LaurentPoly(ring, tuple((k, v) for k, (v,) in r)), b), wl)
         for key, (wl, b, r) in sorted(classes.items())
     ]
 
@@ -432,6 +439,12 @@ def _least_pair(parts, inside) -> Optional[tuple]:
     return tuple(firsts[:2]) if firsts[1] < math.inf else None
 
 
+def _reach(parts, wls) -> int:
+    """The least n at which two of the parts hold a class of Ball(n):
+    the second least of the parts' least word lengths."""
+    return sorted(min(wls[i] for i in g) for g in parts)[1]
+
+
 def depth_sweep(
     ring: int,
     n_max: int,
@@ -445,12 +458,18 @@ def depth_sweep(
     ideal only at its least period, and the unit ideal at every shift;
     no other subgroup is the first to separate a pair, so the first
     separators, and with them the rows, are those of the full
-    enumeration. Row n is then read off the split events, keeping the
-    classes inside Ball(n). Its value is the largest index of an event
-    that parts two of them, and its witness the least pair, in class-key
-    order, that such an event parts; a row exceeds the budget if an
-    unsplit block holds two of them, with witness the least such pair.
-    `jobs` is accepted and has no effect.
+    enumeration. The representatives are keyed as `conjugacy_classes`
+    returns them.
+
+    Row n is then read off the split events, keeping the classes inside
+    Ball(n). Each event's reach, the least n at which two of its parts
+    hold a class of Ball(n), is computed once; so is each unsplit
+    block's. A row exceeds the budget if an unsplit block of reach at
+    most n holds two of its classes, with witness the least such pair.
+    Otherwise its value is the largest index of an event of reach at
+    most n, and its witness the least pair, in class-key order, that an
+    event of that index and reach parts; only those events are scanned
+    for pairs. `jobs` is accepted and has no effect.
     The elapsed_ms column, the time to read the row, is measurement, not
     contract."""
     if budget < 1:
@@ -458,22 +477,29 @@ def depth_sweep(
     if n_max < 1:
         raise ValueError("n_max must be positive")
     classes = conjugacy_classes(ring, n_max)
-    reps = [from_wreath(rep) for _, rep, _ in classes]
+    reps = [rep for _, rep, _ in classes]
+    wls = [wl for _, _, wl in classes]
     events, unsplit = _split_events(reps, split_subgroup_stream(ring, budget))
+    events = [(_reach(parts, wls), N, parts) for N, parts in events]
+    unsplit = [(_reach(parts, wls), parts) for parts in ([[i] for i in b] for b in unsplit)]
 
     rows = []
     for n in range(1, n_max + 1):
         start = time.perf_counter()
-        inside = [wl <= n for _, _, wl in classes]
-        unseparated = [p for block in unsplit if (p := _least_pair([[i] for i in block], inside))]
-        parted = [(N.index, p, N) for N, parts in events if (p := _least_pair(parts, inside))]
+        inside = [wl <= n for wl in wls]
+        unseparated = [_least_pair(parts, inside) for reach, parts in unsplit if reach <= n]
+        top = max((N.index for reach, N, _ in events if reach <= n), default=0)
         if unseparated:
             i, j = min(unseparated)
             row = (EXCEEDS_BUDGET, _pair_id(reps[i], reps[j]), "")
-        elif parted:
-            # the largest index, then the least pair any event there parts
-            index, (i, j), N = min(parted, key=lambda e: (-e[0], e[1]))
-            row = (index, _pair_id(reps[i], reps[j]), describe_subgroup(N))
+        elif top:
+            # the least pair any event at the largest index parts
+            (i, j), N = min(
+                ((_least_pair(parts, inside), N) for reach, N, parts in events
+                 if reach <= n and N.index == top),
+                key=lambda e: e[0],
+            )
+            row = (top, _pair_id(reps[i], reps[j]), describe_subgroup(N))
         else:
             row = (0, "", "")
         rows.append(SweepRow(n, *row, int((time.perf_counter() - start) * 1000)))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from . import kernel
 from .abelian import AbelianGroup, quotient_mod, solve_multiple
 from .depth import (
-    EXCEEDS_BUDGET,
     conjugacy_classes,
     depth_sweep,
     family_depth,
@@ -38,7 +37,6 @@ from .laurent import (
     enumerate_split_subgroups_fp,
     enumerate_split_subgroups_z,
     format_semidirect,
-    from_wreath,
     image_in_split_quotient,
     mod_ideal_reduce,
     poly_add,
@@ -438,7 +436,7 @@ def criterion_8(budget: int = 64) -> CriterionResult:
     monotone = numeric and depths == sorted(depths)
     witnessed = True
     for row in rows1:
-        reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(2, row.n)]
+        reps = [rep for _, rep, _ in conjugacy_classes(2, row.n)]
         by_id = {
             f"{format_semidirect(a)} | {format_semidirect(b)}": (a, b)
             for a, b in itertools.combinations(reps, 2)

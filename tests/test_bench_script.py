@@ -29,6 +29,7 @@ def test_measure_sweep_runs():
     assert row["classes"] == 12
     assert row["subgroups_read"] > 0
     assert row["class_keys"] > 0
+    assert isinstance(row["rows_seconds"], float) and row["rows_seconds"] >= 0
 
 
 def test_measure_enum_z_runs():

@@ -39,6 +39,7 @@ from wreathconj.laurent import (
     poly_sub,
     same_conjugacy_class,
     split_subgroup_stream,
+    to_wreath,
     wreath_group_for_ring,
     x_power,
     xt_minus_1,
@@ -514,9 +515,9 @@ def reference_classes(ring, n):
 def test_integer_classes_match_wreath_reduction(ring, n):
     got = conjugacy_classes(ring, n)
     want = reference_classes(ring, n)
-    assert [(key, str(rep), wl) for key, rep, wl in got] == \
+    assert [(key, str(to_wreath(rep)), wl) for key, rep, wl in got] == \
            [(key, str(rep), wl) for key, rep, wl in want]
-    assert [rep for _, rep, _ in got] == [rep for _, rep, _ in want]
+    assert [to_wreath(rep) for _, rep, _ in got] == [rep for _, rep, _ in want]
 
 
 def test_class_counts_frozen():
@@ -548,7 +549,7 @@ def test_classes_reject_non_prime_ring_before_the_ball():
 
 def test_classes_pairwise_nonconjugate():
     classes = conjugacy_classes(2, 3)
-    reps = [rep for _, rep, _ in classes]
+    reps = [to_wreath(rep) for _, rep, _ in classes]
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert conjugate_test(reps[i], reps[j]) is None
@@ -564,7 +565,7 @@ def direct_row_max(ring, n, budget):
     separator, or the first pair no subgroup separates."""
     subs = (enumerate_split_subgroups_z(budget) if ring == 0
             else enumerate_split_subgroups_fp(ring, budget))
-    reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(ring, n)]
+    reps = [rep for _, rep, _ in conjugacy_classes(ring, n)]
     best = (0, "", "")
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
@@ -577,6 +578,46 @@ def direct_row_max(ring, n, budget):
             else:
                 return (EXCEEDS_BUDGET, pair_id, "")
     return best
+
+
+def per_row_scan(ring, n_max, budget):
+    """(n, max depth, witness pair id, descriptor) for each row, every
+    split event and unsplit block scanned for a pair at every row."""
+    classes = conjugacy_classes(ring, n_max)
+    reps = [rep for _, rep, _ in classes]
+    events, unsplit = depth._split_events(reps, split_subgroup_stream(ring, budget))
+    rows = []
+    for n in range(1, n_max + 1):
+        inside = [wl <= n for _, _, wl in classes]
+        unseparated = [p for block in unsplit
+                       if (p := depth._least_pair([[i] for i in block], inside))]
+        parted = [(N.index, p, N) for N, parts in events
+                  if (p := depth._least_pair(parts, inside))]
+        if unseparated:
+            i, j = min(unseparated)
+            row = (EXCEEDS_BUDGET, depth._pair_id(reps[i], reps[j]), "")
+        elif parted:
+            index, (i, j), N = min(parted, key=lambda e: (-e[0], e[1]))
+            row = (index, depth._pair_id(reps[i], reps[j]), describe_subgroup(N))
+        else:
+            row = (0, "", "")
+        rows.append((n, *row))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "ring, n_max, budget",
+    # the last two with budgets that run out part-way
+    [(2, 10, 2048), (2, 4, 4), (3, 7, 2187), (5, 5, 625), (0, 6, 64), (0, 3, 3)],
+)
+def test_sweep_rows_match_per_row_scan(ring, n_max, budget):
+    # rows read off each event's reach equal a scan of every event per row
+    rows = depth_sweep(ring, n_max, budget)
+    want = per_row_scan(ring, n_max, budget)
+    assert [(r.n, r.max_split_depth, r.witness_pair_id, r.subgroup_descriptor)
+            for r in rows] == want
+    if budget < 8:
+        assert want[0][1] != EXCEEDS_BUDGET and want[-1][1] == EXCEEDS_BUDGET
 
 
 def test_sweep_frozen_f2():
@@ -620,7 +661,7 @@ def test_sweep_reads_the_stream_to_the_last_split(monkeypatch, budget, isolated)
 
     monkeypatch.setattr(depth, "split_subgroup_stream", counted)
     depth_sweep(2, 4, budget)
-    reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(2, 4)]
+    reps = [rep for _, rep, _ in conjugacy_classes(2, 4)]
     subs = least_periods(enumerate_split_subgroups_fp(2, budget))
     assert reads == subs[: len(reads)]
 
@@ -642,7 +683,7 @@ def test_sweep_monotone_and_witnessed():
     assert depths == sorted(depths)
     for row in rows:
         # the reported witness pair must reproduce the reported maximum
-        reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(2, row.n)]
+        reps = [rep for _, rep, _ in conjugacy_classes(2, row.n)]
         by_id = {}
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
@@ -677,7 +718,7 @@ def test_fp_class_key_is_the_orbit_minimum(p, n, budget):
     # the key skips the orbit when g0 = gcd(gen, x^m - 1) is 1; with or
     # without the shortcut it is the least residue of x^l P mod g0 over
     # l < t, x^t being 1 mod g0, found by schoolbook division
-    reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(p, n)]
+    reps = [rep for _, rep, _ in conjugacy_classes(p, n)]
     units = 0
     for N in enumerate_split_subgroups_fp(p, budget):
         for s in reps:
@@ -722,7 +763,7 @@ def test_sweep_keys_reduce_no_ideal(monkeypatch, ring, n, budget, name):
     # and the unit ideal's g0 is 1, so no class key of a sweep reduces
     # J + (x^m - 1) to a smaller ideal: F_p keys take no gcd and Z keys
     # no Hermite form (the stream is built before the count starts)
-    reps = [from_wreath(rep) for _, rep, _ in conjugacy_classes(ring, n)]
+    reps = [rep for _, rep, _ in conjugacy_classes(ring, n)]
     subs = list(split_subgroup_stream(ring, budget))
     calls = []
     fn = getattr(laurent, name)
