@@ -26,7 +26,9 @@ Z-enumeration rows (marked "section": "enum_z"): for each budget the
 script times `enumerate_split_subgroups_z` in this process. Each row
 holds the budget, the number of subgroups listed and the median seconds
 over the runs. Budget 18 is the budget of the benchmark's `z_depth`
-queries.
+queries. F_p-enumeration rows (marked "section": "enum_fp") time
+`enumerate_split_subgroups_fp` the same way, F2 at 4096 and F3 at 2187,
+and also hold p.
 
 Z-depth rows (marked "section": "depth_z"): the script times
 `split_conjugacy_depth` in this process on Z pairs. The "s8" row runs
@@ -66,15 +68,17 @@ end in a contract error. Witness rows recorded before the counts of
 the `solve_multiple` counting wrapper installed, so their seconds read
 higher than later rows' and are not comparable with them.
 
-Every row also holds the Python version, and the commit and source
-digest of the checkout the script sits in. The rows are added to the
-JSON list in --out, so one file can hold rows from two checkouts. Run
-from the repository root:
+Every timed run starts right after a `gc.collect()`, so a run does not
+pay for the garbage of the one before it. Every row also holds the
+Python version, and the commit and source digest of the checkout the
+script sits in. The rows are added to the JSON list in --out, so one
+file can hold rows from two checkouts. Run from the repository root:
 
     python3 benchmarks/bench_depth.py --out BENCH_depth.json
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import platform
@@ -97,6 +101,7 @@ SWEEPS = [
     (2, 12, 4096),
 ]
 ENUM_BUDGETS = [8, 16, 18, 24, 32, 48, 96, 256]
+ENUM_FP = [(2, 4096), (3, 2187)]
 DEEP_PAIR = ("(1 - x^-1, 0)", "(-1 + x^-1, 0)")
 DEEP_BUDGETS = [18, 24]
 # (ring, pair, budget) of the F_p depth rows: large shifts, then both shifts 0
@@ -128,6 +133,18 @@ def checkout() -> dict:
     }
 
 
+def _timed(fn, runs: int) -> tuple:
+    """(the last result of fn(), median seconds of its runs), each run
+    after a gc.collect()."""
+    seconds = []
+    for _ in range(runs):
+        gc.collect()
+        start = time.perf_counter()
+        result = fn()
+        seconds.append(time.perf_counter() - start)
+    return result, statistics.median(seconds)
+
+
 def measure(p: int, i: int, runs: int) -> dict:
     tests = 0
     test = depth.conjugate_in_split_quotient
@@ -137,15 +154,15 @@ def measure(p: int, i: int, runs: int) -> dict:
         tests += 1
         return test(*args)
 
+    def run():
+        nonlocal tests
+        tests = 0
+        return depth.family_depth(pair)
+
     pair = depth.family_lamplighter(p, i)
-    seconds = []
     depth.conjugate_in_split_quotient = counted
     try:
-        for _ in range(runs):
-            tests = 0
-            start = time.perf_counter()
-            res = depth.family_depth(pair)
-            seconds.append(time.perf_counter() - start)
+        res, seconds = _timed(run, runs)
     finally:
         depth.conjugate_in_split_quotient = test
     return {
@@ -154,7 +171,7 @@ def measure(p: int, i: int, runs: int) -> dict:
         "q": pair.q,
         "split_depth": res.split_depth,
         "subgroup": depth.describe_subgroup(res.subgroup) if res.found() else None,
-        "seconds": round(statistics.median(seconds), 6),
+        "seconds": round(seconds, 6),
         "runs": runs,
         "candidates_tested": tests,
     }
@@ -200,6 +217,7 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
     try:
         for _ in range(runs):
             seen.update(class_keys=0, subgroups_read=0)
+            gc.collect()
             start = time.perf_counter()
             rows = depth.depth_sweep(ring, n, budget)
             end = time.perf_counter()
@@ -228,27 +246,26 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
 
 
 def measure_enum_z(budget: int, runs: int) -> dict:
-    seconds = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        subs = depth.enumerate_split_subgroups_z(budget)
-        seconds.append(time.perf_counter() - start)
+    subs, seconds = _timed(lambda: depth.enumerate_split_subgroups_z(budget), runs)
     return {
         "section": "enum_z",
         "budget": budget,
         "subgroups": len(subs),
-        "seconds": round(statistics.median(seconds), 6),
+        "seconds": round(seconds, 6),
         "runs": runs,
     }
 
 
-def _timed_depth(s1, s2, budget: int, runs: int) -> tuple:
-    seconds = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        res = depth.split_conjugacy_depth(s1, s2, budget)
-        seconds.append(time.perf_counter() - start)
-    return res, statistics.median(seconds)
+def measure_enum_fp(p: int, budget: int, runs: int) -> dict:
+    subs, seconds = _timed(lambda: depth.enumerate_split_subgroups_fp(p, budget), runs)
+    return {
+        "section": "enum_fp",
+        "p": p,
+        "budget": budget,
+        "subgroups": len(subs),
+        "seconds": round(seconds, 6),
+        "runs": runs,
+    }
 
 
 def measure_depth_pool(workload: str, runs: int) -> dict:
@@ -258,7 +275,7 @@ def measure_depth_pool(workload: str, runs: int) -> dict:
     seconds = []
     for spec in ops:
         s1, s2 = (laurent.parse_semidirect(spec[v], spec["ring"]) for v in ("x", "y"))
-        seconds.append(_timed_depth(s1, s2, spec["budget"], runs)[1])
+        seconds.append(_timed(lambda: depth.split_conjugacy_depth(s1, s2, spec["budget"]), runs)[1])
     return {
         "section": "depth_fp" if ops[0]["ring"] else "depth_z",
         "ops": "s8",
@@ -272,7 +289,7 @@ def measure_depth_pool(workload: str, runs: int) -> dict:
 
 def measure_depth_pair(ring: int, pair: tuple, budget: int, runs: int) -> dict:
     s1, s2 = (laurent.parse_semidirect(text, ring) for text in pair)
-    res, seconds = _timed_depth(s1, s2, budget, runs)
+    res, seconds = _timed(lambda: depth.split_conjugacy_depth(s1, s2, budget), runs)
     return {
         "section": "depth_fp" if ring else "depth_z",
         "ops": "pair",
@@ -390,6 +407,7 @@ def measure_witness(text: str, runs: int) -> dict:
     seconds = {phase: [] for phase in phases}
     for _ in range(runs):
         for phase, run in phases.items():
+            gc.collect()
             start = time.perf_counter()
             run()
             seconds[phase].append(time.perf_counter() - start)
@@ -416,6 +434,7 @@ def main() -> None:
     rows = []
     results = [measure(p, i, args.runs) for p, i in PAIRS]
     results += [measure_sweep(*sweep, args.runs) for sweep in SWEEPS]
+    results += [measure_enum_fp(p, budget, args.runs) for p, budget in ENUM_FP]
     results += [measure_enum_z(budget, args.runs) for budget in ENUM_BUDGETS]
     results.append(measure_depth_pool("z_depth", args.runs))
     results += [measure_depth_pair(0, DEEP_PAIR, budget, args.runs) for budget in DEEP_BUDGETS]

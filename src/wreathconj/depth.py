@@ -215,9 +215,11 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     the test at (J, t) asks whether P2 lies in x^m P1 + J for some m,
     which does not depend on t, and (J) x| t0(J)Z is the least-index
     subgroup giving it. Over Z the candidates are those of
-    `split_subgroup_stream`: each ideal J at its least period t0(J), and
-    the unit ideal at every shift, which hold the first separator of the
-    full enumeration; the stream builds only what is read."""
+    `split_subgroup_stream` for the shifts (a1, a2): each ideal J at its
+    least period t0(J), and the unit ideal at t = 1 and, if a1 != a2, at
+    the least t not dividing a1 - a2, the one candidate rule shared with
+    F_p. They hold the first separator of the full enumeration; the
+    stream builds only what is read."""
     if budget < 1:
         raise ValueError("budget must be positive")
     s1, s2 = _as_semidirect(g1), _as_semidirect(g2)
@@ -229,7 +231,7 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     if ring:
         candidates = pair_split_subgroups_fp(ring, s1.shift, s2.shift, budget)
     else:
-        candidates = split_subgroup_stream(ring, budget)
+        candidates = split_subgroup_stream(ring, budget, (s1.shift, s2.shift))
     for N in candidates:
         if not conjugate_in_split_quotient(s1, s2, N):
             return DepthResult((s1, s2), N.index, N)
@@ -394,11 +396,13 @@ def _split_events(reps: list, subgroups) -> tuple:
     single class.
 
     A proper ideal J, read at its least period t, keys only the blocks
-    whose every shift t divides. If t does not divide a shift a, the key
-    at J x| tZ is the key at J' = J + (x^gcd(a, t) - 1) at its least
-    period, which divides gcd(a, t) < t, with the shift mod t, which
-    (1) x| tZ reads. Both have smaller index, so the block is split no
-    further by J x| tZ than it already is.
+    whose every shift t divides. A block's shifts agree mod t: two that
+    differ mod t were split by the unit ideal at the least shift not
+    dividing their difference, at most t, which the stream yields before
+    J x| tZ. If t does not divide the shift a, the key at J x| tZ is the
+    key at J' = J + (x^gcd(a, t) - 1) at its least period, which divides
+    gcd(a, t) < t, with the shift mod t. Both parts agree on the block,
+    so J x| tZ does not split it.
 
     The unit ideal, whose key is the shift mod t, keys only the blocks
     whose classes do not all share one shift. reps must come sorted by
@@ -453,13 +457,14 @@ def depth_sweep(
 ) -> list:
     """Max split depth over all nonconjugate class pairs in Ball(n) for
     each n up to n_max. The classes of Ball(n_max) are refined along the
-    subgroups of `split_subgroup_stream`, in index order, until every
-    pair is separated or the budget is spent. That stream holds each
-    ideal only at its least period, and the unit ideal at every shift;
-    no other subgroup is the first to separate a pair, so the first
-    separators, and with them the rows, are those of the full
-    enumeration. The representatives are keyed as `conjugacy_classes`
-    returns them.
+    subgroups of `split_subgroup_stream` for their shifts, in index
+    order, until every pair is separated or the budget is spent. That
+    stream holds each ideal only at its least period, and the unit ideal
+    only at t = 1 and at the least t not dividing each difference of two
+    of the ball's shifts; no other subgroup is the first to separate a
+    pair, so the first separators, and with them the rows, are those of
+    the full enumeration. The representatives are keyed as
+    `conjugacy_classes` returns them.
 
     Row n is then read off the split events, keeping the classes inside
     Ball(n). Each event's reach, the least n at which two of its parts
@@ -479,7 +484,8 @@ def depth_sweep(
     classes = conjugacy_classes(ring, n_max)
     reps = [rep for _, rep, _ in classes]
     wls = [wl for _, _, wl in classes]
-    events, unsplit = _split_events(reps, split_subgroup_stream(ring, budget))
+    stream = split_subgroup_stream(ring, budget, {rep.shift for rep in reps})
+    events, unsplit = _split_events(reps, stream)
     events = [(_reach(parts, wls), N, parts) for N, parts in events]
     unsplit = [(_reach(parts, wls), parts) for parts in ([[i] for i in b] for b in unsplit)]
 

@@ -824,44 +824,61 @@ def _check_z_shape(d: int, t0: int, t: int):
         raise ValueError("shift must be a multiple of the ideal period")
 
 
-def split_subgroup_stream(ring: int, max_index: int):
-    """The split subgroups of index <= max_index over F_p (ring p) or Z
-    (ring 0) that can be the first to separate two classes, in the order
-    `enumerate_split_subgroups_fp` and `enumerate_split_subgroups_z`
-    list them, each built only when read: every ideal J != (1) once, as
-    J x| t0Z with t0 its least period, and the unit ideal at every shift,
-    (1) x| tZ.
+def first_unit_shifts(shifts) -> list[int]:
+    """The shifts t at which the unit ideal, (1) x| tZ, can be the first
+    subgroup to separate two classes whose shifts lie in shifts, sorted:
+    for each nonzero difference d of two of them, the least t >= 2 not
+    dividing d. The class key at (1) x| tZ is the shift mod t, so it
+    separates shifts a1, a2 exactly when t does not divide a1 - a2; at
+    any larger t that least t, of smaller index, has already split them."""
+    values = set(shifts)
+    gaps = {a - b for a in values for b in values if a > b}
+    return sorted({next(t for t in itertools.count(2) if d % t) for d in gaps})
 
-    No other subgroup of the listing is the first to separate a pair.
-    For t a multiple of t0, J holds x^t0 - 1, so J + (x^m - 1) is
+
+def split_subgroup_stream(ring: int, max_index: int, shifts):
+    """The split subgroups of index <= max_index over F_p (ring p) or Z
+    (ring 0) that can be the first to separate two classes whose shifts
+    lie in shifts, in the order `enumerate_split_subgroups_fp` and
+    `enumerate_split_subgroups_z` list them, each built only when read:
+    every ideal J != (1) once, as J x| t0Z with t0 its least period, and
+    the unit ideal (1) x| tZ at t = 1 and at each t of
+    `first_unit_shifts(shifts)`. With shifts empty, the unit ideal comes
+    at t = 1 only.
+
+    No other subgroup of the listing is the first to separate such a
+    pair. For t a multiple of t0, J holds x^t0 - 1, so J + (x^m - 1) is
     J + (x^gcd(m, t0) - 1): the class key at J x| tZ is the shift mod t,
     which (1) x| tZ reads, with the rest of the key at J x| t0Z. For
-    t > t0 both of those have smaller index.
+    t > t0 both of those have smaller index. A unit ideal that separates
+    a pair has a t not dividing the difference of its shifts, so the one
+    at the least such t, of index at most t, separates it too: only that
+    one can be the first.
 
     The subgroups wait on one heap, keyed in the order of the listing,
     and reading one files those that follow it. New ideals are generated
     only when the stream reaches a lower bound on their index, so every
     entry filed lies above each index read, and the heap yields the
-    listing's order. Reading (1) x| tZ files (1) x| (t + 1)Z. Over F_p
-    the ideals are the (D), D monic with D(0) != 0, of `_fp_stream` with
-    g = 0."""
+    listing's order. Reading a unit ideal files the one at the next
+    shift. Over F_p the ideals are the (D), D monic with D(0) != 0, of
+    `_fp_stream` with g = 0."""
     if max_index < 1:
         raise ValueError("max_index must be positive")
     _check_ring(ring)
-    return _fp_stream(ring, 0, max_index, itertools.count(2)) if ring else _z_stream(max_index)
+    units = iter(first_unit_shifts(shifts))
+    return _fp_stream(ring, 0, max_index, units) if ring else _z_stream(max_index, units)
 
 
 def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup]:
     """Every (t, monic P | x^t - 1, P(0) != 0) with t * p^deg P <= max_index,
     sorted by nondecreasing index, then by t, deg P and the coefficients
-    of P: each (P) x| t0Z of `split_subgroup_stream`, t0 the order of
-    P, at every multiple of t0."""
+    of P: each (P) x| t0Z of `split_subgroup_stream` with no shifts,
+    t0 the order of P, at every multiple of t0."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     subs = [
         N if t == N.t else FpSplitSubgroup(p, t, N.gen)
-        for N in split_subgroup_stream(p, max_index)
-        if N.t == 1 or N.gen.degree
+        for N in split_subgroup_stream(p, max_index, ())
         for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
     ]
     return sorted(subs, key=lambda N: N.listing_key)
@@ -968,7 +985,8 @@ def pair_split_subgroups_fp(p: int, a1: int, a2: int, max_index: int):
     - (D) x| t0(D)Z for every monic D | x^g - 1, g = gcd(a1, a2); its
       order t0(D) divides g, hence a1 - a2. When a1 = a2 = 0, g = 0 and
       D runs over every monic divisor of some x^t - 1;
-    - when a1 != a2, (1) x| tZ for the least t not dividing a1 - a2.
+    - when a1 != a2, (1) x| tZ for the least t not dividing a1 - a2,
+      the one shift of `first_unit_shifts((a1, a2))`.
 
     The arguments are checked at the call; the candidates are generated
     lazily, in index order, by `_fp_stream`."""
@@ -976,8 +994,8 @@ def pair_split_subgroups_fp(p: int, a1: int, a2: int, max_index: int):
         raise ValueError("p must be prime")
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    units = [next(t for t in itertools.count(2) if (a1 - a2) % t)] if a1 != a2 else []
-    return _fp_stream(p, math.gcd(a1, a2), max_index, iter(units))
+    units = iter(first_unit_shifts((a1, a2)))
+    return _fp_stream(p, math.gcd(a1, a2), max_index, units)
 
 
 def _fp_stream(p: int, g: int, max_index: int, units):
@@ -1257,32 +1275,35 @@ def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
     pivot lie below that column's pivot. So two tuples first differ
     where the lowest differing rows do, and compare as those rows do.
 
-    The list is each J x| t0Z of `split_subgroup_stream`, t0 the least
-    period of J, at every multiple of t0."""
+    The list is each J x| t0Z of `split_subgroup_stream` with no shifts,
+    t0 the least period of J, at every multiple of t0."""
     subs = [
         N if t == N.t else ZSplitSubgroup._from_basis(N.d, N.t0, N.basis, t)
-        for N in split_subgroup_stream(0, max_index)
-        if N.t == N.t0
+        for N in split_subgroup_stream(0, max_index, ())
         for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
     ]
     return sorted(subs, key=lambda N: N.listing_key)
 
 
-def _z_stream(max_index: int):
+def _z_stream(max_index: int, units):
     """The Z split subgroups of `split_subgroup_stream`, in the order of
     `enumerate_split_subgroups_z`, off one heap keyed by the
-    `listing_key` of the subgroup each entry builds.
+    `listing_key` of the subgroup each entry builds: every ideal J != Z
+    at its least period, and the unit ideal at t = 1 and at each t of
+    units, an increasing iterator of shifts above 1.
 
     Each ideal is built as a lattice in Hermite normal form, with t0 its
     least period and d its characteristic, and only if its co-index c is
     at most max_index // t0; the cost grows with the ideals returned,
     not with d^t0. It is filed once, at t0 * c, as (J, t0). For t0 = 1
     the ideals are the dZ: reading (dZ, 1) files ((d + 1)Z, 1), and
-    reading the unit ideal (Z, t) files (Z, t + 1). A quotient ring of
-    least period t0 > 1 holds 0 and t0 distinct powers of x, so its
-    order is at least t0 + 1: the lattices of period t0 are built when
-    the stream reaches index t0 (t0 + 1), the least they can have,
-    before anything there is read.
+    reading the unit ideal (Z, t) files (Z, t'), t' the next shift of
+    units. A quotient ring of least period t0 > 1 holds 0 and t0
+    distinct powers of x, so its order is at least t0 + 1: the lattices
+    of period t0 are built when the stream reaches index t0 (t0 + 1),
+    the least they can have, before anything there is read. The dZ run
+    to d = max_index, so the heap holds an entry of index at most
+    max_index until every lattice that fits is built.
     """
     heap = [(1, 1, 1, 1, ((1,),))]  # (index, d, t0, t, basis rows from the last up)
     t0 = 2
@@ -1294,8 +1315,8 @@ def _z_stream(max_index: int):
         index, d, s0, t, R = heapq.heappop(heap)
         if t == 1 and d < max_index:
             heapq.heappush(heap, (d + 1, d + 1, 1, 1, ((d + 1,),)))
-        if d == 1 and t < max_index:
-            heapq.heappush(heap, (t + 1, 1, 1, t + 1, R))
+        if d == 1 and (later := next(units, max_index + 1)) <= max_index:
+            heapq.heappush(heap, (later, 1, 1, later, R))
         yield ZSplitSubgroup._from_basis(d, s0, R[::-1], t)
 
 

@@ -1,14 +1,15 @@
-"""The benchmark script's sweep, Z-enumeration, F_p-depth and witness rows
-still run.
+"""The benchmark script's sweep, Z- and F_p-enumeration, F_p-depth and
+witness rows still run.
 
 `benchmarks/bench_depth.py` times `depth_sweep` by wrapping functions
-as `wreathconj.depth` binds them, looked up by name, calls
-`enumerate_split_subgroups_z` the same way, and reads the `fp_depth`
-pool of the benchmark, and counts the witness path's calls by wrapping
+as `wreathconj.depth` binds them, looked up by name, calls both
+enumerators the same way, and reads the `fp_depth` pool of the
+benchmark, and counts the witness path's calls by wrapping
 functions as `wreathconj.wreath` and `wreathconj.witness` bind them, so
 renaming one of them would break the script without failing any library
 test. This test loads the script and measures one small sweep, one
-small enumeration, the F_p depth rows and one witness group."""
+small enumeration of each kind, the F_p depth rows and one witness
+group."""
 
 import importlib.util
 from pathlib import Path
@@ -36,6 +37,12 @@ def test_measure_enum_z_runs():
     row = _bench().measure_enum_z(8, 1)
     assert row["section"] == "enum_z"
     assert row["subgroups"] == 23
+
+
+def test_measure_enum_fp_runs():
+    row = _bench().measure_enum_fp(2, 8, 1)
+    assert (row["section"], row["p"]) == ("enum_fp", 2)
+    assert row["subgroups"] == 13
 
 
 def test_measure_depth_fp_runs():

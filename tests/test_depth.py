@@ -140,7 +140,7 @@ def test_lamplighter_depth_reaches_upper_bound(p, i, q):
     assert describe_subgroup(res.subgroup) == f"F{p}: t={q}, gen={psi}"
 
 
-def _no_full_stream(ring, max_index):
+def _no_full_stream(ring, max_index, shifts):
     raise AssertionError("an F_p depth query read split_subgroup_stream")
 
 
@@ -225,9 +225,9 @@ def test_z_depth_is_the_first_separator_of_the_full_enumeration():
         24: "216c81a8578cc6ca64f8fac6470b8205c2c11700a3aa76aae57591f7446622cb",
         48: "dafe7b4b26f41e34dd8e52e0225c80219a4d6e57eec7575169708f0cc84a9619",
     }
-    rng = random.Random(0)
+    rng, unit_rng = random.Random(0), random.Random(1)
     deep = (sdep(0, 0, (0, 1), (-1, -1)), sdep(0, 0, (0, -1), (-1, 1)))  # depth 21
-    seen = set()
+    seen, units = set(), set()
     for budget in (18, 24, 48):
         full = enumerate_split_subgroups_z(budget)
         assert hashlib.sha256(repr(full).encode()).hexdigest() == frozen[budget], budget
@@ -239,6 +239,13 @@ def test_z_depth_is_the_first_separator_of_the_full_enumeration():
             delta = poly_sub(x_power(0, i, rng.choice([-2, -1, 1, 2])), x_power(0, j, 1))
             near = SemidirectElement(poly_add(s1.poly, delta), s1.shift)
             pairs += [(s1, rand_semidirect(rng, 0)), (s1, near)]
+        # unequal shifts, differences 1, 2, 6 and 12: with equal lamps
+        # only the unit ideal at the least shift not dividing the
+        # difference, 2, 3, 4 and 5, can separate them first
+        for d in (1, 2, 6, 12):
+            s1 = rand_semidirect(unit_rng, 0)
+            pairs += [(s1, SemidirectElement(s1.poly, s1.shift + d)),
+                      (s1, SemidirectElement(rand_semidirect(unit_rng, 0).poly, s1.shift - d))]
         for s1, s2 in pairs:
             if same_conjugacy_class(s1, s2) is not None:
                 continue
@@ -247,7 +254,10 @@ def test_z_depth_is_the_first_separator_of_the_full_enumeration():
             want = (first.index, first) if first else (EXCEEDS_BUDGET, None)
             assert (res.split_depth, res.subgroup) == want, (budget, s1, s2)
             seen.add((budget, res.found()))
+            if res.found() and res.subgroup.d == 1:
+                units.add((budget, res.subgroup.t, s1.poly == s2.poly))
     assert seen == {(b, found) for b in (18, 24, 48) for found in (True, False)}
+    assert {(b, t, True) for b in (18, 24, 48) for t in (2, 3, 4, 5)} <= units
 
 
 def test_lamplighter_conjugate_below_lower_bound():
@@ -585,7 +595,8 @@ def per_row_scan(ring, n_max, budget):
     split event and unsplit block scanned for a pair at every row."""
     classes = conjugacy_classes(ring, n_max)
     reps = [rep for _, rep, _ in classes]
-    events, unsplit = depth._split_events(reps, split_subgroup_stream(ring, budget))
+    stream = split_subgroup_stream(ring, budget, {rep.shift for rep in reps})
+    events, unsplit = depth._split_events(reps, stream)
     rows = []
     for n in range(1, n_max + 1):
         inside = [wl <= n for _, _, wl in classes]
@@ -632,13 +643,26 @@ def test_sweep_frozen_f2():
 
 
 def test_sweep_matches_direct_oracle():
-    # whole rows, the last three inputs with budgets that run out part-way
+    # whole rows against the full listing, every unit ideal and every
+    # ideal at every multiple of its period, scanned pair by pair: the
+    # sweep reads the unit ideal only at shifts that can first separate
+    # two of the ball's classes (2, 3, 4 and 5 from radius 6 on). Each
+    # ring at a budget that answers every row and at one that runs out
+    X = EXCEEDS_BUDGET
     cases = {
         (2, 4, 16): [3, 3, 4, 8],
         (0, 2, 8): [3, 3],
-        (2, 4, 4): [3, 3, 4, EXCEEDS_BUDGET],
-        (0, 3, 3): [3, 3, EXCEEDS_BUDGET],
-        (3, 3, 3): [3, 3, EXCEEDS_BUDGET],
+        (2, 4, 4): [3, 3, 4, X],
+        (0, 3, 3): [3, 3, X],
+        (3, 3, 3): [3, 3, X],
+        (2, 8, 256): [3, 3, 4, 8, 12, 32, 80, 80],
+        (2, 8, 64): [3, 3, 4, 8, 12, 32, X, X],
+        (3, 6, 729): [3, 3, 4, 27, 81, 108],
+        (3, 6, 81): [3, 3, 4, 27, 81, X],
+        (5, 5, 625): [5, 5, 5, 75, 75],
+        (5, 4, 25): [5, 5, 5, X],
+        (0, 5, 32): [3, 3, 4, 21, 21],
+        (0, 5, 16): [3, 3, 4, X, X],
     }
     for (ring, n_max, budget), depths in cases.items():
         rows = depth_sweep(ring, n_max, budget)
@@ -648,21 +672,36 @@ def test_sweep_matches_direct_oracle():
             assert got == direct_row_max(ring, row.n, budget), (ring, budget, row.n)
 
 
+@pytest.mark.parametrize("n_max, budget, count", [(8, 256, 14), (13, 2**16, 161)])
+def test_sweep_builds_few_unit_ideals(monkeypatch, n_max, budget, count):
+    # every subgroup an F2 sweep builds, counted at construction: the
+    # stream yields the unit ideal at t = 1 and at 2, 3, 4 and 5 only,
+    # the least shifts not dividing some difference of the ball's shifts
+    built = []
+    init = laurent.FpSplitSubgroup.__post_init__
+    monkeypatch.setattr(
+        laurent.FpSplitSubgroup, "__post_init__", lambda N: built.append(N) or init(N)
+    )
+    depth_sweep(2, n_max, budget)
+    assert len(built) == count
+    assert sorted(N.t for N in built if not N.gen.degree) == [1, 2, 3, 4, 5]
+
+
 @pytest.mark.parametrize("budget, isolated", [(16, True), (4, False)])
 def test_sweep_reads_the_stream_to_the_last_split(monkeypatch, budget, isolated):
     # the stream is read up to the subgroup that isolates the last class
     # and no further, or to its end when some classes stay together
     reads = []
 
-    def counted(ring, max_index):
-        for N in split_subgroup_stream(ring, max_index):
+    def counted(ring, max_index, shifts):
+        for N in split_subgroup_stream(ring, max_index, shifts):
             reads.append(N)
             yield N
 
     monkeypatch.setattr(depth, "split_subgroup_stream", counted)
     depth_sweep(2, 4, budget)
     reps = [rep for _, rep, _ in conjugacy_classes(2, 4)]
-    subs = least_periods(enumerate_split_subgroups_fp(2, budget))
+    subs = least_periods(enumerate_split_subgroups_fp(2, budget), range(-4, 5))
     assert reads == subs[: len(reads)]
 
     def apart(k):
@@ -764,7 +803,7 @@ def test_sweep_keys_reduce_no_ideal(monkeypatch, ring, n, budget, name):
     # J + (x^m - 1) to a smaller ideal: F_p keys take no gcd and Z keys
     # no Hermite form (the stream is built before the count starts)
     reps = [rep for _, rep, _ in conjugacy_classes(ring, n)]
-    subs = list(split_subgroup_stream(ring, budget))
+    subs = list(split_subgroup_stream(ring, budget, {rep.shift for rep in reps}))
     calls = []
     fn = getattr(laurent, name)
     monkeypatch.setattr(laurent, name, lambda *args: calls.append(args) or fn(*args))

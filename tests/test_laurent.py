@@ -19,6 +19,7 @@ from wreathconj.laurent import (
     conjugate_in_split_quotient,
     enumerate_split_subgroups_fp,
     enumerate_split_subgroups_z,
+    first_unit_shifts,
     format_laurent,
     format_semidirect,
     from_wreath,
@@ -965,27 +966,48 @@ def test_lattices_joined_only_when_kept(monkeypatch):
         assert len(joins) == sum(len(_prime_factors(_coindex(H))) - 1 for H in kept) == expected
 
 
-def least_periods(subs):
-    """The subgroups of a full listing that `split_subgroup_stream`
-    keeps: the unit ideal at every shift, and every other ideal J only at
+def least_periods(subs, shifts):
+    """The subgroups of a full listing that `split_subgroup_stream` keeps
+    for classes whose shifts lie in shifts: every ideal J != (1) only at
     its least period, the least s with x^s - 1 in J (by schoolbook
-    division over F_p, by membership over Z)."""
+    division over F_p, by membership over Z), and the unit ideal at t = 1
+    and at each t that is the least shift not dividing some nonzero
+    difference of two shifts."""
+    gaps = {a - b for a in shifts for b in shifts if a > b}
 
     def holds(N, s):
         if N.ring:
             return not divmod_oracle(xt_minus_1(N.ring, s), N.gen, N.ring)[1]
         return N.contains(xt_minus_1(0, s))
 
+    def first_unit(t):
+        return t == 1 or any(d % t and all(d % s == 0 for s in range(2, t)) for d in gaps)
+
     return [
         N for N in subs
-        if N.quotient_ring_order == 1 or next(s for s in range(1, N.t + 1) if holds(N, s)) == N.t
+        if (first_unit(N.t) if N.quotient_ring_order == 1
+            else next(s for s in range(1, N.t + 1) if holds(N, s)) == N.t)
     ]
+
+
+# shift sets a stream is asked to separate: none, one shift, differences
+# 12 (unit ideal at 5 only), 2 (at 3), 720720 = 2^4 3^2 5 7 11 13 (at
+# 17), and the shifts of a ball (at 2, 3, 4 and 5)
+SHIFT_SETS = [(), (3, 3), (0, 12), (-1, 1), (0, 720720), range(-6, 7)]
+
+
+def test_first_unit_shifts():
+    assert first_unit_shifts(()) == first_unit_shifts((3, 3)) == []
+    assert first_unit_shifts((0, 12)) == first_unit_shifts((12, 0)) == [5]
+    assert first_unit_shifts((5, -1, 1)) == [3, 4]
+    assert first_unit_shifts(range(-6, 7)) == [2, 3, 4, 5]
+    assert first_unit_shifts((0, 720720)) == [17]
 
 
 def test_stream_prefix_is_smaller_budget():
     # the budget-B stream is the full enumeration thinned to least
-    # periods, read to its end and cut at every index k; cut at k it is
-    # also the budget-k stream
+    # periods and first unit shifts, read to its end and cut at every
+    # index k; cut at k it is also the budget-k stream
     cases = [
         (0, 18, (1, 5, 6, 12, 17)),
         (0, 24, (2, 11, 20, 23)),
@@ -999,19 +1021,21 @@ def test_stream_prefix_is_smaller_budget():
             full = enumerate_split_subgroups_z(budget)
         else:
             full = enumerate_split_subgroups_fp(ring, budget)
-        thin = least_periods(full)
-        assert len(thin) < len(full)
-        assert list(split_subgroup_stream(ring, budget)) == thin
-        for k in cuts:
-            stream = split_subgroup_stream(ring, budget)
-            head = list(itertools.takewhile(lambda N: N.index <= k, stream))
-            assert head == [N for N in thin if N.index <= k], (ring, budget, k)
-            assert head == list(split_subgroup_stream(ring, k)), (ring, budget, k)
+        for shifts in SHIFT_SETS:
+            thin = least_periods(full, shifts)
+            assert len(thin) < len(full)
+            assert list(split_subgroup_stream(ring, budget, shifts)) == thin, (ring, shifts)
+            for k in cuts:
+                stream = split_subgroup_stream(ring, budget, shifts)
+                head = list(itertools.takewhile(lambda N: N.index <= k, stream))
+                assert head == [N for N in thin if N.index <= k], (ring, budget, k)
+                assert head == list(split_subgroup_stream(ring, k, shifts)), (ring, budget, k)
 
 
 def test_stream_builds_only_what_is_read(monkeypatch):
-    z5 = least_periods(enumerate_split_subgroups_z(5))
-    f8 = least_periods(enumerate_split_subgroups_fp(2, 8))
+    shifts = range(-6, 7)
+    z5 = least_periods(enumerate_split_subgroups_z(5), shifts)
+    f8 = least_periods(enumerate_split_subgroups_fp(2, 8), shifts)
     # Z: ideals of least period t0 >= 2 have index at least t0 (t0 + 1),
     # so through index 5 no lattice of period 2 or more is built
     periods = []
@@ -1019,7 +1043,7 @@ def test_stream_builds_only_what_is_read(monkeypatch):
     monkeypatch.setattr(
         laurent, "_lattices_of_period", lambda t0, bound: periods.append(t0) or lattices(t0, bound)
     )
-    stream = split_subgroup_stream(0, 18)
+    stream = split_subgroup_stream(0, 18, shifts)
     assert list(itertools.islice(stream, len(z5))) == z5
     assert periods == []
     assert next(stream).index == 6 and periods == [2]
@@ -1027,13 +1051,13 @@ def test_stream_builds_only_what_is_read(monkeypatch):
     built = []
     init = FpSplitSubgroup.__post_init__
     monkeypatch.setattr(FpSplitSubgroup, "__post_init__", lambda N: built.append(N.index) or init(N))
-    stream = split_subgroup_stream(2, 1024)
+    stream = split_subgroup_stream(2, 1024, shifts)
     assert list(itertools.islice(stream, len(f8))) == f8
     assert len(built) == len(f8) and max(built) == 8
     with pytest.raises(ValueError):
-        split_subgroup_stream(2, 0)
+        split_subgroup_stream(2, 0, shifts)
     with pytest.raises(ValueError):
-        split_subgroup_stream(4, 8)
+        split_subgroup_stream(4, 8, shifts)
 
 
 def test_streams_yield_each_subgroup_once_in_key_order():
@@ -1042,10 +1066,12 @@ def test_streams_yield_each_subgroup_once_in_key_order():
     # factor is split would show up as a repeated key
     for stream, count in (
         (enumerate_split_subgroups_fp(2, 4096), 8040),
-        (split_subgroup_stream(2, 4096), 4187),
+        (split_subgroup_stream(2, 4096, ()), 92),
+        (split_subgroup_stream(2, 4096, range(-12, 13)), 96),
         (pair_split_subgroups_fp(2, 0, 0, 2**20), 2485),
         (enumerate_split_subgroups_z(96), 894),
-        (split_subgroup_stream(0, 96), 431),
+        (split_subgroup_stream(0, 96, ()), 336),
+        (split_subgroup_stream(0, 96, range(-6, 7)), 340),
     ):
         keys = [N.listing_key for N in stream]
         assert all(a < b for a, b in zip(keys, keys[1:]))
