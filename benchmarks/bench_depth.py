@@ -20,7 +20,8 @@ budget, the rows' max depths, the median seconds over the runs of the
 whole sweep, of its classes, of its refinement and of reading its rows
 (`rows_seconds`; rows recorded before that column came in lack it),
 and the counts of one run. The first four are the sweeps of the
-benchmark's `sweep` workload.
+benchmark's `sweep` workload; the last, F2 n = 20 at 2^26, reads the
+F_p stream far enough to list orders of degree 26.
 
 Z-enumeration rows (marked "section": "enum_z"): for each budget the
 script times `enumerate_split_subgroups_z` in this process. Each row
@@ -37,8 +38,9 @@ answer lies at index 8 or below, at the pool's budget; each op's time is
 the median over the runs, and the row holds the median and the total
 over the ops. The "pair" rows run the pair (1 - x^-1, 0), (-1 + x^-1,
 0), whose depth is 21, at budgets 18 (the query reads every subgroup
-and exceeds the budget) and 24, and hold the ring, the depth and the
-median seconds over the runs.
+and exceeds the budget) and 24, and the pair of `family_zwrz(3)`
+(shifts 16), whose depth is 272, at budgets 300 and 1000; they hold
+the ring, the depth and the median seconds over the runs.
 
 F_p-depth rows (marked "section": "depth_fp"): the same over F_p. The
 "s8" row runs every op of the `fp_depth` pool
@@ -98,12 +100,13 @@ from wreathconj.abelian import parse_group  # noqa: E402
 PAIRS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]
 SWEEPS = [
     (2, 8, 256), (3, 5, 243), (5, 4, 125), (0, 3, 16), (2, 10, 2048), (3, 7, 2187), (0, 5, 32),
-    (2, 12, 4096),
+    (2, 12, 4096), (2, 20, 2**26),
 ]
 ENUM_BUDGETS = [8, 16, 18, 24, 32, 48, 96, 256]
 ENUM_FP = [(2, 4096), (3, 2187)]
 DEEP_PAIR = ("(1 - x^-1, 0)", "(-1 + x^-1, 0)")
 DEEP_BUDGETS = [18, 24]
+ZWRZ_BUDGETS = [300, 1000]  # for the pair of family_zwrz(3)
 # (ring, pair, budget) of the F_p depth rows: large shifts, then both shifts 0
 SHIFT_FP = [
     (2, ("(1 + x, 10000019)", "(x, 10000019)"), 10**9),
@@ -438,6 +441,8 @@ def main() -> None:
     results += [measure_enum_z(budget, args.runs) for budget in ENUM_BUDGETS]
     results.append(measure_depth_pool("z_depth", args.runs))
     results += [measure_depth_pair(0, DEEP_PAIR, budget, args.runs) for budget in DEEP_BUDGETS]
+    zwrz = tuple(laurent.format_semidirect(s) for s in depth.family_zwrz(3).semidirect())
+    results += [measure_depth_pair(0, zwrz, budget, args.runs) for budget in ZWRZ_BUDGETS]
     results.append(measure_depth_pool("fp_depth", args.runs))
     results += [measure_depth_pair(ring, pair, budget, args.runs) for ring, pair, budget in SHIFT_FP]
     results += [measure_witness(text, args.runs) for text in WITNESS_GROUPS]

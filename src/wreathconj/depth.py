@@ -33,7 +33,6 @@ from .laurent import (
     format_semidirect,
     from_wreath,
     is_prime,
-    pair_split_subgroups_fp,
     poly_add,
     poly_sub,
     primitive_root_primes,
@@ -199,27 +198,23 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     subgroup) is what the answer means, so same-index ties are
     harmless.
 
-    Over F_p only the candidates of `pair_split_subgroups_fp` are
-    tested: (D) x| t0(D)Z for the monic D | x^g - 1, g = gcd(a1, a2),
-    whose order t0(D) divides g and so a1 - a2, and, if a1 != a2,
-    (1) x| tZ for the least t not dividing a1 - a2. They are generated
-    lazily in index order: Phi_e is split only when the stream reaches
-    e * p^ord_e(p), the least index of a divisor holding one of its
-    factors, so the query factors x^g - 1 only as far as its answer.
-    The first separator is the one the full enumeration finds. A subgroup
-    (J) x| tZ with t not dividing a1 - a2 has index at least that least
-    t. One with t | a1 - a2 tests membership in J' = J + (x^(a1 mod t) - 1),
-    which contains x^gcd(a1, t) - 1 and hence x^g - 1; (J') x| t0(J')Z
-    gives the same test at no larger index, and at equal index it is the
-    same subgroup. With both shifts 0, g = 0 and every D is a candidate:
-    the test at (J, t) asks whether P2 lies in x^m P1 + J for some m,
-    which does not depend on t, and (J) x| t0(J)Z is the least-index
-    subgroup giving it. Over Z the candidates are those of
-    `split_subgroup_stream` for the shifts (a1, a2): each ideal J at its
-    least period t0(J), and the unit ideal at t = 1 and, if a1 != a2, at
-    the least t not dividing a1 - a2, the one candidate rule shared with
-    F_p. They hold the first separator of the full enumeration; the
-    stream builds only what is read."""
+    The candidates are those of `split_subgroup_stream` for the shifts
+    (a1, a2) and g = gcd(a1, a2), over F_p and Z alike: each ideal J
+    whose least period t0(J) divides g (every J when both shifts are 0),
+    at t0(J), and the unit ideal at t = 1 and, if a1 != a2, at the least
+    t not dividing a1 - a2. They hold the first separator of the full
+    enumeration. A subgroup J x| tZ with t not dividing a1 - a2 has
+    index at least that least t. One with t | a1 - a2 tests membership
+    in J' = J + (x^(a1 mod t) - 1), which holds x^t - 1 and so
+    x^gcd(a1, t) - 1; gcd(a1, t) divides a2 too, so t0(J') | g, and
+    J' x| t0(J')Z gives the same test at no larger index, the same
+    subgroup at equal index. The argument uses only that R[x] is
+    commutative. Over F_p the J are the (D), D | x^g - 1 (every monic D
+    with D(0) != 0 when g = 0). The stream builds only what is read:
+    over F_p, Phi_e is split only when it reaches e * p^ord_e(p), the
+    least index of a divisor holding one of its factors, so the query
+    factors x^g - 1 only as far as its answer; over Z, the lattices of
+    period t0 | g are built only when it reaches t0 (t0 + 1)."""
     if budget < 1:
         raise ValueError("budget must be positive")
     s1, s2 = _as_semidirect(g1), _as_semidirect(g2)
@@ -227,12 +222,8 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
         raise ValueError("elements must share a ring")
     if same_conjugacy_class(s1, s2) is not None:
         raise ValueError("inputs are conjugate; depth undefined")
-    ring = s1.poly.ring
-    if ring:
-        candidates = pair_split_subgroups_fp(ring, s1.shift, s2.shift, budget)
-    else:
-        candidates = split_subgroup_stream(ring, budget, (s1.shift, s2.shift))
-    for N in candidates:
+    shifts = (s1.shift, s2.shift)
+    for N in split_subgroup_stream(s1.poly.ring, budget, shifts, math.gcd(*shifts)):
         if not conjugate_in_split_quotient(s1, s2, N):
             return DepthResult((s1, s2), N.index, N)
     return DepthResult((s1, s2), EXCEEDS_BUDGET, None)
@@ -457,8 +448,8 @@ def depth_sweep(
 ) -> list:
     """Max split depth over all nonconjugate class pairs in Ball(n) for
     each n up to n_max. The classes of Ball(n_max) are refined along the
-    subgroups of `split_subgroup_stream` for their shifts, in index
-    order, until every pair is separated or the budget is spent. That
+    subgroups of `split_subgroup_stream` for their shifts and g = 0, in
+    index order, until every pair is separated or the budget is spent. That
     stream holds each ideal only at its least period, and the unit ideal
     only at t = 1 and at the least t not dividing each difference of two
     of the ball's shifts; no other subgroup is the first to separate a
@@ -484,7 +475,7 @@ def depth_sweep(
     classes = conjugacy_classes(ring, n_max)
     reps = [rep for _, rep, _ in classes]
     wls = [wl for _, _, wl in classes]
-    stream = split_subgroup_stream(ring, budget, {rep.shift for rep in reps})
+    stream = split_subgroup_stream(ring, budget, {rep.shift for rep in reps}, 0)
     events, unsplit = _split_events(reps, stream)
     events = [(_reach(parts, wls), N, parts) for N, parts in events]
     unsplit = [(_reach(parts, wls), parts) for parts in ([[i] for i in b] for b in unsplit)]

@@ -836,84 +836,75 @@ def first_unit_shifts(shifts) -> list[int]:
     return sorted({next(t for t in itertools.count(2) if d % t) for d in gaps})
 
 
-def split_subgroup_stream(ring: int, max_index: int, shifts):
+def split_subgroup_stream(ring: int, max_index: int, shifts, g: int):
     """The split subgroups of index <= max_index over F_p (ring p) or Z
     (ring 0) that can be the first to separate two classes whose shifts
     lie in shifts, in the order `enumerate_split_subgroups_fp` and
     `enumerate_split_subgroups_z` list them, each built only when read:
-    every ideal J != (1) once, as J x| t0Z with t0 its least period, and
-    the unit ideal (1) x| tZ at t = 1 and at each t of
-    `first_unit_shifts(shifts)`. With shifts empty, the unit ideal comes
-    at t = 1 only.
+    every ideal J != (1) whose least period t0 divides g (every J when
+    g = 0) once, as J x| t0Z, and the unit ideal (1) x| tZ at t = 1 and
+    at each t of `first_unit_shifts(shifts)`. For one pair of shifts a1,
+    a2, g is gcd(a1, a2); for classes of several shifts, 0.
 
     No other subgroup of the listing is the first to separate such a
-    pair. For t a multiple of t0, J holds x^t0 - 1, so J + (x^m - 1) is
-    J + (x^gcd(m, t0) - 1): the class key at J x| tZ is the shift mod t,
-    which (1) x| tZ reads, with the rest of the key at J x| t0Z. For
-    t > t0 both of those have smaller index. A unit ideal that separates
-    a pair has a t not dividing the difference of its shifts, so the one
-    at the least such t, of index at most t, separates it too: only that
-    one can be the first.
+    pair. The test at J x| tZ reads the shifts mod t and
+    J' = J + (x^(a1 mod t) - 1). If t divides a1 - a2, J' holds
+    x^t - 1 and so x^gcd(a1, t) - 1, and gcd(a1, t) divides a2, hence
+    g: so t0(J') divides g and t, and J' x| t0(J')Z, of no larger index,
+    gives the same test (with a1 = a2 = 0, J' = J). This uses only that
+    R[x] is commutative, so it holds over Z and F_p alike. Otherwise the
+    shifts alone separate, and a unit ideal does so exactly at the t not
+    dividing a1 - a2; the one at the least such t, of index at most t,
+    separates the pair too, so only that one can be the first.
 
     The subgroups wait on one heap, keyed in the order of the listing,
     and reading one files those that follow it. New ideals are generated
     only when the stream reaches a lower bound on their index, so every
     entry filed lies above each index read, and the heap yields the
     listing's order. Reading a unit ideal files the one at the next
-    shift. Over F_p the ideals are the (D), D monic with D(0) != 0, of
-    `_fp_stream` with g = 0."""
+    shift."""
     if max_index < 1:
         raise ValueError("max_index must be positive")
     _check_ring(ring)
     units = iter(first_unit_shifts(shifts))
-    return _fp_stream(ring, 0, max_index, units) if ring else _z_stream(max_index, units)
+    return _fp_stream(ring, g, max_index, units) if ring else _z_stream(g, max_index, units)
 
 
 def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup]:
     """Every (t, monic P | x^t - 1, P(0) != 0) with t * p^deg P <= max_index,
     sorted by nondecreasing index, then by t, deg P and the coefficients
-    of P: each (P) x| t0Z of `split_subgroup_stream` with no shifts,
-    t0 the order of P, at every multiple of t0."""
+    of P: each (P) x| t0Z of `split_subgroup_stream` with no shifts and
+    g = 0, t0 the order of P, at every multiple of t0."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     subs = [
         N if t == N.t else FpSplitSubgroup(p, t, N.gen)
-        for N in split_subgroup_stream(p, max_index, ())
+        for N in split_subgroup_stream(p, max_index, (), 0)
         for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
     ]
     return sorted(subs, key=lambda N: N.listing_key)
-
-
-def _factor_degree(p: int, e: int, max_index: int) -> int:
-    """ord_e(p), the degree of the irreducible factors of Phi_e over F_p
-    (Lidl and Niederreiter, Finite Fields, 2.47), or 0 when p divides e
-    or e * p^ord_e(p) exceeds max_index: the count gives up there."""
-    if e % p == 0 or e * p > max_index:
-        return 0
-    deg, power = 1, p % e
-    while power != 1 % e and e * p ** (deg + 1) <= max_index:
-        deg, power = deg + 1, power * p % e
-    return deg if power == 1 % e else 0
-
-
-def _irreducibles_of_order(p: int, e: int, max_index: int) -> list[list]:
-    """Every monic irreducible f != x over F_p of order e with
-    e * p^deg f <= max_index: the irreducible factors of Phi_e, all of
-    degree ord_e(p), or none when that degree does not fit."""
-    deg = _factor_degree(p, e, max_index)
-    return _cyclotomic_factors(p, e, deg) if deg else []
 
 
 # ---------------------------------------------------------------------------
 # the F_p split subgroups: divisors of x^g - 1, or of every x^t - 1
 
 
-def _ord_mod(p: int, e: int) -> int:
-    """The multiplicative order of p mod e, for p prime to e."""
-    k, power = 1, p % e
-    while power != 1 % e:
-        k, power = k + 1, power * p % e
-    return k
+def _orders(p: int, n: int, d: int, bound: int) -> list[int]:
+    """The orders e <= bound, ascending, of the irreducible factors of
+    degree d of x^n - 1 over F_p, or of any x^t - 1 when n = 0.
+
+    A monic irreducible f != x of order e divides x^n - 1 exactly when e
+    divides n (Lidl and Niederreiter, Finite Fields, 3.6); it is a factor
+    of Phi_e, of degree ord_e(p) (ibid., 2.47). ord_e(p) = d exactly
+    when e divides p^d - 1 and no p^(d/r) - 1, r a prime factor of d.
+    As p^d - 1 is prime to p, the e are the divisors of gcd(n, p^d - 1)
+    that divide no p^(d/r) - 1."""
+    m = math.gcd(n, p**d - 1)
+    if m == 1:
+        # only e = 1, of degree 1: the usual case for a pair, kept cheap
+        return [1] if d == 1 and bound >= 1 else []
+    lower = [p ** (d // r) - 1 for r in _prime_factors(d)]
+    return sorted(e for e in _divisors(m, bound) if e <= bound and all(q % e for q in lower))
 
 
 def _split_equal_degree(f, d: int, p: int, rng) -> list:
@@ -978,26 +969,6 @@ def _cyclotomic_factors(p: int, e: int, deg: int) -> list:
     return factors
 
 
-def pair_split_subgroups_fp(p: int, a1: int, a2: int, max_index: int):
-    """The split subgroups of index <= max_index that can be the least
-    separator of a pair over F_p with shifts a1, a2, yielded in the order
-    `enumerate_split_subgroups_fp` lists them, each built only when read:
-    - (D) x| t0(D)Z for every monic D | x^g - 1, g = gcd(a1, a2); its
-      order t0(D) divides g, hence a1 - a2. When a1 = a2 = 0, g = 0 and
-      D runs over every monic divisor of some x^t - 1;
-    - when a1 != a2, (1) x| tZ for the least t not dividing a1 - a2,
-      the one shift of `first_unit_shifts((a1, a2))`.
-
-    The arguments are checked at the call; the candidates are generated
-    lazily, in index order, by `_fp_stream`."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if max_index < 1:
-        raise ValueError("max_index must be positive")
-    units = iter(first_unit_shifts((a1, a2)))
-    return _fp_stream(p, math.gcd(a1, a2), max_index, units)
-
-
 def _fp_stream(p: int, g: int, max_index: int, units):
     """(D) x| tZ of index <= max_index for the monic D | x^g - 1, or
     every monic D with D(0) != 0 when g = 0, in the order of
@@ -1011,11 +982,12 @@ def _fp_stream(p: int, g: int, max_index: int, units):
     degree ord_e(p), all of order e (Lidl and Niederreiter, Finite
     Fields, 2.47). The order of D = prod f^k, f of order e, is the lcm
     of the e times the least power of p that is at least every k (ibid.,
-    3.8), so a divisor holding a factor of order e has index at least
-    L(e) = e * p^ord_e(p). The orders e are the divisors of g', or every
-    e when g = 0; as L(e) > e, an order is looked at only once the
-    stream passes it, and Phi_e is split only when the stream reaches
-    L(e), before anything of index L(e) or more is read.
+    3.8), so a divisor holding a factor of order e and degree d has
+    index at least L(e) = e * p^d. The orders are listed by degree, by
+    `_orders`: those of degree d once the stream reaches p^d, a lower
+    bound on their L(e), and for g != 0 no further than ord_g'(p). Phi_e
+    is split only when the stream reaches L(e), before anything of index
+    L(e) or more is read.
 
     The subgroups wait on one heap, keyed by (index, t, deg D, the
     coefficients of D), the order of the enumeration. The factors are
@@ -1027,17 +999,16 @@ def _fp_stream(p: int, g: int, max_index: int, units):
     is built once, when both its parent is read and its last factor is
     split, and its index is above all read so far. Reading (1) x| tZ
     files (1) x| t'Z, t' the next shift of units."""
-    top = max_index // p  # L(e) >= e * p, so no order past top fits
     if g:
-        cap, g1 = 1, g
-        while g1 % p == 0:
-            cap, g1 = cap * p, g1 // p
-        orders = iter(sorted(_divisors(g1, top)))
+        cap = 1
+        while g % (cap * p) == 0:
+            cap *= p
     else:
         # f^k has index at least p^k > k, so the budget alone caps k
-        cap, orders = max_index, iter(range(1, top + 1))
-    e = next(orders, None)
-    splits: list = []  # heap of (L(e), e) for the orders looked at, not yet split
+        cap = max_index
+    d = 1  # the least degree whose orders are not listed yet
+    listed = False  # whether no degree from d on holds an order
+    splits: list = []  # heap of (L(e), e, degree) for the orders listed, not yet split
     factors: list = []  # (e, dense f) for the factors split so far, in split order
     read: list = []  # the divisors read so far
     # (index, t, deg D, coefficients of D, divisor); a divisor is (lcm of
@@ -1066,15 +1037,17 @@ def _fp_stream(p: int, g: int, max_index: int, units):
     file(1, (1, 1, 0, 0, [1]))
     while True:
         k = heap[0][0] if heap else max_index + 1
-        while e is not None and e < min(k, splits[0][0] if splits else k):
-            deg = _factor_degree(p, e, max_index)
-            if deg:
-                heapq.heappush(splits, (e * p**deg, e))
-            e = next(orders, None)
+        while not listed and p**d <= min(k, splits[0][0] if splits else k):
+            for e in _orders(p, g, d, max_index // p**d):
+                heapq.heappush(splits, (e * p**d, e, d))
+            # the orders divide g' = g / cap, so their degrees divide
+            # ord_g'(p), the least d with g' | p^d - 1
+            listed = bool(g) and (p**d - 1) % (g // cap) == 0
+            d += 1
         if splits and splits[0][0] <= k:
-            order = heapq.heappop(splits)[1]
+            _, order, deg = heapq.heappop(splits)
             first = len(factors)
-            factors += [(order, f) for f in _irreducibles_of_order(p, order, max_index)]
+            factors += [(order, f) for f in _cyclotomic_factors(p, order, deg)]
             for div in read:
                 grow(div, first)
             continue
@@ -1211,14 +1184,15 @@ def _p_lattices(p: int, t0: int, bound: int) -> list[tuple]:
     Z^t0 / L is a module over Z[x]/(x^t0 - 1) of order p^k. Its
     composition series has simple factors F_p[x]/(g), g an irreducible
     factor of x^t0 - 1 over F_p, so L is reached from Z^t0 by the steps
-    of `_simple_steps`, never past the bound. x^t0 - 1 = (x^t1 - 1)^(p^a),
-    t1 prime to p, so the g are the factors of order e | t1 with
-    p^deg g <= bound."""
-    t1 = t0
-    while t1 % p == 0:
-        t1 //= p
-    orders = [e for e in range(1, t1 + 1) if t1 % e == 0]
-    factors = sorted((f for e in orders for f in _irreducibles_of_order(p, e, e * bound)), key=len)
+    of `_simple_steps`, never past the bound. The g are the factors of
+    degree d with p^d <= bound, listed by degree, of the orders
+    `_orders` gives."""
+    factors = [
+        f
+        for d in itertools.takewhile(lambda d: p**d <= bound, itertools.count(1))
+        for e in _orders(p, t0, d, t0)
+        for f in _cyclotomic_factors(p, e, d)
+    ]
     root = tuple(tuple(int(i == j) for j in range(t0)) for i in range(t0))
     found = {root: 1}
     queue = [root]
@@ -1275,22 +1249,23 @@ def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
     pivot lie below that column's pivot. So two tuples first differ
     where the lowest differing rows do, and compare as those rows do.
 
-    The list is each J x| t0Z of `split_subgroup_stream` with no shifts,
-    t0 the least period of J, at every multiple of t0."""
+    The list is each J x| t0Z of `split_subgroup_stream` with no shifts
+    and g = 0, t0 the least period of J, at every multiple of t0."""
     subs = [
         N if t == N.t else ZSplitSubgroup._from_basis(N.d, N.t0, N.basis, t)
-        for N in split_subgroup_stream(0, max_index, ())
+        for N in split_subgroup_stream(0, max_index, (), 0)
         for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
     ]
     return sorted(subs, key=lambda N: N.listing_key)
 
 
-def _z_stream(max_index: int, units):
+def _z_stream(g: int, max_index: int, units):
     """The Z split subgroups of `split_subgroup_stream`, in the order of
     `enumerate_split_subgroups_z`, off one heap keyed by the
     `listing_key` of the subgroup each entry builds: every ideal J != Z
-    at its least period, and the unit ideal at t = 1 and at each t of
-    units, an increasing iterator of shifts above 1.
+    at its least period t0, if t0 divides g (every J when g = 0), and
+    the unit ideal at t = 1 and at each t of units, an increasing
+    iterator of shifts above 1.
 
     Each ideal is built as a lattice in Hermite normal form, with t0 its
     least period and d its characteristic, and only if its co-index c is
@@ -1300,17 +1275,18 @@ def _z_stream(max_index: int, units):
     reading the unit ideal (Z, t) files (Z, t'), t' the next shift of
     units. A quotient ring of least period t0 > 1 holds 0 and t0
     distinct powers of x, so its order is at least t0 + 1: the lattices
-    of period t0 are built when the stream reaches index t0 (t0 + 1),
-    the least they can have, before anything there is read. The dZ run
-    to d = max_index, so the heap holds an entry of index at most
-    max_index until every lattice that fits is built.
+    of period t0 are built, for t0 | g only, when the stream reaches
+    index t0 (t0 + 1), the least they can have, before anything there is
+    read. The dZ run to d = max_index, so the heap holds an entry of
+    index at most max_index until every lattice that fits is built.
     """
     heap = [(1, 1, 1, 1, ((1,),))]  # (index, d, t0, t, basis rows from the last up)
     t0 = 2
     while heap:
         while t0 * (t0 + 1) <= heap[0][0]:
-            for H in _lattices_of_period(t0, max_index // t0):
-                heapq.heappush(heap, (t0 * _coindex(H), H[-1][-1], t0, t0, H[::-1]))
+            if g % t0 == 0:
+                for H in _lattices_of_period(t0, max_index // t0):
+                    heapq.heappush(heap, (t0 * _coindex(H), H[-1][-1], t0, t0, H[::-1]))
             t0 += 1
         index, d, s0, t, R = heapq.heappop(heap)
         if t == 1 and d < max_index:
@@ -1456,7 +1432,7 @@ def primitive_root_primes(p: int, count: int) -> list[int]:
     q = p
     while len(out) < count:
         q += 1
-        if is_prime(q) and _ord_mod(p, q) == q - 1:
+        if is_prime(q) and all(pow(p, (q - 1) // r, q) != 1 for r in _prime_factors(q - 1)):
             if not is_irreducible_fp(psi_poly(q, p)):
                 raise ContractError(f"1 + x + ... + x^{q - 1} is reducible over F{p}")
             out.append(q)

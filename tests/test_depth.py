@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -140,15 +141,18 @@ def test_lamplighter_depth_reaches_upper_bound(p, i, q):
     assert describe_subgroup(res.subgroup) == f"F{p}: t={q}, gen={psi}"
 
 
-def _no_full_stream(ring, max_index, shifts):
-    raise AssertionError("an F_p depth query read split_subgroup_stream")
-
-
 def test_pair_aware_depth_against_full_enumeration(monkeypatch):
     # split_conjugacy_depth tests only the divisors of x^g - 1 (and one
     # shift-only quotient), every divisor when both shifts are 0; the
     # answer and the subgroup must be the first separator in the full
-    # enumeration's order, and no F_p query reads the full stream
+    # enumeration's order, and every F_p query reads the stream once,
+    # with g = gcd(a1, a2)
+    reads = []
+
+    def recorded(ring, max_index, shifts, g):
+        reads.append((tuple(shifts), g))
+        return split_subgroup_stream(ring, max_index, shifts, g)
+
     def rand_poly(rng, p):
         P = zero_poly(p)
         for _ in range(rng.randint(0, 6)):
@@ -195,9 +199,11 @@ def test_pair_aware_depth_against_full_enumeration(monkeypatch):
             if same_conjugacy_class(s1, s2) is not None:
                 continue
             first = next((N for N in full if not conjugate_in_split_quotient(s1, s2, N)), None)
+            reads.clear()
             with monkeypatch.context() as m:
-                m.setattr(depth, "split_subgroup_stream", _no_full_stream)
+                m.setattr(depth, "split_subgroup_stream", recorded)
                 res = split_conjugacy_depth(s1, s2, budget)
+            assert reads == [((s1.shift, s2.shift), math.gcd(s1.shift, s2.shift))]
             if first is None:
                 assert res.split_depth == EXCEEDS_BUDGET and res.subgroup is None
             else:
@@ -214,8 +220,20 @@ def test_pair_aware_depth_against_full_enumeration(monkeypatch):
     assert (2, 7, 3) in found
 
 
-def test_z_depth_is_the_first_separator_of_the_full_enumeration():
-    # a Z query reads only the least-period stream; its answer and
+def _record_periods(monkeypatch) -> list:
+    """The periods t0 that `_lattices_of_period` is called for, in call
+    order, from now on."""
+    periods = []
+    lattices = laurent._lattices_of_period
+    monkeypatch.setattr(
+        laurent, "_lattices_of_period", lambda t0, bound: periods.append(t0) or lattices(t0, bound)
+    )
+    return periods
+
+
+def test_z_depth_is_the_first_separator_of_the_full_enumeration(monkeypatch):
+    # a Z query reads only the least-period stream for g = gcd(a1, a2),
+    # building lattices of period t0 only for t0 | g; its answer and
     # subgroup must be the first separator in the full enumeration, and
     # an exhausting query must exhaust it. The enumeration is derived
     # from that stream, so it is pinned by the SHA-256 of its listing as
@@ -225,9 +243,10 @@ def test_z_depth_is_the_first_separator_of_the_full_enumeration():
         24: "216c81a8578cc6ca64f8fac6470b8205c2c11700a3aa76aae57591f7446622cb",
         48: "dafe7b4b26f41e34dd8e52e0225c80219a4d6e57eec7575169708f0cc84a9619",
     }
-    rng, unit_rng = random.Random(0), random.Random(1)
+    rng, unit_rng, gcd_rng = random.Random(0), random.Random(1), random.Random(2)
     deep = (sdep(0, 0, (0, 1), (-1, -1)), sdep(0, 0, (0, -1), (-1, 1)))  # depth 21
-    seen, units = set(), set()
+    seen, units, built = set(), set(), set()
+    periods = _record_periods(monkeypatch)
     for budget in (18, 24, 48):
         full = enumerate_split_subgroups_z(budget)
         assert hashlib.sha256(repr(full).encode()).hexdigest() == frozen[budget], budget
@@ -246,11 +265,26 @@ def test_z_depth_is_the_first_separator_of_the_full_enumeration():
             s1 = rand_semidirect(unit_rng, 0)
             pairs += [(s1, SemidirectElement(s1.poly, s1.shift + d)),
                       (s1, SemidirectElement(rand_semidirect(unit_rng, 0).poly, s1.shift - d))]
+        # equal nonzero shifts, and unequal shifts of gcd 2, 3, 4 and 6,
+        # each with lamps at random and with lamps that differ by
+        # c x^i - x^j only
+        for a1, a2 in ((1, 1), (-2, -2), (3, 3), (4, 4), (6, 6),
+                       (2, 4), (-2, 6), (3, -6), (9, 3), (4, -4), (8, 4), (6, -6), (12, 6)):
+            P = rand_semidirect(gcd_rng, 0).poly
+            i, j = gcd_rng.sample(range(-3, 4), 2)
+            delta = poly_sub(x_power(0, i, gcd_rng.choice([-2, -1, 1, 2])), x_power(0, j, 1))
+            s1 = SemidirectElement(P, a1)
+            pairs += [(s1, SemidirectElement(rand_semidirect(gcd_rng, 0).poly, a2)),
+                      (s1, SemidirectElement(poly_add(P, delta), a2))]
         for s1, s2 in pairs:
             if same_conjugacy_class(s1, s2) is not None:
                 continue
             first = next((N for N in full if not conjugate_in_split_quotient(s1, s2, N)), None)
+            periods.clear()
             res = split_conjugacy_depth(s1, s2, budget)
+            g = math.gcd(s1.shift, s2.shift)
+            assert all(g % t0 == 0 for t0 in periods), (g, periods)
+            built |= {(g, t0) for t0 in periods}
             want = (first.index, first) if first else (EXCEEDS_BUDGET, None)
             assert (res.split_depth, res.subgroup) == want, (budget, s1, s2)
             seen.add((budget, res.found()))
@@ -258,6 +292,11 @@ def test_z_depth_is_the_first_separator_of_the_full_enumeration():
                 units.add((budget, res.subgroup.t, s1.poly == s2.poly))
     assert seen == {(b, found) for b in (18, 24, 48) for found in (True, False)}
     assert {(b, t, True) for b in (18, 24, 48) for t in (2, 3, 4, 5)} <= units
+    # lattices of every period the queries reached for g = 0; for g != 0,
+    # only the divisors of g
+    assert {(g, t0) for g, t0 in built} == {
+        (0, 2), (0, 3), (0, 4), (2, 2), (3, 3), (4, 2), (4, 4), (5, 5), (6, 2), (6, 3)
+    }
 
 
 def test_lamplighter_conjugate_below_lower_bound():
@@ -309,6 +348,16 @@ def test_zwrz_depth_q3_exact():
     # index-6 quotient above is a genuine separator, so the bound's
     # instance at q=3 is simply false
     assert res.split_depth < pair.paper_lower
+
+
+def test_zwrz_depth_q5_at_300(monkeypatch):
+    # shifts 16 and 16: only lattices of period 2, 4, 8 and 16 are built,
+    # and the first separator has period 16 and co-index 17
+    periods = _record_periods(monkeypatch)
+    res = family_depth(family_zwrz(3), budget=300)
+    assert res.split_depth == 272
+    assert describe_subgroup(res.subgroup) == "Z: d=17, t0=16, |V|=2862423051509815793, t=16"
+    assert set(periods) == {2, 4, 8, 16}
 
 
 def test_zwrz_conjugate_below_six():
@@ -595,7 +644,7 @@ def per_row_scan(ring, n_max, budget):
     split event and unsplit block scanned for a pair at every row."""
     classes = conjugacy_classes(ring, n_max)
     reps = [rep for _, rep, _ in classes]
-    stream = split_subgroup_stream(ring, budget, {rep.shift for rep in reps})
+    stream = split_subgroup_stream(ring, budget, {rep.shift for rep in reps}, 0)
     events, unsplit = depth._split_events(reps, stream)
     rows = []
     for n in range(1, n_max + 1):
@@ -693,8 +742,8 @@ def test_sweep_reads_the_stream_to_the_last_split(monkeypatch, budget, isolated)
     # and no further, or to its end when some classes stay together
     reads = []
 
-    def counted(ring, max_index, shifts):
-        for N in split_subgroup_stream(ring, max_index, shifts):
+    def counted(ring, max_index, shifts, g):
+        for N in split_subgroup_stream(ring, max_index, shifts, g):
             reads.append(N)
             yield N
 
@@ -803,7 +852,7 @@ def test_sweep_keys_reduce_no_ideal(monkeypatch, ring, n, budget, name):
     # J + (x^m - 1) to a smaller ideal: F_p keys take no gcd and Z keys
     # no Hermite form (the stream is built before the count starts)
     reps = [rep for _, rep, _ in conjugacy_classes(ring, n)]
-    subs = list(split_subgroup_stream(ring, budget, {rep.shift for rep in reps}))
+    subs = list(split_subgroup_stream(ring, budget, {rep.shift for rep in reps}, 0))
     calls = []
     fn = getattr(laurent, name)
     monkeypatch.setattr(laurent, name, lambda *args: calls.append(args) or fn(*args))

@@ -28,7 +28,6 @@ from wreathconj.laurent import (
     is_prime,
     mod_ideal_reduce,
     one_poly,
-    pair_split_subgroups_fp,
     parse_laurent,
     parse_ring,
     parse_semidirect,
@@ -56,12 +55,13 @@ from wreathconj.laurent import (
 from wreathconj.laurent import (
     _coindex,
     _crt_join,
+    _cyclotomic_factors,
     _dirreducible,
     _divisors,
     _laurent_div,
     _dpow_x,
     _elements,
-    _irreducibles_of_order,
+    _orders,
     _prime_factors,
     _rotate,
 )
@@ -461,6 +461,42 @@ def test_divisors_up_to_bound():
     assert sorted(_divisors(6 * (2**61 - 1), 100)) == [1, 2, 3, 6]
 
 
+def _factor_degree(p, e, max_index):
+    """The order scan `_orders` replaces: ord_e(p), the degree of the
+    irreducible factors of Phi_e over F_p, or 0 when p divides e or
+    e * p^ord_e(p) exceeds max_index."""
+    if e % p == 0 or e * p > max_index:
+        return 0
+    deg, power = 1, p % e
+    while power != 1 % e and e * p ** (deg + 1) <= max_index:
+        deg, power = deg + 1, power * p % e
+    return deg if power == 1 % e else 0
+
+
+def test_orders_match_the_degree_scan():
+    # the (order, degree) pairs of the factors of x^n - 1 (of every
+    # x^t - 1 when n = 0) that fit budget K: scanned order by order up to
+    # K // p, as the stream once did, and listed by degree by `_orders`
+    for p in (2, 3, 5, 7):
+        for K in (1, p, 10, 100, 1000, 4096, 3**9, 12345, 10**5):
+            degrees = list(itertools.takewhile(lambda d: p**d <= K, itertools.count(1)))
+            for n in range(61):
+                n1 = _p_free(n, p)[0] if n else 0
+                scanned = range(1, (min(n1, K // p) if n else K // p) + 1)
+                old = [(e, d) for e in scanned if (not n1 or n1 % e == 0)
+                       and (d := _factor_degree(p, e, K))]
+                new = [(e, d) for d in degrees for e in _orders(p, n, d, K // p**d)]
+                assert sorted(new) == old, (p, K, n)
+                assert all(e * p**d <= K for e, d in new)
+
+
+def _irreducibles_of_order(p, e):
+    """The irreducible factors of Phi_e over F_p, p not dividing e: those
+    of `_cyclotomic_factors` at the one degree d whose `_orders` hold e."""
+    d = next(d for d in itertools.count(1) if e in _orders(p, e, d, e))
+    return _cyclotomic_factors(p, e, d)
+
+
 def test_irreducibles_of_order():
     # x^g - 1 = (prod over e | g' of Phi_e)^(p^a), g = p^a * g', and Phi_e
     # is the product of phi(e) / ord_e(p) irreducibles of degree
@@ -473,10 +509,10 @@ def test_irreducibles_of_order():
             for e in range(1, g1 + 1):
                 if g1 % e:
                     continue
-                of_e = _irreducibles_of_order(p, e, NO_BOUND)
+                of_e = _irreducibles_of_order(p, e)
                 if e in (7, 21, 31):
                     # the seeded splitting gives the same list on every call
-                    assert _irreducibles_of_order(p, e, NO_BOUND) == of_e
+                    assert _irreducibles_of_order(p, e) == of_e
                 order = next(d for d in range(1, e + 1) if pow(p, d, e) == 1 % e)
                 phi = sum(1 for r in range(1, e + 1) if math.gcd(r, e) == 1)
                 assert len(of_e) == phi // order
@@ -490,7 +526,7 @@ def test_irreducibles_of_order():
                     product = poly_mul(product, _power(_dense(f, p), cap))
             assert product == xt_minus_1(p, g)
     # Phi_7 over F_2 is the product of the two irreducible cubics
-    assert _irreducibles_of_order(2, 7, NO_BOUND) == [[1, 0, 1, 1], [1, 1, 0, 1]]
+    assert _irreducibles_of_order(2, 7) == [[1, 0, 1, 1], [1, 1, 0, 1]]
 
 
 def test_pair_split_subgroups_fp_power_caps():
@@ -503,35 +539,35 @@ def test_pair_split_subgroups_fp_power_caps():
             for e in range(1, g1 + 1):
                 if g1 % e:
                     continue
-                for f in _irreducibles_of_order(p, e, NO_BOUND):
+                for f in _irreducibles_of_order(p, e):
                     for k in range(1, cap + 1):
                         index = e * _least_power(p, k) * p ** (k * (len(f) - 1))
                         powers.append((_power(_dense(f, p), k), index))
             for budget in (1, p, 8, 56, 125, 243, 512, 4096):
-                gens = {N.gen for N in pair_split_subgroups_fp(p, g, g, budget)}
+                gens = {N.gen for N in split_subgroup_stream(p, budget, (g, g), g)}
                 assert [P in gens for P, _ in powers] == [i <= budget for _, i in powers]
     # x^6 - 1 = (x - 1)^3 (x + 1)^3 over F3 has 16 monic divisors
     x1, x2 = parse_laurent("x + 1", 3), parse_laurent("x + 2", 3)
-    gens = [N.gen for N in pair_split_subgroups_fp(3, 6, 6, NO_BOUND)]
+    gens = [N.gen for N in split_subgroup_stream(3, NO_BOUND, (6, 6), 6)]
     want = {poly_mul(_power(x1, i), _power(x2, j)) for i in range(4) for j in range(4)}
     assert len(gens) == 16 and set(gens) == want
     # the cost follows the budget, not g: (x + 1)^4 is all that fits in
     # 64 for x^(2^20) - 1 over F2, and x - 1 alone for a prime g
     x1 = parse_laurent("x + 1", 2)
-    stream = pair_split_subgroups_fp(2, 2**20, 2**20, 64)
+    stream = split_subgroup_stream(2, 64, (2**20, 2**20), 2**20)
     assert [(N.t, N.gen) for N in stream] == [(_least_power(2, k), _power(x1, k)) for k in range(5)]
-    stream = pair_split_subgroups_fp(3, 1000003, 1000003, 243)
+    stream = split_subgroup_stream(3, 243, (1000003, 1000003), 1000003)
     assert [(N.t, N.gen) for N in stream] == [(1, one_poly(3)), (1, x2)]
     # x^(7 * 2^16) - 1 over F2 at 512: (x + 1)^k up to k = 6 and each
     # cubic factor of Phi_7 once
-    c1, c2 = (_dense(f, 2) for f in _irreducibles_of_order(2, 7, NO_BOUND))
+    c1, c2 = (_dense(f, 2) for f in _irreducibles_of_order(2, 7))
     want = set()
     for i, j, k in itertools.product(range(8), range(3), range(3)):
         t0 = (7 if j or k else 1) * _least_power(2, max(i, j, k))
         D = poly_mul(poly_mul(_power(x1, i), _power(c1, j)), _power(c2, k))
         if t0 * 2**D.degree <= 512:
             want.add((t0, D))
-    stream = pair_split_subgroups_fp(2, 7 * 2**16, 7 * 2**16, 512)
+    stream = split_subgroup_stream(2, 512, (7 * 2**16, 7 * 2**16), 7 * 2**16)
     got = [(N.t, N.gen) for N in stream]
     assert len(got) == len(want) and set(got) == want
     assert (8, _power(x1, 6)) in want and (8, _power(x1, 7)) not in want
@@ -543,7 +579,7 @@ def test_pair_split_subgroups_fp_check_raises(monkeypatch):
     # the stream reaches it; Phi_7 over F2 is reducible, so its factors
     # come from the splitter
     monkeypatch.setattr(laurent, "_split_equal_degree", lambda f, d, p, rng: [f, f])
-    stream = pair_split_subgroups_fp(2, 7, 7, NO_BOUND)
+    stream = split_subgroup_stream(2, NO_BOUND, (7, 7), 7)
     assert [N.index for N in itertools.islice(stream, 2)] == [1, 2]
     with pytest.raises(ContractError):
         next(stream)
@@ -556,7 +592,7 @@ def test_pair_split_subgroups_fp_seed_only_reducible(monkeypatch):
     seeds = []
     make = random.Random
     monkeypatch.setattr(laurent.random, "Random", lambda e: seeds.append(e) or make(e))
-    subs = list(pair_split_subgroups_fp(2, 15, 15, NO_BOUND))
+    subs = list(split_subgroup_stream(2, NO_BOUND, (15, 15), 15))
     assert seeds == [15]
     factors = [(N.t, N.gen.degree) for N in subs if N.gen.degree and is_irreducible_fp(N.gen)]
     assert factors == [(1, 1), (3, 2), (5, 4), (15, 4), (15, 4)]
@@ -581,7 +617,7 @@ def test_pair_split_subgroups_fp_against_full_stream():
                 if (N.t == t0 and g % N.t == 0)
                 or (N.gen == one_poly(p) and N.t == least)
             ]
-            assert list(pair_split_subgroups_fp(p, a1, a2, budget)) == want, (p, a1, a2)
+            assert list(split_subgroup_stream(p, budget, (a1, a2), g)) == want, (p, a1, a2)
 
 
 def test_pair_stream_prefix_is_smaller_budget():
@@ -595,24 +631,25 @@ def test_pair_stream_prefix_is_smaller_budget():
         (7, 6, 12, 2401, (5, 7, 49, 400)),
     ]
     for p, a1, a2, budget, cuts in cases:
+        g = math.gcd(a1, a2)
         for k in cuts:
             head = itertools.takewhile(
-                lambda N: N.index <= k, pair_split_subgroups_fp(p, a1, a2, budget)
+                lambda N: N.index <= k, split_subgroup_stream(p, budget, (a1, a2), g)
             )
-            assert list(head) == list(pair_split_subgroups_fp(p, a1, a2, k)), (p, a1, a2, k)
+            assert list(head) == list(split_subgroup_stream(p, k, (a1, a2), g)), (p, a1, a2, k)
 
 
 def test_pair_stream_builds_only_what_is_read(monkeypatch):
     asked, built = [], []
-    irreducibles = laurent._irreducibles_of_order
+    factors = laurent._cyclotomic_factors
     monkeypatch.setattr(
-        laurent, "_irreducibles_of_order", lambda p, e, b: asked.append(e) or irreducibles(p, e, b)
+        laurent, "_cyclotomic_factors", lambda p, e, d: asked.append(e) or factors(p, e, d)
     )
     init = FpSplitSubgroup.__post_init__
     monkeypatch.setattr(FpSplitSubgroup, "__post_init__", lambda N: built.append(N.index) or init(N))
     # x^12 - 1 over F2: Phi_3 is split only when the stream reaches
     # 3 * 2^ord_3(2) = 12, and each subgroup is built when read
-    stream = pair_split_subgroups_fp(2, 12, 12, 1024)
+    stream = split_subgroup_stream(2, 1024, (12, 12), 12)
     assert [N.index for N in itertools.islice(stream, 3)] == [1, 2, 8]
     assert asked == [1] and built == [1, 2, 8]
     assert next(stream).index == 12 and asked == [1, 3] and built[-1] == 12
@@ -623,19 +660,20 @@ def test_pair_stream_builds_only_what_is_read(monkeypatch):
     s1, s2 = parse_semidirect("(1 + x, 9699690)", 2), parse_semidirect("(x, 9699690)", 2)
     assert split_conjugacy_depth(s1, s2, 2**30).split_depth == 2
     assert asked == [1] and built == [1, 2]
-    # both shifts 0: every order is a candidate, looked at only as the
-    # stream passes it, so a budget of 10^12 splits no more than order 1
-    # for the first three candidates, and order 3 once index 12 is read
+    # both shifts 0: every order is a candidate, listed by degree d only
+    # once the stream reaches p^d, so a budget of 10^12 splits no more
+    # than order 1 for the first three candidates, and order 3 once index
+    # 12 is read
     asked.clear()
     built.clear()
-    stream = pair_split_subgroups_fp(2, 0, 0, 10**12)
+    stream = split_subgroup_stream(2, 10**12, (0, 0), 0)
     assert [N.index for N in itertools.islice(stream, 3)] == [1, 2, 8]
     assert asked == [1] and built == [1, 2, 8]
     assert next(stream).index == 12 and asked == [1, 3] and built[-1] == 12
     # the arguments are checked at the call, before any iteration
-    for args in ((2, 1, 2, 0), (4, 1, 2, 8)):
+    for p, a1, a2, k in ((2, 1, 2, 0), (4, 1, 2, 8)):
         with pytest.raises(ValueError):
-            pair_split_subgroups_fp(*args)
+            split_subgroup_stream(p, k, (a1, a2), math.gcd(a1, a2))
 
 
 def divmod_oracle(num, den, p):
@@ -1024,12 +1062,12 @@ def test_stream_prefix_is_smaller_budget():
         for shifts in SHIFT_SETS:
             thin = least_periods(full, shifts)
             assert len(thin) < len(full)
-            assert list(split_subgroup_stream(ring, budget, shifts)) == thin, (ring, shifts)
+            assert list(split_subgroup_stream(ring, budget, shifts, 0)) == thin, (ring, shifts)
             for k in cuts:
-                stream = split_subgroup_stream(ring, budget, shifts)
+                stream = split_subgroup_stream(ring, budget, shifts, 0)
                 head = list(itertools.takewhile(lambda N: N.index <= k, stream))
                 assert head == [N for N in thin if N.index <= k], (ring, budget, k)
-                assert head == list(split_subgroup_stream(ring, k, shifts)), (ring, budget, k)
+                assert head == list(split_subgroup_stream(ring, k, shifts, 0)), (ring, budget, k)
 
 
 def test_stream_builds_only_what_is_read(monkeypatch):
@@ -1043,7 +1081,7 @@ def test_stream_builds_only_what_is_read(monkeypatch):
     monkeypatch.setattr(
         laurent, "_lattices_of_period", lambda t0, bound: periods.append(t0) or lattices(t0, bound)
     )
-    stream = split_subgroup_stream(0, 18, shifts)
+    stream = split_subgroup_stream(0, 18, shifts, 0)
     assert list(itertools.islice(stream, len(z5))) == z5
     assert periods == []
     assert next(stream).index == 6 and periods == [2]
@@ -1051,13 +1089,13 @@ def test_stream_builds_only_what_is_read(monkeypatch):
     built = []
     init = FpSplitSubgroup.__post_init__
     monkeypatch.setattr(FpSplitSubgroup, "__post_init__", lambda N: built.append(N.index) or init(N))
-    stream = split_subgroup_stream(2, 1024, shifts)
+    stream = split_subgroup_stream(2, 1024, shifts, 0)
     assert list(itertools.islice(stream, len(f8))) == f8
     assert len(built) == len(f8) and max(built) == 8
     with pytest.raises(ValueError):
-        split_subgroup_stream(2, 0, shifts)
+        split_subgroup_stream(2, 0, shifts, 0)
     with pytest.raises(ValueError):
-        split_subgroup_stream(4, 8, shifts)
+        split_subgroup_stream(4, 8, shifts, 0)
 
 
 def test_streams_yield_each_subgroup_once_in_key_order():
@@ -1066,12 +1104,12 @@ def test_streams_yield_each_subgroup_once_in_key_order():
     # factor is split would show up as a repeated key
     for stream, count in (
         (enumerate_split_subgroups_fp(2, 4096), 8040),
-        (split_subgroup_stream(2, 4096, ()), 92),
-        (split_subgroup_stream(2, 4096, range(-12, 13)), 96),
-        (pair_split_subgroups_fp(2, 0, 0, 2**20), 2485),
+        (split_subgroup_stream(2, 4096, (), 0), 92),
+        (split_subgroup_stream(2, 4096, range(-12, 13), 0), 96),
+        (split_subgroup_stream(2, 2**20, (0, 0), 0), 2485),
         (enumerate_split_subgroups_z(96), 894),
-        (split_subgroup_stream(0, 96, ()), 336),
-        (split_subgroup_stream(0, 96, range(-6, 7)), 340),
+        (split_subgroup_stream(0, 96, (), 0), 336),
+        (split_subgroup_stream(0, 96, range(-6, 7), 0), 340),
     ):
         keys = [N.listing_key for N in stream]
         assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -1346,6 +1384,11 @@ def test_psi_and_primitive_roots():
     assert primitive_root_primes(2, 3) == [3, 5, 11]
     assert primitive_root_primes(2, 1) == [3]
     assert primitive_root_primes(3, 2) == [5, 7]
+    for p in (2, 3, 5, 7):
+        # against the order of p mod q, found by repeated multiplication
+        full = [q for q in range(p + 1, 60) if is_prime(q)
+                and next(k for k in itertools.count(1) if pow(p, k, q) == 1) == q - 1]
+        assert primitive_root_primes(p, len(full)) == full
     assert is_irreducible_fp(psi_poly(5, 2))
     assert not is_irreducible_fp(psi_poly(7, 2))  # ord_7(2) = 3 < 6
     assert is_irreducible_fp(psi_poly(7, 3))
