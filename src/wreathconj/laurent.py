@@ -556,7 +556,10 @@ def _fold(P: LaurentPoly, M: int) -> dict:
 
 @dataclass(frozen=True)
 class FpSplitSubgroup:
-    """Subgroup (P) x| tZ of F_p[x, x^-1] x| Z, P monic with P(0) != 0."""
+    """Subgroup (P) x| tZ of F_p[x, x^-1] x| Z, P monic, P(0) != 0 and
+    P | x^t - 1. The constructor checks that; the streams build their
+    divisors so that it holds and make them by `_from_divisor`, which
+    checks nothing. `_mod`, the tail of P, is not a field."""
 
     p: int
     t: int
@@ -579,23 +582,26 @@ class FpSplitSubgroup:
         _, gd = _normalize(g)
         if len(gd) > 1 and _dpow_x(self.t, gd, self.p) != [1]:
             raise ValueError("x^t - 1 must lie in the ideal")
-        # tails of the quotient-test moduli by gcd(m, t); not a field
-        object.__setattr__(self, "_tails", {})
+        object.__setattr__(self, "_mod", _dtail(gd, self.p))
+
+    @classmethod
+    def _from_divisor(cls, p: int, t: int, D: list) -> "FpSplitSubgroup":
+        """(D) x| tZ for a dense monic D | x^t - 1 with D(0) != 0."""
+        N = object.__new__(cls)
+        N.__dict__.update(p=p, t=t, gen=_from_dense(p, 0, D), _mod=_dtail(D, p))
+        return N
 
     def _tail(self, m: int) -> tuple:
         """Tail of the monic g0 = gcd(gen, x^m - 1), the modulus of the
         quotient test at shift residue m. As gen divides x^t - 1, g0 is
-        gcd(gen, x^k - 1) with k = gcd(m, t), computed once per k; for
-        gen = 1 it is 1 at every k."""
+        gcd(gen, x^k - 1) with k = gcd(m, t): gen itself when k = t, and
+        1 when gen is; otherwise it is worked out on the spot."""
         k = math.gcd(m, self.t)
-        tail = self._tails.get(k)
-        if tail is None:
-            _, g0 = _normalize(self.gen)
-            if k < self.t and len(g0) > 1:
-                xk = _dsub(_dpow_x(k, g0, self.p), [1], self.p)
-                g0 = _dgcd(g0, xk, self.p)
-            tail = self._tails[k] = _dtail(g0, self.p)
-        return tail
+        if k == self.t or not self._mod:
+            return self._mod
+        _, g0 = _normalize(self.gen)
+        xk = _dsub(_dpow_x(k, g0, self.p), [1], self.p)
+        return _dtail(_dgcd(g0, xk, self.p), self.p)
 
     @property
     def ring(self) -> int:
@@ -736,7 +742,9 @@ class ZSplitSubgroup:
     lattice of J's vectors, which holds d Z^t0; `vectors`, the vectors
     of that lattice in [0, d)^t0, is built only when read. The
     characteristic d = 1 encodes the unit ideal. The shift t must be a
-    multiple of t0 so that x^t - 1 lies in J.
+    multiple of t0 so that x^t - 1 lies in J. The constructor checks
+    its data; the streams build rotation-closed lattices in Hermite
+    form and make them by `_from_basis`, which checks nothing.
     """
 
     d: int
@@ -745,32 +753,25 @@ class ZSplitSubgroup:
     t: int
 
     def __init__(self, d: int, t0: int, vectors, t: int):
-        _check_z_shape(d, t0, t)
+        if d < 1 or t0 < 1 or t < 1:
+            raise ValueError("d, t0, t must be positive")
+        if t % t0:
+            raise ValueError("shift must be a multiple of the ideal period")
         vs = frozenset(tuple(c % d for c in v) for v in vectors)
         if any(len(v) != t0 for v in vs):
             raise ValueError("vector width must equal the ideal period")
-        self._set(d, t0, _hnf(vs, d, t0), t)
-        if len(vs) != d**t0 // self.quotient_ring_order:
+        basis = _hnf(vs, d, t0)
+        self.__dict__.update(d=d, t0=t0, basis=basis, t=t)
+        closed = not any(any(_reduce(basis, _rotate(h))) for h in basis)
+        if not closed or len(vs) != d**t0 // self.quotient_ring_order:
             raise ValueError("ideal data must be closed under sums and x-shifts")
 
     @classmethod
     def _from_basis(cls, d: int, t0: int, basis: tuple, t: int) -> "ZSplitSubgroup":
         """The subgroup whose lattice has Hermite normal form `basis`."""
-        _check_z_shape(d, t0, t)
         N = object.__new__(cls)
-        N._set(d, t0, basis, t)
+        N.__dict__.update(d=d, t0=t0, basis=basis, t=t)
         return N
-
-    def _set(self, d, t0, basis, t):
-        for h in basis:
-            if any(_reduce(basis, _rotate(h))):
-                raise ValueError("ideal data must be closed under sums and x-shifts")
-        # frozen: the fields go in directly, with two values that are not
-        # fields: |Z[x]/(x^t0 - 1, J)| and the memo of J + (x^m - 1) by
-        # gcd(m, t0)
-        self.__dict__.update(
-            d=d, t0=t0, basis=basis, t=t, _order=_coindex(basis), _reachable_bases={}
-        )
 
     @functools.cached_property
     def vectors(self) -> frozenset:
@@ -778,23 +779,21 @@ class ZSplitSubgroup:
 
     def _reachable(self, m: int) -> tuple:
         """J + (x^m - 1) as a basis. J holds x^t0 - 1, so this is
-        J + (x^k - 1) with k = gcd(m, t0), reduced once per k."""
+        J + (x^k - 1) with k = gcd(m, t0): J itself when k = t0, else
+        reduced on the spot."""
         k = math.gcd(m, self.t0)
         if k == self.t0:
             return self.basis
-        R = self._reachable_bases.get(k)
-        if R is None:
-            extra = _rotations(self.vec(xt_minus_1(0, k)))
-            R = self._reachable_bases[k] = _hnf([*self.basis, *extra], self.d, self.t0)
-        return R
+        extra = _rotations(self.vec(xt_minus_1(0, k)))
+        return _hnf([*self.basis, *extra], self.d, self.t0)
 
     @property
     def ring(self) -> int:
         return 0
 
-    @property
+    @functools.cached_property
     def quotient_ring_order(self) -> int:
-        return self._order
+        return _coindex(self.basis)
 
     @property
     def index(self) -> int:
@@ -815,13 +814,6 @@ class ZSplitSubgroup:
 
     def contains(self, P: LaurentPoly) -> bool:
         return not any(_reduce(self.basis, self.vec(P)))
-
-
-def _check_z_shape(d: int, t0: int, t: int):
-    if d < 1 or t0 < 1 or t < 1:
-        raise ValueError("d, t0, t must be positive")
-    if t % t0:
-        raise ValueError("shift must be a multiple of the ideal period")
 
 
 def first_unit_shifts(shifts) -> list[int]:
@@ -878,7 +870,7 @@ def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup
     if not is_prime(p):
         raise ValueError("p must be prime")
     subs = [
-        N if t == N.t else FpSplitSubgroup(p, t, N.gen)
+        N if t == N.t else FpSplitSubgroup._from_divisor(p, t, _normalize(N.gen)[1])
         for N in split_subgroup_stream(p, max_index, (), 0)
         for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
     ]
@@ -956,7 +948,12 @@ def _cyclotomic_factors(p: int, e: int, deg: int) -> list:
     sorted; each has degree deg = ord_e(p). Phi_e is split by
     `_split_equal_degree` unless it is irreducible, with a fixed seed,
     so every call returns the same list, and the factors are multiplied
-    back to Phi_e as a check."""
+    back to Phi_e as a check. Any other deg raises at once, as the
+    splitting would never end: ord_e(p) is the deg with e | p^deg - 1
+    and e dividing no p^(deg/r) - 1, r a prime factor of deg."""
+    lower = (pow(p, deg // r, e) for r in _prime_factors(deg))
+    if deg < 1 or pow(p, deg, e) != 1 % e or 1 % e in lower:
+        raise ContractError(f"Phi_{e} over F{p} has no factors of degree {deg}")
     phi = _cyclotomic(p, e)
     if len(phi) - 1 == deg:
         return [phi]
@@ -1060,7 +1057,7 @@ def _fp_stream(p: int, g: int, max_index: int, units):
             grow(div, last)
         if len(D) == 1 and (later := next(units, None)):
             file(later, div)
-        yield FpSplitSubgroup(p, t, _from_dense(p, 0, D))
+        yield FpSplitSubgroup._from_divisor(p, t, D)
 
 
 # ---------------------------------------------------------------------------

@@ -727,13 +727,42 @@ def test_sweep_builds_few_unit_ideals(monkeypatch, n_max, budget, count):
     # stream yields the unit ideal at t = 1 and at 2, 3, 4 and 5 only,
     # the least shifts not dividing some difference of the ball's shifts
     built = []
-    init = laurent.FpSplitSubgroup.__post_init__
+    make = laurent.FpSplitSubgroup._from_divisor
     monkeypatch.setattr(
-        laurent.FpSplitSubgroup, "__post_init__", lambda N: built.append(N) or init(N)
+        laurent.FpSplitSubgroup, "_from_divisor", lambda *a: built.append(make(*a)) or built[-1]
     )
     depth_sweep(2, n_max, budget)
     assert len(built) == count
     assert sorted(N.t for N in built if not N.gen.degree) == [1, 2, 3, 4, 5]
+
+
+def test_streams_and_listings_call_no_public_constructor(monkeypatch):
+    # the public constructors check data from outside; every subgroup a
+    # sweep, a depth query or a full listing reads is built unchecked
+    calls = []
+    for cls, name in (
+        (laurent.FpSplitSubgroup, "__post_init__"),
+        (laurent.ZSplitSubgroup, "__init__"),
+    ):
+        public = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda N, *a, f=public: calls.append(type(N)) or f(N, *a))
+    depth_sweep(2, 8, 256)
+    depth_sweep(0, 3, 16)
+    for ring, x, y, budget, answer in (
+        (3, "(1 + x^-1, -1)", "(2 + x^-1, -1)", 1024, 3),
+        (2, "(x^60 - 1, 0)", "(0, 0)", 4096, 56),
+        (0, "(1 - x^-1, 0)", "(-1 + x^-1, 0)", 24, 21),
+    ):
+        s1, s2 = laurent.parse_semidirect(x, ring), laurent.parse_semidirect(y, ring)
+        assert split_conjugacy_depth(s1, s2, budget).split_depth == answer
+    assert family_depth(family_lamplighter(2, 2)).split_depth == 80
+    enumerate_split_subgroups_fp(2, 4096)
+    enumerate_split_subgroups_z(48)
+    assert calls == []
+    # the hooks do see a public construction
+    laurent.FpSplitSubgroup(2, 4, laurent.parse_laurent("x^2 + 1", 2))
+    laurent.ZSplitSubgroup(2, 1, [(0,)], 1)
+    assert calls == [laurent.FpSplitSubgroup, laurent.ZSplitSubgroup]
 
 
 @pytest.mark.parametrize("budget, isolated", [(16, True), (4, False)])

@@ -645,8 +645,10 @@ def test_pair_stream_builds_only_what_is_read(monkeypatch):
     monkeypatch.setattr(
         laurent, "_cyclotomic_factors", lambda p, e, d: asked.append(e) or factors(p, e, d)
     )
-    init = FpSplitSubgroup.__post_init__
-    monkeypatch.setattr(FpSplitSubgroup, "__post_init__", lambda N: built.append(N.index) or init(N))
+    make = FpSplitSubgroup._from_divisor
+    monkeypatch.setattr(
+        FpSplitSubgroup, "_from_divisor", lambda *a: built.append((N := make(*a)).index) or N
+    )
     # x^12 - 1 over F2: Phi_3 is split only when the stream reaches
     # 3 * 2^ord_3(2) = 12, and each subgroup is built when read
     stream = split_subgroup_stream(2, 1024, (12, 12), 12)
@@ -1085,10 +1087,12 @@ def test_stream_builds_only_what_is_read(monkeypatch):
     assert list(itertools.islice(stream, len(z5))) == z5
     assert periods == []
     assert next(stream).index == 6 and periods == [2]
-    # F_p: a subgroup is constructed, and checked, only when it is read
+    # F_p: a subgroup is constructed only when it is read
     built = []
-    init = FpSplitSubgroup.__post_init__
-    monkeypatch.setattr(FpSplitSubgroup, "__post_init__", lambda N: built.append(N.index) or init(N))
+    make = FpSplitSubgroup._from_divisor
+    monkeypatch.setattr(
+        FpSplitSubgroup, "_from_divisor", lambda *a: built.append((N := make(*a)).index) or N
+    )
     stream = split_subgroup_stream(2, 1024, shifts, 0)
     assert list(itertools.islice(stream, len(f8))) == f8
     assert len(built) == len(f8) and max(built) == 8
@@ -1146,6 +1150,45 @@ def test_split_subgroup_validation():
         ZSplitSubgroup(2, 2, frozenset({(0, 0), (1, 0)}), 2)  # not rotation closed
     with pytest.raises(ValueError):
         ZSplitSubgroup(3, 2, frozenset({(0, 0), (1, 1)}), 2)  # not additively closed
+
+
+def test_stream_output_passes_the_public_checks():
+    # the streams and listings build their subgroups unchecked; the data
+    # of each passes the public constructor, which gives an equal
+    # subgroup with the same quotient-test moduli
+    fp = [
+        N
+        for p, budget in ((2, 4096), (3, 2187), (5, 625))
+        for a in (None, 1, 6, 12, 20, 36)
+        for N in (
+            enumerate_split_subgroups_fp(p, budget)
+            if a is None
+            else split_subgroup_stream(p, budget, (a, a), a)
+        )
+    ]
+    assert len(fp) > 8040 + 3914 + 957
+    for N in fp:
+        M = FpSplitSubgroup(N.p, N.t, N.gen)
+        assert M == N and M._tail(0) == N._tail(0), N
+        if N.index <= 64:
+            assert [M._tail(m) for m in range(N.t)] == [N._tail(m) for m in range(N.t)], N
+    zs = enumerate_split_subgroups_z(24)
+    zs += [N for a in (1, 2, 6, 12) for N in split_subgroup_stream(0, 24, (a, a), a)]
+    for N in zs:
+        assert ZSplitSubgroup(N.d, N.t0, N.vectors, N.t) == N, N
+
+
+def test_cyclotomic_factors_need_the_order_degree():
+    # Phi_e's factors all have degree ord_e(p); asked for another degree
+    # the equal-degree splitter would never end, so the call raises first
+    for p, e, deg in ((2, 1, 3), (2, 7, 2), (3, 8, 1), (2, 7, 6), (2, 1, 0), (2, 6, 2)):
+        with pytest.raises(ContractError):
+            _cyclotomic_factors(p, e, deg)
+    assert _cyclotomic_factors(2, 1, 1) == [[1, 1]]
+    assert _cyclotomic_factors(3, 1, 1) == [[2, 1]]
+    assert _cyclotomic_factors(2, 7, 3) == [[1, 0, 1, 1], [1, 1, 0, 1]]
+    assert _cyclotomic_factors(3, 8, 2) == [[2, 1, 1], [2, 2, 1]]
+    assert _cyclotomic_factors(2, 15, 4) == [[1, 0, 0, 1, 1], [1, 1, 0, 0, 1]]
 
 
 def test_conjugate_in_split_quotient_psi3():
@@ -1312,8 +1355,10 @@ def test_z_image_and_key_are_brute_force_minima():
 
 
 def test_split_subgroup_memo_is_not_a_field():
-    # the per-subgroup moduli and reachable sets leave eq, hash, repr
-    # and asdict as they were
+    # what a subgroup keeps beside its fields, the tail of gen over F_p
+    # and the quotient ring's order over Z, leaves eq, hash, repr and
+    # asdict as they were, and a subgroup built unchecked by a stream
+    # equals the one the public constructor builds
     g = parse_semidirect("(x^-2 + x + 1, 2)", 2)
     N = FpSplitSubgroup(2, 4, parse_laurent("x^2 + 1", 2))
     M = enumerate_split_subgroups_z(9)[-1]
