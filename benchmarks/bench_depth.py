@@ -40,7 +40,11 @@ over the ops. The "pair" rows run the pair (1 - x^-1, 0), (-1 + x^-1,
 0), whose depth is 21, at budgets 18 (the query reads every subgroup
 and exceeds the budget) and 24, and the pair of `family_zwrz(3)`
 (shifts 16), whose depth is 272, at budgets 300 and 1000; they hold
-the ring, the depth and the median seconds over the runs.
+the ring, the depth and the seconds per query. Those are the best over
+the runs of a loop of `loops` queries, the least power of 2 of them
+that takes at least 20 ms, divided by `loops`; pair rows recorded
+before the `loops` column came in hold the median of single queries,
+which moved by tens of per cent between runs of the same code.
 
 F_p-depth rows (marked "section": "depth_fp"): the same over F_p. The
 "s8" row runs every op of the `fp_depth` pool
@@ -118,6 +122,8 @@ SHIFT_FP = [
 ]
 WITNESS_GROUPS = ["F2 wr Z", "Z wr Z", "Z/4 wr Z x Z/2", "Z wr Z^2", "Z/3 wr Z^2"]
 WITNESS_PAIRS = 40  # per group and kind (conjugate, near-conjugate)
+# a depth pair query takes 0.1-2 ms, too short to time one at a time
+LOOP_SECONDS = 0.02
 
 
 def checkout() -> dict:
@@ -290,9 +296,30 @@ def measure_depth_pool(workload: str, runs: int) -> dict:
     }
 
 
+def _looped(fn, runs: int) -> tuple:
+    """(the result of fn(), best seconds per call, calls per loop): the
+    calls per loop double from 1 until a loop takes LOOP_SECONDS, then
+    the best of `runs` such loops, each after a gc.collect(), is taken."""
+
+    def loop(calls):
+        gc.collect()
+        start = time.perf_counter()
+        for _ in range(calls):
+            result = fn()
+        return result, time.perf_counter() - start
+
+    calls = 1
+    result, seconds = loop(calls)
+    while seconds < LOOP_SECONDS:
+        calls *= 2
+        result, seconds = loop(calls)
+    best = min(loop(calls)[1] for _ in range(runs))
+    return result, best / calls, calls
+
+
 def measure_depth_pair(ring: int, pair: tuple, budget: int, runs: int) -> dict:
     s1, s2 = (laurent.parse_semidirect(text, ring) for text in pair)
-    res, seconds = _timed(lambda: depth.split_conjugacy_depth(s1, s2, budget), runs)
+    res, seconds, loops = _looped(lambda: depth.split_conjugacy_depth(s1, s2, budget), runs)
     return {
         "section": "depth_fp" if ring else "depth_z",
         "ops": "pair",
@@ -300,7 +327,8 @@ def measure_depth_pair(ring: int, pair: tuple, budget: int, runs: int) -> dict:
         "pair": " | ".join(pair),
         "budget": budget,
         "split_depth": res.split_depth,
-        "seconds": round(seconds, 6),
+        "seconds": round(seconds, 9),
+        "loops": loops,
         "runs": runs,
     }
 

@@ -78,7 +78,13 @@ class AbelianElement:
     def __post_init__(self):
         g = self.group
         if not isinstance(self.coords, tuple):
-            object.__setattr__(self, "coords", tuple(self.coords))
+            try:
+                object.__setattr__(self, "coords", tuple(self.coords))
+            except TypeError:
+                raise ValueError(f"coordinates {self.coords!r} are not a list") from None
+        for c in self.coords:
+            if type(c) is not int:  # also rejects bool
+                raise ValueError(f"coordinate {c!r} is not an integer")
         if len(self.coords) != g.rank:
             raise ValueError(
                 f"expected {g.rank} coordinates, got {len(self.coords)}"

@@ -5,6 +5,10 @@ The acting copy of B translates supports, (b.f)(x) = f(x - b), so the
 support of b.f is supp(f) + b. Multiplication is
 (f1, b1)(f2, b2) = (f1 + b1.f2, b1 + b2), so (h, c)^{-1} = (-(-c).h, -c)
 and conjugation is (h, c)(f, b)(h, c)^{-1} = (h + c.f - b.h, b).
+A translate b.f has the lamp sum of f, so (f, b) -> (sum of f, b) is a
+homomorphism onto the abelian group A x B, under which conjugates have
+one image; `conjugate_test` answers nonconjugate when the two images
+differ, without reducing either element.
 """
 
 from __future__ import annotations
@@ -457,11 +461,23 @@ def conjugate_test(g1: WreathElement, g2: WreathElement) -> Optional[WreathEleme
     when the reduced lamp values of g1 and g2 differ as multisets. Every
     witness w is re-checked, conjugate(w, g1) == g2, before it is
     returned.
+
+    Neither element is reduced when the images of g1 and g2 in the
+    abelianisation A x B differ: (f, b) -> (sum of f, b) is a
+    homomorphism to an abelian group (the sum of c.f is the sum of f),
+    so conjugates have equal acting parts and equal lamp sums.
     """
     _check_same_group(g1, g2)
-    if g1.b != g2.b:
+    if g1.b != g2.b or _lamp_sum(g1) != _lamp_sum(g2):
         return None
     return conjugate_reduced(g1, g2, reduce(g1), reduce(g2))
+
+
+def _lamp_sum(g: WreathElement) -> tuple:
+    """The coordinates of the sum of g's lamp values in A."""
+    lamp = g.group.lamp
+    # the zero row gives the sum A's rank when g has no lamps
+    return _reduced(lamp, map(sum, zip((0,) * lamp.rank, *(v.coords for _, v in g.pairs))))
 
 
 def conjugate_reduced(
@@ -575,9 +591,16 @@ def element_to_json(g: WreathElement) -> str:
 
 def element_from_json(text: str | dict) -> WreathElement:
     doc = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(doc, dict):
+        raise ValueError("an element is a JSON object")
     for field in ("A", "B", "f", "b"):
         if field not in doc:
             raise ValueError(f"missing field {field!r}")
+    for field in ("A", "B"):
+        if not isinstance(doc[field], str):
+            raise ValueError(f"field {field!r} must be a group descriptor string")
+    if not isinstance(doc["f"], list):
+        raise ValueError("field 'f' must be a list of [key, value] pairs")
     lamp = parse_group(doc["A"])
     base = parse_group(doc["B"])
     group = WreathGroup(lamp, base)
@@ -586,12 +609,12 @@ def element_from_json(text: str | dict) -> WreathElement:
     for entry in doc["f"]:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError("support entries must be [key, value] pairs")
-        k = AbelianElement(base, tuple(entry[0]))
-        v = AbelianElement(lamp, tuple(entry[1]))
+        k = AbelianElement(base, entry[0])
+        v = AbelianElement(lamp, entry[1])
         if k in seen:
             raise ValueError(f"duplicate support key {k}")
         if v.is_zero():
             raise ValueError(f"zero lamp value at {k}")
         seen.add(k)
         pairs.append((k, v))
-    return WreathElement(group, tuple(pairs), AbelianElement(base, tuple(doc["b"])))
+    return WreathElement(group, tuple(pairs), AbelianElement(base, doc["b"]))

@@ -61,6 +61,6 @@ def test_measure_witness_runs():
     row = bench.measure_witness(bench.WITNESS_GROUPS[0], 1)
     assert (row["section"], row["group"]) == ("witness", "F2 wr Z")
     assert (row["elements"], row["pairs"], row["nonconjugate"]) == (160, 80, 40)
-    assert row["conjugate_test_reduce_calls"] == 160
+    assert row["conjugate_test_reduce_calls"] == 80
     assert row["full_witness_verify_modulus"] > 0
     assert row["contract_failures"] == 0

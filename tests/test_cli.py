@@ -408,6 +408,26 @@ def test_bad_group_and_element_exit_1(capsys):
     assert rc == 1 and "--y" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"A":"Z","B":"Z^2","f":[[[1,0],["a"]]],"b":[3,0]}',
+        '{"A":"Z","B":"Z^2","f":[[[1,0],[1.5]]],"b":[3,0]}',
+        '{"A":"Z","B":"Z^2","f":[[[1,0],[true]]],"b":[3,0]}',
+        '{"A":"Z","B":"Z^2","f":[[[1,0],[1]]],"b":3}',
+        '{"A":"Z","B":"Z^2","f":[[3,[1]]],"b":[3,0]}',
+        '{"A":"Z","B":"Z^2","f":[[[1,0],1]],"b":[3,0]}',
+        '{"A":"Z","B":"Z^2","f":3,"b":[3,0]}',
+    ],
+)
+def test_malformed_element_json_exit_1(capsys, doc):
+    rc, out, err = run(capsys, "reduce", "--group", "Z wr Z^2", "--x", doc)
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_element_group_mismatch_exit_1(capsys):
     W = parse_wreath_group("Z/2 wr Z/4")
     g = W.element({(0,): (1,)}, (1,))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wreathconj import kernel
+from wreathconj import kernel, wreath
 from wreathconj.abelian import (
     AbelianElement,
     AbelianGroup,
@@ -121,6 +121,47 @@ def test_conjugate_test_exhaustive_against_brute_force():
             for h in elements:
                 found = conjugate_test(g, h) is not None
                 assert found == (brute_force_conjugate(g, h) is not None), (text, g, h)
+
+
+def _lamp_sum(g):
+    total = g.group.lamp.zero()
+    for _, v in g.pairs:
+        total = total + v
+    return total
+
+
+def test_lamp_sum_is_a_class_invariant():
+    # (f, b) -> (sum of f, b) is a homomorphism onto A x B, so the lamp
+    # sum adds under multiply and conjugation keeps it; the extra groups
+    # have torsion in A, in B or in both
+    rng = random.Random(20014)
+    extra = [_group(text) for text in ("Z/4 wr Z x Z/2", "Z/3 wr Z^2", "F2 wr Z/4")]
+    for W in SAMPLE_GROUPS + extra:
+        for _ in range(150):
+            g, h, z = (random_wreath(rng, W, max_lamps=4) for _ in range(3))
+            assert _lamp_sum(multiply(g, h)) == _lamp_sum(g) + _lamp_sum(h)
+            assert _lamp_sum(conjugate(z, g)) == _lamp_sum(g)
+            assert wreath._lamp_sum(g) == _lamp_sum(g).coords
+
+
+def test_conjugate_test_reduces_only_equal_lamp_sums(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return reduce(g)
+
+    monkeypatch.setattr(wreath, "reduce", counted)
+    W = _group("Z/3 wr Z^2")
+    g = W.element({(0, 0): (1,), (2, 1): (1,)}, (1, 0))
+    # one more lamp: the sums differ, so no reduction
+    near = multiply(conjugate(W.delta((1, 1), (2,)), g), W.delta((5, 5), (1,)))
+    assert conjugate_test(g, near) is None
+    assert calls == []
+    # equal sums, 1 + 1 = 2 + 2 + 1 in Z/3, but not conjugate
+    apart = W.element({(0, 0): (2,), (0, 1): (2,), (3, 3): (1,)}, (1, 0))
+    assert conjugate_test(g, apart) is None
+    assert calls == [g, apart]
 
 
 def test_cross_group_multiplication_rejected():
@@ -371,6 +412,18 @@ def test_json_rejects_malformed_documents():
     bad["f"] = [[[0], [0]]]
     with pytest.raises(ValueError):
         element_from_json(bad)
+    # coordinates other than lists of integers (bool included), and a
+    # non-list "f"
+    for field, value in [
+        ("f", 3), ("f", None), ("b", 3), ("b", "1"), ("b", [1.5]), ("b", [True]), ("b", {"1": 1}),
+        ("f", [[0, [1]]]), ("f", [[[0], 1]]), ("f", [[[0], ["a"]]]), ("f", [[[1.0], [1]]]),
+        ("f", [[[0], [False]]]), ("A", 2), ("B", None),
+    ]:
+        with pytest.raises(ValueError):
+            element_from_json({**good, field: value})
+    for doc in ("[1]", "3", '"A B f b"'):
+        with pytest.raises(ValueError):
+            element_from_json(doc)
 
 
 def test_kernel_round_trip_and_conjugation():
