@@ -34,9 +34,13 @@ and also hold p.
 Z-depth rows (marked "section": "depth_z"): the script times
 `split_conjugacy_depth` in this process on Z pairs. The "s8" row runs
 every op of the `z_depth` pool (`perfbench/pool/z_depth.json`) whose
-answer lies at index 8 or below, at the pool's budget; each op's time is
-the median over the runs, and the row holds the median and the total
-over the ops. The "pair" rows run the pair (1 - x^-1, 0), (-1 + x^-1,
+answer lies at index 8 or below, at the pool's budget, as one loop over
+the list; it holds the best of the runs of that loop, each after a
+`gc.collect()`, divided by the number of queries. s8 rows recorded
+before the "seconds" column came in hold instead the median and total
+over the ops of each op's median single query (`seconds_median`,
+`seconds_total`), which moved by up to a quarter between runs of the
+same code. The "pair" rows run the pair (1 - x^-1, 0), (-1 + x^-1,
 0), whose depth is 21, at budgets 18 (the query reads every subgroup
 and exceeds the budget) and 24, and the pair of `family_zwrz(3)`
 (shifts 16), whose depth is 272, at budgets 300 and 1000; they hold
@@ -278,20 +282,26 @@ def measure_enum_fp(p: int, budget: int, runs: int) -> dict:
 
 
 def measure_depth_pool(workload: str, runs: int) -> dict:
-    """The "s8" row of a depth workload's pool (`z_depth` or `fp_depth`)."""
+    """The "s8" row of a depth workload's pool (`z_depth` or `fp_depth`):
+    seconds per query of the best loop over all its s8 queries."""
     pool = json.loads((ROOT / "perfbench" / "pool" / f"{workload}.json").read_text())
     ops = [op["spec"] for op in pool["ops"] if op["stratum"].endswith("/s8")]
-    seconds = []
-    for spec in ops:
-        s1, s2 = (laurent.parse_semidirect(spec[v], spec["ring"]) for v in ("x", "y"))
-        seconds.append(_timed(lambda: depth.split_conjugacy_depth(s1, s2, spec["budget"]), runs)[1])
+    queries = [
+        (*(laurent.parse_semidirect(spec[v], spec["ring"]) for v in ("x", "y")), spec["budget"])
+        for spec in ops
+    ]
+
+    def run_all():
+        for s1, s2, budget in queries:
+            depth.split_conjugacy_depth(s1, s2, budget)
+
+    _, seconds, _ = _looped(run_all, runs)
     return {
         "section": "depth_fp" if ops[0]["ring"] else "depth_z",
         "ops": "s8",
         "budget": ops[0]["budget"],
         "queries": len(ops),
-        "seconds_median": round(statistics.median(seconds), 6),
-        "seconds_total": round(sum(seconds), 6),
+        "seconds": round(seconds / len(ops), 9),
         "runs": runs,
     }
 

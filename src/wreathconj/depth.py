@@ -201,9 +201,10 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     The candidates are those of `split_subgroup_stream` for the shifts
     (a1, a2) and g = gcd(a1, a2), over F_p and Z alike: each ideal J
     whose least period t0(J) divides g (every J when both shifts are 0),
-    at t0(J), and the unit ideal at t = 1 and, if a1 != a2, at the least
-    t not dividing a1 - a2. They hold the first separator of the full
-    enumeration. A subgroup J x| tZ with t not dividing a1 - a2 has
+    at t0(J), and, if a1 != a2, the unit ideal at the least t not
+    dividing a1 - a2. They hold the first separator of the full
+    enumeration; the whole group, of index 1, separates nothing and is
+    not tested. A subgroup J x| tZ with t not dividing a1 - a2 has
     index at least that least t. One with t | a1 - a2 tests membership
     in J' = J + (x^(a1 mod t) - 1), which holds x^t - 1 and so
     x^gcd(a1, t) - 1; gcd(a1, t) divides a2 too, so t0(J') | g, and
@@ -451,10 +452,11 @@ def depth_sweep(
     subgroups of `split_subgroup_stream` for their shifts and g = 0, in
     index order, until every pair is separated or the budget is spent. That
     stream holds each ideal only at its least period, and the unit ideal
-    only at t = 1 and at the least t not dividing each difference of two
-    of the ball's shifts; no other subgroup is the first to separate a
-    pair, so the first separators, and with them the rows, are those of
-    the full enumeration. The representatives are keyed as
+    only at the least t not dividing each difference of two of the
+    ball's shifts (not at t = 1: the whole group separates nothing); no
+    other subgroup is the first to separate a pair, so the first
+    separators, and with them the rows, are those of the full
+    enumeration. The representatives are keyed as
     `conjugacy_classes` returns them.
 
     Row n is then read off the split events, keeping the classes inside

@@ -108,6 +108,15 @@ class LaurentPoly:
             self, "coeffs", tuple(sorted((e, c) for e, c in acc.items() if c))
         )
 
+    @classmethod
+    def _canonical(cls, ring: int, coeffs: tuple) -> "LaurentPoly":
+        """The polynomial whose coefficients are already as `__post_init__`
+        leaves them: sorted by exponent, reduced mod the ring, none zero.
+        It checks nothing."""
+        P = object.__new__(cls)
+        P.__dict__.update(ring=ring, coeffs=coeffs)
+        return P
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -586,9 +595,11 @@ class FpSplitSubgroup:
 
     @classmethod
     def _from_divisor(cls, p: int, t: int, D: list) -> "FpSplitSubgroup":
-        """(D) x| tZ for a dense monic D | x^t - 1 with D(0) != 0."""
+        """(D) x| tZ for a dense monic D | x^t - 1 with D(0) != 0, its
+        coefficients reduced mod p."""
+        gen = LaurentPoly._canonical(p, tuple((i, a) for i, a in enumerate(D) if a))
         N = object.__new__(cls)
-        N.__dict__.update(p=p, t=t, gen=_from_dense(p, 0, D), _mod=_dtail(D, p))
+        N.__dict__.update(p=p, t=t, gen=gen, _mod=_dtail(D, p))
         return N
 
     def _tail(self, m: int) -> tuple:
@@ -834,13 +845,14 @@ def split_subgroup_stream(ring: int, max_index: int, shifts, g: int):
     lie in shifts, in the order `enumerate_split_subgroups_fp` and
     `enumerate_split_subgroups_z` list them, each built only when read:
     every ideal J != (1) whose least period t0 divides g (every J when
-    g = 0) once, as J x| t0Z, and the unit ideal (1) x| tZ at t = 1 and
-    at each t of `first_unit_shifts(shifts)`. For one pair of shifts a1,
-    a2, g is gcd(a1, a2); for classes of several shifts, 0.
+    g = 0) once, as J x| t0Z, and the unit ideal (1) x| tZ at each t of
+    `first_unit_shifts(shifts)`. For one pair of shifts a1, a2, g is
+    gcd(a1, a2); for classes of several shifts, 0.
 
     No other subgroup of the listing is the first to separate such a
-    pair. The test at J x| tZ reads the shifts mod t and
-    J' = J + (x^(a1 mod t) - 1). If t divides a1 - a2, J' holds
+    pair. The whole group, (1) x| 1Z of index 1, has the trivial
+    quotient and separates nothing. The test at J x| tZ reads the shifts
+    mod t and J' = J + (x^(a1 mod t) - 1). If t divides a1 - a2, J' holds
     x^t - 1 and so x^gcd(a1, t) - 1, and gcd(a1, t) divides a2, hence
     g: so t0(J') divides g and t, and J' x| t0(J')Z, of no larger index,
     gives the same test (with a1 = a2 = 0, J' = J). This uses only that
@@ -850,11 +862,12 @@ def split_subgroup_stream(ring: int, max_index: int, shifts, g: int):
     separates the pair too, so only that one can be the first.
 
     The subgroups wait on one heap, keyed in the order of the listing,
-    and reading one files those that follow it. New ideals are generated
-    only when the stream reaches a lower bound on their index, so every
-    entry filed lies above each index read, and the heap yields the
-    listing's order. Reading a unit ideal files the one at the next
-    shift."""
+    and each one, once yielded, files those that follow it. The whole
+    group is the heap's first entry, the root of what is filed, and is
+    read without being yielded. New ideals are generated only when the
+    stream reaches a lower bound on their index, so every entry filed
+    lies above each index read, and the heap yields the listing's order.
+    Reading a unit ideal files the one at the next shift."""
     if max_index < 1:
         raise ValueError("max_index must be positive")
     _check_ring(ring)
@@ -865,11 +878,13 @@ def split_subgroup_stream(ring: int, max_index: int, shifts, g: int):
 def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup]:
     """Every (t, monic P | x^t - 1, P(0) != 0) with t * p^deg P <= max_index,
     sorted by nondecreasing index, then by t, deg P and the coefficients
-    of P: each (P) x| t0Z of `split_subgroup_stream` with no shifts and
-    g = 0, t0 the order of P, at every multiple of t0."""
+    of P: (1) x| tZ at every t, and each (P) x| t0Z of
+    `split_subgroup_stream` with no shifts and g = 0, t0 the order of P,
+    at every multiple of t0."""
     if not is_prime(p):
         raise ValueError("p must be prime")
-    subs = [
+    subs = [FpSplitSubgroup._from_divisor(p, t, [1]) for t in range(1, max_index + 1)]
+    subs += [
         N if t == N.t else FpSplitSubgroup._from_divisor(p, t, _normalize(N.gen)[1])
         for N in split_subgroup_stream(p, max_index, (), 0)
         for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
@@ -928,19 +943,24 @@ def _split_equal_degree(f, d: int, p: int, rng) -> list:
             )
 
 
+def _at_power(cs: list, k: int) -> list:
+    """cs(x^k), dense."""
+    out = [0] * (k * (len(cs) - 1) + 1)
+    out[::k] = cs
+    return out
+
+
 def _cyclotomic(p: int, e: int) -> list:
-    """Phi_e over F_p, dense: the product of (x^(e/s) - 1)^mu(s) over the
-    squarefree s | e."""
-    num = den = [1]
-    primes = _prime_factors(e)
-    for r in range(len(primes) + 1):
-        for S in itertools.combinations(primes, r):
-            xd = _trim([-1] + [0] * (e // math.prod(S) - 1) + [1], p)
-            if r % 2:
-                den = _dmul(xd, den, p)
-            else:
-                num = _dmul(xd, num, p)
-    return _ddivmod(num, den, p)[0]
+    """Phi_e over F_p, dense, for p not dividing e. From Phi_1 = x - 1,
+    the identity Phi_nq(x) = Phi_n(x^q) / Phi_n(x), for a prime q not
+    dividing n, taken over the primes of e in turn gives Phi_r, r the
+    product of those primes; then Phi_e(x) = Phi_r(x^(e/r)), as every
+    prime of e/r divides r. Each division is exact over Z by a monic
+    divisor, so also mod p."""
+    phi, r = [-1 % p, 1], 1
+    for q in _prime_factors(e):
+        phi, r = _ddivmod(_at_power(phi, q), phi, p)[0], r * q
+    return _at_power(phi, e // r)
 
 
 def _cyclotomic_factors(p: int, e: int, deg: int) -> list:
@@ -969,8 +989,8 @@ def _cyclotomic_factors(p: int, e: int, deg: int) -> list:
 def _fp_stream(p: int, g: int, max_index: int, units):
     """(D) x| tZ of index <= max_index for the monic D | x^g - 1, or
     every monic D with D(0) != 0 when g = 0, in the order of
-    `enumerate_split_subgroups_fp`, each built only when read: at t the
-    order t0(D) of D, and for D = 1 also at each t of units, an
+    `enumerate_split_subgroups_fp`, each built only when read: for D != 1
+    at t the order t0(D) of D, and for D = 1 at each t of units, an
     increasing iterator of shifts above 1.
 
     With g = p^a * g', p not dividing g', x^g - 1 = (x^g' - 1)^(p^a), and
@@ -995,7 +1015,10 @@ def _fp_stream(p: int, g: int, max_index: int, units):
     its factors f, only for the divisors D read so far. So each divisor
     is built once, when both its parent is read and its last factor is
     split, and its index is above all read so far. Reading (1) x| tZ
-    files (1) x| t'Z, t' the next shift of units."""
+    files (1) x| t'Z, t' the next shift of units. An entry is read only
+    after it is yielded, when the reader asks for the next, so nothing
+    is multiplied out past the last subgroup the reader takes; the root
+    (1) x| 1Z, the whole group, is read and not yielded."""
     if g:
         cap = 1
         while g % (cap * p) == 0:
@@ -1050,14 +1073,15 @@ def _fp_stream(p: int, g: int, max_index: int, units):
             continue
         if not heap:
             return
-        _, t, _, _, div = heapq.heappop(heap)
+        index, t, _, _, div = heapq.heappop(heap)
         lcm_e, power, last, _, D = div
+        if index > 1:
+            yield FpSplitSubgroup._from_divisor(p, t, D)
         if t == lcm_e * power:
             read.append(div)
             grow(div, last)
         if len(D) == 1 and (later := next(units, None)):
             file(later, div)
-        yield FpSplitSubgroup._from_divisor(p, t, D)
 
 
 # ---------------------------------------------------------------------------
@@ -1246,9 +1270,11 @@ def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
     pivot lie below that column's pivot. So two tuples first differ
     where the lowest differing rows do, and compare as those rows do.
 
-    The list is each J x| t0Z of `split_subgroup_stream` with no shifts
-    and g = 0, t0 the least period of J, at every multiple of t0."""
-    subs = [
+    The list is Z x| tZ at every t, and each J x| t0Z of
+    `split_subgroup_stream` with no shifts and g = 0, t0 the least period
+    of J, at every multiple of t0."""
+    subs = [ZSplitSubgroup._from_basis(1, 1, ((1,),), t) for t in range(1, max_index + 1)]
+    subs += [
         N if t == N.t else ZSplitSubgroup._from_basis(N.d, N.t0, N.basis, t)
         for N in split_subgroup_stream(0, max_index, (), 0)
         for t in range(N.t, max_index // N.quotient_ring_order + 1, N.t)
@@ -1261,8 +1287,8 @@ def _z_stream(g: int, max_index: int, units):
     `enumerate_split_subgroups_z`, off one heap keyed by the
     `listing_key` of the subgroup each entry builds: every ideal J != Z
     at its least period t0, if t0 divides g (every J when g = 0), and
-    the unit ideal at t = 1 and at each t of units, an increasing
-    iterator of shifts above 1.
+    the unit ideal at each t of units, an increasing iterator of shifts
+    above 1.
 
     Each ideal is built as a lattice in Hermite normal form, with t0 its
     least period and d its characteristic, and only if its co-index c is
@@ -1270,8 +1296,10 @@ def _z_stream(g: int, max_index: int, units):
     not with d^t0. It is filed once, at t0 * c, as (J, t0). For t0 = 1
     the ideals are the dZ: reading (dZ, 1) files ((d + 1)Z, 1), and
     reading the unit ideal (Z, t) files (Z, t'), t' the next shift of
-    units. A quotient ring of least period t0 > 1 holds 0 and t0
-    distinct powers of x, so its order is at least t0 + 1: the lattices
+    units; an entry is read after it is yielded, and the first, (Z, 1),
+    the whole group, is read and not yielded. A quotient ring of least
+    period t0 > 1 holds 0 and t0 distinct powers of x, so its order is
+    at least t0 + 1: the lattices
     of period t0 are built, for t0 | g only, when the stream reaches
     index t0 (t0 + 1), the least they can have, before anything there is
     read. The dZ run to d = max_index, so the heap holds an entry of
@@ -1286,11 +1314,12 @@ def _z_stream(g: int, max_index: int, units):
                     heapq.heappush(heap, (t0 * _coindex(H), H[-1][-1], t0, t0, H[::-1]))
             t0 += 1
         index, d, s0, t, R = heapq.heappop(heap)
+        if index > 1:
+            yield ZSplitSubgroup._from_basis(d, s0, R[::-1], t)
         if t == 1 and d < max_index:
             heapq.heappush(heap, (d + 1, d + 1, 1, 1, ((d + 1,),)))
         if d == 1 and (later := next(units, max_index + 1)) <= max_index:
             heapq.heappush(heap, (later, 1, 1, later, R))
-        yield ZSplitSubgroup._from_basis(d, s0, R[::-1], t)
 
 
 # ---------------------------------------------------------------------------
@@ -1305,16 +1334,24 @@ def conjugate_in_split_quotient(
 
     The image criterion: shifts agree mod t, and P2 - x^l P1 lies in
     J + (x^{m mod t} - 1) for some l. Over F_p that ideal is (g0), so
-    P2 mod g0 must lie in the x-orbit of P1 mod g0: the two class keys
-    agree. Over Z, l runs over the period t0.
+    P2 mod g0 must lie in the x-orbit of P1 mod g0: the orbit of P1 is
+    walked from P1 until it meets P2 or comes back to P1, as x is a unit
+    mod g0 (the two class keys of `quotient_class_key` agree exactly
+    then). Over Z, l runs over the period t0.
     """
     if g1.poly.ring != N.ring or g2.poly.ring != N.ring:
         raise ValueError("ring mismatch")
     if (g1.shift - g2.shift) % N.t:
         return False
-    if isinstance(N, FpSplitSubgroup):
-        return quotient_class_key(g1, N) == quotient_class_key(g2, N)
     m = g1.shift % N.t
+    if isinstance(N, FpSplitSubgroup):
+        p, tail = N.p, N._tail(m)
+        start = r = _dreduce(_normalize(g1.poly)[1], tail, p)
+        target = _dreduce(_normalize(g2.poly)[1], tail, p)
+        while r != target:
+            if (r := _dtimes_x(r, tail, p)) == start:
+                return False
+        return True
     R = N._reachable(m)
     target = _reduce(R, N.vec(g2.poly))
     return any(_reduce(R, w) == target for w in _rotations(N.vec(g1.poly)))

@@ -55,15 +55,19 @@ from wreathconj.laurent import (
 from wreathconj.laurent import (
     _coindex,
     _crt_join,
+    _cyclotomic,
     _cyclotomic_factors,
+    _ddivmod,
     _dirreducible,
     _divisors,
+    _dmul,
     _laurent_div,
     _dpow_x,
     _elements,
     _orders,
     _prime_factors,
     _rotate,
+    _trim,
 )
 from wreathconj.depth import split_conjugacy_depth
 from wreathconj.wreath import conjugate, conjugate_test, multiply
@@ -546,18 +550,21 @@ def test_pair_split_subgroups_fp_power_caps():
             for budget in (1, p, 8, 56, 125, 243, 512, 4096):
                 gens = {N.gen for N in split_subgroup_stream(p, budget, (g, g), g)}
                 assert [P in gens for P, _ in powers] == [i <= budget for _, i in powers]
-    # x^6 - 1 = (x - 1)^3 (x + 1)^3 over F3 has 16 monic divisors
+    # x^6 - 1 = (x - 1)^3 (x + 1)^3 over F3 has 16 monic divisors, 15
+    # of them other than 1
     x1, x2 = parse_laurent("x + 1", 3), parse_laurent("x + 2", 3)
     gens = [N.gen for N in split_subgroup_stream(3, NO_BOUND, (6, 6), 6)]
     want = {poly_mul(_power(x1, i), _power(x2, j)) for i in range(4) for j in range(4)}
-    assert len(gens) == 16 and set(gens) == want
+    want.discard(one_poly(3))
+    assert len(gens) == 15 and set(gens) == want
     # the cost follows the budget, not g: (x + 1)^4 is all that fits in
     # 64 for x^(2^20) - 1 over F2, and x - 1 alone for a prime g
     x1 = parse_laurent("x + 1", 2)
     stream = split_subgroup_stream(2, 64, (2**20, 2**20), 2**20)
-    assert [(N.t, N.gen) for N in stream] == [(_least_power(2, k), _power(x1, k)) for k in range(5)]
+    want = [(_least_power(2, k), _power(x1, k)) for k in range(1, 5)]
+    assert [(N.t, N.gen) for N in stream] == want
     stream = split_subgroup_stream(3, 243, (1000003, 1000003), 1000003)
-    assert [(N.t, N.gen) for N in stream] == [(1, one_poly(3)), (1, x2)]
+    assert [(N.t, N.gen) for N in stream] == [(1, x2)]
     # x^(7 * 2^16) - 1 over F2 at 512: (x + 1)^k up to k = 6 and each
     # cubic factor of Phi_7 once
     c1, c2 = (_dense(f, 2) for f in _irreducibles_of_order(2, 7))
@@ -567,6 +574,7 @@ def test_pair_split_subgroups_fp_power_caps():
         D = poly_mul(poly_mul(_power(x1, i), _power(c1, j)), _power(c2, k))
         if t0 * 2**D.degree <= 512:
             want.add((t0, D))
+    want.discard((1, one_poly(2)))
     stream = split_subgroup_stream(2, 512, (7 * 2**16, 7 * 2**16), 7 * 2**16)
     got = [(N.t, N.gen) for N in stream]
     assert len(got) == len(want) and set(got) == want
@@ -580,7 +588,7 @@ def test_pair_split_subgroups_fp_check_raises(monkeypatch):
     # come from the splitter
     monkeypatch.setattr(laurent, "_split_equal_degree", lambda f, d, p, rng: [f, f])
     stream = split_subgroup_stream(2, NO_BOUND, (7, 7), 7)
-    assert [N.index for N in itertools.islice(stream, 2)] == [1, 2]
+    assert [N.index for N in itertools.islice(stream, 1)] == [2]
     with pytest.raises(ContractError):
         next(stream)
 
@@ -601,7 +609,8 @@ def test_pair_split_subgroups_fp_seed_only_reducible(monkeypatch):
 def test_pair_split_subgroups_fp_against_full_stream():
     # the pair's subgroups are, in stream order, the members (D) x| tZ of
     # the full list with t the order of D and t | gcd(a1, a2), and, when
-    # a1 != a2, (1) x| tZ for the least t not dividing a1 - a2
+    # a1 != a2, (1) x| tZ for the least t not dividing a1 - a2; the whole
+    # group, of index 1, is not among them
     for p, budget in ((2, 128), (3, 81), (5, 50), (7, 49)):
         full = enumerate_split_subgroups_fp(p, budget)
         order = [
@@ -614,8 +623,8 @@ def test_pair_split_subgroups_fp_against_full_stream():
             want = [
                 N
                 for N, t0 in zip(full, order)
-                if (N.t == t0 and g % N.t == 0)
-                or (N.gen == one_poly(p) and N.t == least)
+                if N.index > 1 and ((N.t == t0 and g % N.t == 0)
+                                    or (N.gen == one_poly(p) and N.t == least))
             ]
             assert list(split_subgroup_stream(p, budget, (a1, a2), g)) == want, (p, a1, a2)
 
@@ -652,8 +661,8 @@ def test_pair_stream_builds_only_what_is_read(monkeypatch):
     # x^12 - 1 over F2: Phi_3 is split only when the stream reaches
     # 3 * 2^ord_3(2) = 12, and each subgroup is built when read
     stream = split_subgroup_stream(2, 1024, (12, 12), 12)
-    assert [N.index for N in itertools.islice(stream, 3)] == [1, 2, 8]
-    assert asked == [1] and built == [1, 2, 8]
+    assert [N.index for N in itertools.islice(stream, 2)] == [2, 8]
+    assert asked == [1] and built == [2, 8]
     assert next(stream).index == 12 and asked == [1, 3] and built[-1] == 12
     # the depth query over shift 2 * 3 * ... * 19 at budget 2^30 stops at
     # index 2: no order past e = 1 is factored
@@ -661,16 +670,16 @@ def test_pair_stream_builds_only_what_is_read(monkeypatch):
     built.clear()
     s1, s2 = parse_semidirect("(1 + x, 9699690)", 2), parse_semidirect("(x, 9699690)", 2)
     assert split_conjugacy_depth(s1, s2, 2**30).split_depth == 2
-    assert asked == [1] and built == [1, 2]
+    assert asked == [1] and built == [2]
     # both shifts 0: every order is a candidate, listed by degree d only
     # once the stream reaches p^d, so a budget of 10^12 splits no more
-    # than order 1 for the first three candidates, and order 3 once index
+    # than order 1 for the first two candidates, and order 3 once index
     # 12 is read
     asked.clear()
     built.clear()
     stream = split_subgroup_stream(2, 10**12, (0, 0), 0)
-    assert [N.index for N in itertools.islice(stream, 3)] == [1, 2, 8]
-    assert asked == [1] and built == [1, 2, 8]
+    assert [N.index for N in itertools.islice(stream, 2)] == [2, 8]
+    assert asked == [1] and built == [2, 8]
     assert next(stream).index == 12 and asked == [1, 3] and built[-1] == 12
     # the arguments are checked at the call, before any iteration
     for p, a1, a2, k in ((2, 1, 2, 0), (4, 1, 2, 8)):
@@ -1010,9 +1019,9 @@ def least_periods(subs, shifts):
     """The subgroups of a full listing that `split_subgroup_stream` keeps
     for classes whose shifts lie in shifts: every ideal J != (1) only at
     its least period, the least s with x^s - 1 in J (by schoolbook
-    division over F_p, by membership over Z), and the unit ideal at t = 1
-    and at each t that is the least shift not dividing some nonzero
-    difference of two shifts."""
+    division over F_p, by membership over Z), and the unit ideal at each
+    t that is the least shift not dividing some nonzero difference of two
+    shifts (so not the whole group, at t = 1)."""
     gaps = {a - b for a in shifts for b in shifts if a > b}
 
     def holds(N, s):
@@ -1021,7 +1030,7 @@ def least_periods(subs, shifts):
         return N.contains(xt_minus_1(0, s))
 
     def first_unit(t):
-        return t == 1 or any(d % t and all(d % s == 0 for s in range(2, t)) for d in gaps)
+        return any(d % t and all(d % s == 0 for s in range(2, t)) for d in gaps)
 
     return [
         N for N in subs
@@ -1108,12 +1117,12 @@ def test_streams_yield_each_subgroup_once_in_key_order():
     # factor is split would show up as a repeated key
     for stream, count in (
         (enumerate_split_subgroups_fp(2, 4096), 8040),
-        (split_subgroup_stream(2, 4096, (), 0), 92),
-        (split_subgroup_stream(2, 4096, range(-12, 13), 0), 96),
-        (split_subgroup_stream(2, 2**20, (0, 0), 0), 2485),
+        (split_subgroup_stream(2, 4096, (), 0), 91),
+        (split_subgroup_stream(2, 4096, range(-12, 13), 0), 95),
+        (split_subgroup_stream(2, 2**20, (0, 0), 0), 2484),
         (enumerate_split_subgroups_z(96), 894),
-        (split_subgroup_stream(0, 96, (), 0), 336),
-        (split_subgroup_stream(0, 96, range(-6, 7), 0), 340),
+        (split_subgroup_stream(0, 96, (), 0), 335),
+        (split_subgroup_stream(0, 96, range(-6, 7), 0), 339),
     ):
         keys = [N.listing_key for N in stream]
         assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -1168,6 +1177,9 @@ def test_stream_output_passes_the_public_checks():
     ]
     assert len(fp) > 8040 + 3914 + 957
     for N in fp:
+        # gen is built unchecked too: it must be the polynomial the public
+        # constructor makes of its coefficients
+        assert N.gen == LaurentPoly(N.p, N.gen.coeffs), N
         M = FpSplitSubgroup(N.p, N.t, N.gen)
         assert M == N and M._tail(0) == N._tail(0), N
         if N.index <= 64:
@@ -1189,6 +1201,51 @@ def test_cyclotomic_factors_need_the_order_degree():
     assert _cyclotomic_factors(2, 7, 3) == [[1, 0, 1, 1], [1, 1, 0, 1]]
     assert _cyclotomic_factors(3, 8, 2) == [[2, 1, 1], [2, 2, 1]]
     assert _cyclotomic_factors(2, 15, 4) == [[1, 0, 0, 1, 1], [1, 1, 0, 0, 1]]
+
+
+def _cyclotomic_oracle(p, e):
+    """Phi_e over F_p by the Moebius product: (x^(e/s) - 1)^mu(s) over
+    the squarefree s | e."""
+    num = den = [1]
+    primes = _prime_factors(e)
+    for r in range(len(primes) + 1):
+        for S in itertools.combinations(primes, r):
+            xd = _trim([-1] + [0] * (e // math.prod(S) - 1) + [1], p)
+            if r % 2:
+                den = _dmul(xd, den, p)
+            else:
+                num = _dmul(xd, num, p)
+    q, rest = _ddivmod(num, den, p)
+    assert not rest
+    return q
+
+
+def test_cyclotomic_against_moebius_product():
+    for p in (2, 3, 5, 7, 11, 13):
+        for e in range(1, 400):
+            if e % p:
+                assert _cyclotomic(p, e) == _cyclotomic_oracle(p, e), (p, e)
+    assert _cyclotomic(2, 1) == [1, 1] and _cyclotomic(3, 1) == [2, 1]
+    assert _cyclotomic(5, 12) == [1, 0, 4, 0, 1]  # x^4 - x^2 + 1
+
+
+def test_streams_never_yield_the_whole_group():
+    # the whole group (1) x| 1Z has the trivial quotient and separates
+    # nothing, so no stream yields it; the listings hold (1) x| tZ at
+    # every t themselves
+    for ring, budget in ((2, 256), (3, 243), (5, 125), (0, 24)):
+        for g in (0, 1, 6, 12):
+            for shifts in ((g, g), (g, 3 * g) if g else range(-6, 7)):
+                subs = list(split_subgroup_stream(ring, budget, shifts, g))
+                assert subs and min(N.index for N in subs) > 1, (ring, g, shifts)
+                units = [N.t for N in subs if N.quotient_ring_order == 1]
+                assert units == first_unit_shifts(shifts), (ring, g, shifts)
+    fp, zs = enumerate_split_subgroups_fp(2, 8), enumerate_split_subgroups_z(8)
+    assert (len(fp), len(zs)) == (13, 23)
+    for subs in (fp, zs):
+        assert [N.t for N in subs if N.quotient_ring_order == 1] == list(range(1, 9))
+    assert fp[0] == FpSplitSubgroup(2, 1, one_poly(2))
+    assert zs[0] == ZSplitSubgroup(1, 1, [(0,)], 1)
 
 
 def test_conjugate_in_split_quotient_psi3():
@@ -1306,12 +1363,14 @@ def oracle_pair(rng, N):
 
 
 def test_quotient_test_and_key_against_per_shift_oracle():
-    # the quotient test and the class key share one kernel (the x-orbit
-    # mod g0 over F_p, the set J + (x^m - 1) over Z); both are checked
-    # here against the per-shift definition, on every split subgroup up
-    # to index 27 over F_2, F_3, F_5 and up to 9 over Z, and on the Z
-    # ones of period t0 > 2 up to 24 (below 12 all have t0 <= 2, so
-    # none has a shift with 1 < gcd(m, t0) < t0)
+    # the quotient test and the class key read the same ideal
+    # J + (x^m - 1), (g0) over F_p; over F_p the test walks the x-orbit
+    # of P1 mod g0 until it meets P2 or closes, and the key takes the
+    # orbit's least residue. Both are checked here against the per-shift
+    # definition, on every split subgroup up to index 27 over F_2, F_3,
+    # F_5 and up to 9 over Z, and on the Z ones of period t0 > 2 up to 24
+    # (below 12 all have t0 <= 2, so none has a shift with
+    # 1 < gcd(m, t0) < t0)
     rng = random.Random(4242)
     cases = [(enumerate_split_subgroups_fp(p, 27), 40) for p in (2, 3, 5)]
     z_wide = [N for N in enumerate_split_subgroups_z(24) if N.t0 > 2]
