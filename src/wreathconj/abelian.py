@@ -7,11 +7,10 @@ are coordinate tuples; torsion coordinates live in [0, n).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, mod, neg, sub
 from typing import Iterator, Optional
 
@@ -204,26 +203,28 @@ class QuotientMap:
 
     source: AbelianGroup
     modulus: int
+    target: AbelianGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
-
-    @functools.cached_property
-    def target(self) -> AbelianGroup:
         # one group object per map, so its images share it
-        k = self.source.free_rank
+        torsion = self.source.torsion
+        if self.modulus > 1:
+            torsion = (self.modulus,) * self.source.free_rank + torsion
+        object.__setattr__(self, "target", AbelianGroup(0, torsion))
+
+    def image_coords(self, coords: tuple) -> tuple:
+        """The coordinates of the image of the source element with
+        coordinates `coords`; no group check."""
         if self.modulus == 1:
-            return AbelianGroup(0, self.source.torsion)
-        return AbelianGroup(0, (self.modulus,) * k + self.source.torsion)
+            return coords[self.source.free_rank :]
+        return _reduced(self.target, coords)
 
     def __call__(self, x: AbelianElement) -> AbelianElement:
         if x.group is not self.source and x.group != self.source:
             raise GroupMismatchError("element does not belong to the source group")
-        target = self.target
-        if self.modulus == 1:
-            return _element(target, x.torsion_part())
-        return _element(target, _reduced(target, x.coords))
+        return _element(self.target, self.image_coords(x.coords))
 
 
 def quotient_mod(group: AbelianGroup, m: int) -> QuotientMap:

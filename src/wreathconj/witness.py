@@ -14,12 +14,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Optional, Union
 
 from .abelian import (
     AbelianElement,
     AbelianGroup,
     QuotientMap,
+    _reduced,
     format_group,
     quotient_mod,
     # not called here; bound so that callers tracing or timing the coset
@@ -31,7 +33,7 @@ from .wreath import (
     ContractError,
     WreathElement,
     WreathGroup,
-    _coset_classes,
+    _keyed_classes,
     all_translators,
     conjugate_reduced,
     conjugate_test,
@@ -115,22 +117,27 @@ class WitnessQuotient:
         }
 
 
-def _difference_set(points) -> list[AbelianElement]:
+def _difference_set(B: AbelianGroup, points) -> list[tuple]:
+    """The differences s - t of the points, coordinate tuples of B, each
+    once and as a coordinate tuple."""
     pts = list(points)
-    return list({s - t for s in pts for t in pts})
+    return list({_reduced(B, map(sub, s, t)) for s in pts for t in pts})
 
 
 def _verify_modulus(pi: QuotientMap, b: AbelianElement, diffs) -> bool:
-    """Whether pi is injective on `diffs` and keeps each one's membership
-    of <b>. A point lies in <b> iff its coset key is the key of 0, read
-    with one key function above the quotient and one below. Membership
-    above implies membership below, so only a difference whose image
-    lies in <pi(b)> is keyed above."""
-    images = [pi(d) for d in diffs]
-    if len({im.coords for im in images}) != len(diffs):
+    """Whether pi is injective on `diffs`, coordinate tuples of pi's
+    source, and keeps each one's membership of <b>. A point lies in <b>
+    iff its coset key is the key of 0, read with one key function above
+    the quotient and one below. Membership above implies membership
+    below, so only a difference whose image lies in <pi(b)> is keyed
+    above."""
+    image = pi.image_coords
+    images = [image(d) for d in diffs]
+    if len(set(images)) != len(diffs):
         return False
     up, down = coset_key(b), coset_key(pi(b))
-    zero_up, zero_down = up(b.group.zero())[0], down(pi.target.zero())[0]
+    zero_up = up((0,) * b.group.rank)[0]
+    zero_down = down((0,) * pi.target.rank)[0]
     return all(
         up(d)[0] == zero_up
         for d, im in zip(diffs, images)
@@ -175,7 +182,7 @@ def separating_modulus(B: AbelianGroup, b: AbelianElement, supports, ell: int) -
             raise ValueError(f"support point {s.coords} outside Ball({ell})")
     threshold, step = _search_start(b, ell)
     m = -(-threshold // step) * step
-    diffs = _difference_set(supports) if supports else []
+    diffs = _difference_set(B, [s.coords for s in supports])
     for _ in range(1000):
         if _verify_modulus(quotient_mod(B, m), b, diffs):
             return m
@@ -202,17 +209,21 @@ def rf_quotient(A: AbelianGroup, r: AbelianElement) -> QuotientMap:
         raise ValueError("r must lie in A")
     if r.is_zero():
         raise ValueError("r must be nonzero")
-    if any(r.torsion_part()):
-        pi = quotient_mod(A, 1)
-        if pi(r).is_zero():
+    return quotient_mod(A, _rf_modulus(A, r.coords))
+
+
+def _rf_modulus(A: AbelianGroup, rc: tuple) -> int:
+    """The modulus of `rf_quotient` for the nonzero element of A with
+    coordinates rc, read off the coordinates."""
+    k = A.free_rank
+    if any(rc[k:]):
+        if not any(quotient_mod(A, 1).image_coords(rc)):
             raise WitnessContractError("torsion part collapsed by the free quotient")
-        return pi
+        return 1
     m = 2
-    while True:
-        pi = quotient_mod(A, m)
-        if not pi(r).is_zero():
-            return pi
+    while not any(c % m for c in rc[:k]):
         m += 1
+    return m
 
 
 def _certificate_kind(r1: WreathElement, r2: WreathElement) -> str:
@@ -300,7 +311,8 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
     """
     B = r1.group.base
     b = r1.b
-    points = sorted(set(r1.support()) | set(r2.support()), key=lambda p: p.coords)
+    support = {k.coords: k for k, _ in r1.pairs + r2.pairs}
+    points = [support[c] for c in sorted(support)]
     ell = max(
         1,
         word_length_abelian(b),
@@ -325,7 +337,7 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
         pi = quotient_mod(B, m)
         if m != verified:
             if diffs is None:
-                diffs = _difference_set(points) if points else [B.zero()]
+                diffs = _difference_set(B, [p.coords for p in points]) or [(0,) * B.rank]
             if not _verify_modulus(pi, b, diffs):
                 m += step
                 continue
@@ -347,35 +359,33 @@ def _acting_stage(r1: WreathElement, r2: WreathElement, transcript: list):
 
 def _coset_value_mismatch_moduli(
     r1: WreathElement, r2: WreathElement, transcript: list
-) -> list[QuotientMap]:
+) -> list[int]:
     """For every candidate translation, find a coset where the value
-    multisets disagree and keep all values there separated."""
-    s1 = sorted(r1.support(), key=lambda p: p.coords)
-    s2 = sorted(r2.support(), key=lambda p: p.coords)
-    if not s1 or not s2:
+    multisets disagree and keep all values there separated: the moduli
+    of `rf_quotient` for their differences, on coordinate tuples."""
+    if not r1.pairs or not r2.pairs:
         return []
-    A = r1.group.lamp
-    f1, f2 = r1.f_map(), r2.f_map()
-    b = r1.b
-    x0 = s1[0]
+    A, B = r1.group.lamp, r1.group.base
+    f1 = [(k.coords, v.coords) for k, v in r1.pairs]
+    f2 = {k.coords: v.coords for k, v in r2.pairs}
+    key = coset_key(r1.b)
+    x0 = f1[0][0]
     out = []
-    for y in s2:
-        c = y - x0
-        shifted = {x + c: f1[x] for x in s1}
-        classes = _coset_classes(sorted(set(shifted) | set(f2), key=lambda p: p.coords), b)
-        for cls in classes:
-            m1 = sorted(shifted[p].coords for p in cls if p in shifted)
-            m2 = sorted(f2[p].coords for p in cls if p in f2)
+    for y in f2:
+        c = _reduced(B, map(sub, y, x0))
+        shifted = {_reduced(B, map(add, x, c)): v for x, v in f1}
+        for cls in _keyed_classes(shifted.keys() | f2.keys(), key):
+            m1 = sorted(shifted[p] for p, _ in cls if p in shifted)
+            m2 = sorted(f2[p] for p, _ in cls if p in f2)
             if m1 == m2:
                 continue
-            values = {tuple(v) for v in m1} | {tuple(v) for v in m2}
-            values = [AbelianElement(A, v) for v in sorted(values)]
+            values = sorted(set(m1) | set(m2))
             for i, a in enumerate(values):
                 for a2 in values[i + 1 :]:
-                    out.append(rf_quotient(A, a - a2))
+                    out.append(_rf_modulus(A, _reduced(A, map(sub, a, a2))))
             transcript.append(
-                f"translation c = {c.coords}: value multisets differ on the coset"
-                f" of {cls[0].coords} ({len(values)} values kept separated)"
+                f"translation c = {c}: value multisets differ on the coset"
+                f" of {cls[0][0]} ({len(values)} values kept separated)"
             )
             break
     return out
@@ -404,13 +414,10 @@ def witness_base_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuotie
     kind = _certificate_kind(g1, g2)
     transcript: list[str] = []
 
-    maps = [rf_quotient(A, v) for _, v in g1.pairs + g2.pairs]
-    range_moduli = sorted({pi.modulus for pi in maps})
-    transcript.append(f"range values kept alive by moduli {range_moduli}")
-    maps += _coset_value_mismatch_moduli(g1, g2, transcript)
-    m = 1
-    for pi in maps:
-        m = math.lcm(m, pi.modulus)
+    moduli = [_rf_modulus(A, v.coords) for _, v in g1.pairs + g2.pairs]
+    transcript.append(f"range values kept alive by moduli {sorted(set(moduli))}")
+    moduli += _coset_value_mismatch_moduli(g1, g2, transcript)
+    m = math.lcm(1, *moduli)
     base_map = quotient_mod(A, m)
     h1 = extend_quotient_base(g1, base_map)
     h2 = extend_quotient_base(g2, base_map)

@@ -16,12 +16,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Optional
 
 from .abelian import (
     AbelianElement,
     AbelianGroup,
     GroupMismatchError,
+    _element,
     _reduced,
     element_order,
     format_group,
@@ -83,10 +85,6 @@ def _canonical_pairs(group: WreathGroup, pairs) -> tuple:
         if v.group is not lamp and v.group != lamp:
             raise GroupMismatchError("lamp value outside the lamp group")
         merged[k] = merged[k] + v if k in merged else v
-    return _sorted_nonzero(merged)
-
-
-def _sorted_nonzero(merged: dict) -> tuple:
     out = [(k, v) for k, v in merged.items() if not v.is_zero()]
     out.sort(key=_key_coords)
     return tuple(out)
@@ -143,10 +141,47 @@ def _check_same_group(g1: WreathElement, g2: WreathElement):
         raise GroupMismatchError("elements of different wreath products")
 
 
-# multiply, inverse and conjugate build their results with `_wreath`:
-# the factors are valid elements of one group, so only merging, dropping
-# zeros and sorting are left to do. A factor without pairs adds only its
-# acting part, and a translation by 0 keeps the pairs as they are.
+# multiply, inverse, conjugate and reduce run on coordinate tuples: keys
+# and values are merged in a dict from key coordinates to value
+# coordinates, and elements are built once, for the pairs of the result
+# (`_pairs_from`). The factors are valid elements of one group, so only
+# merging, dropping zeros and sorting are left to do. A factor without
+# pairs adds only its acting part, and a translation by 0 keeps the
+# pairs as they are.
+
+
+def _pairs_from(group: WreathGroup, merged: dict) -> tuple:
+    """Canonical pairs from a dict of key coordinates (reduced) to value
+    coordinates (sums not yet reduced): each value reduced once, zeros
+    dropped, sorted by key."""
+    lamp = group.lamp
+    items = []
+    for k, v in merged.items():
+        v = _reduced(lamp, v)
+        if any(v):
+            items.append((k, v))
+    items.sort()
+    return _elements(group, items)
+
+
+def _elements(group: WreathGroup, items) -> tuple:
+    """The pairs of elements for canonical coordinate items (distinct
+    reduced keys in order, reduced nonzero values)."""
+    base, lamp = group.base, group.lamp
+    return tuple([(_element(base, k), _element(lamp, v)) for k, v in items])
+
+
+def _merge_into(merged: dict, pairs, shift, base: AbelianGroup, op) -> None:
+    """Adds (op = add) or subtracts (op = sub) the translate shift.f of
+    the map with element pairs `pairs` into `merged`; shift is a
+    coordinate tuple, or None for no translation."""
+    for k, v in pairs:
+        kc = k.coords if shift is None else _reduced(base, map(add, k.coords, shift))
+        old = merged.get(kc)
+        if old is None:
+            merged[kc] = v.coords if op is add else tuple(map(neg, v.coords))
+        else:
+            merged[kc] = tuple(map(op, old, v.coords))
 
 
 def multiply(g1: WreathElement, g2: WreathElement) -> WreathElement:
@@ -154,20 +189,25 @@ def multiply(g1: WreathElement, g2: WreathElement) -> WreathElement:
     b1 = g1.b
     if not g2.pairs:
         return _wreath(g1.group, g1.pairs, b1 + g2.b)
-    if not g1.pairs and b1.is_zero():
+    no_shift = b1.is_zero()
+    if not g1.pairs and no_shift:
         return _wreath(g1.group, g2.pairs, g2.b)
-    merged = dict(g1.pairs)
-    for k, v in g2.pairs:
-        k = k + b1
-        merged[k] = merged[k] + v if k in merged else v
-    return _wreath(g1.group, _sorted_nonzero(merged), b1 + g2.b)
+    group = g1.group
+    merged = {k.coords: v.coords for k, v in g1.pairs}
+    _merge_into(merged, g2.pairs, None if no_shift else b1.coords, group.base, add)
+    return _wreath(group, _pairs_from(group, merged), b1 + g2.b)
 
 
 def inverse(g: WreathElement) -> WreathElement:
     nb = -g.b
-    pairs = [(k + nb, -v) for k, v in g.pairs]
-    pairs.sort(key=_key_coords)
-    return _wreath(g.group, tuple(pairs), nb)
+    group = g.group
+    base, lamp, shift = group.base, group.lamp, nb.coords
+    items = [
+        (_reduced(base, map(add, k.coords, shift)), _reduced(lamp, map(neg, v.coords)))
+        for k, v in g.pairs
+    ]
+    items.sort()
+    return _wreath(group, _elements(group, items), nb)
 
 
 def conjugate(z: WreathElement, g: WreathElement) -> WreathElement:
@@ -178,13 +218,12 @@ def conjugate(z: WreathElement, g: WreathElement) -> WreathElement:
     no_shift = c.is_zero()
     if no_shift and not z.pairs:
         return g
-    merged = dict(z.pairs)
-    for k, v in g.pairs if no_shift else [(k + c, v) for k, v in g.pairs]:
-        merged[k] = merged[k] + v if k in merged else v
-    for k, v in z.pairs:
-        k = k + b
-        merged[k] = merged[k] - v if k in merged else -v
-    return _wreath(z.group, _sorted_nonzero(merged), b)
+    group = z.group
+    base = group.base
+    merged = {k.coords: v.coords for k, v in z.pairs}
+    _merge_into(merged, g.pairs, None if no_shift else c.coords, base, add)
+    _merge_into(merged, z.pairs, None if b.is_zero() else b.coords, base, sub)
+    return _wreath(group, _pairs_from(group, merged), b)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +307,10 @@ def same_coset(x: AbelianElement, y: AbelianElement, b: AbelianElement) -> bool:
 
 
 def coset_key(b: AbelianElement):
-    """The coset-key function of <b>: x -> (key, t), where key is the
-    coordinate tuple of one representative rep of x + <b>, the same for
-    the whole coset, and x = rep + t*b, with t taken mod the order of b
-    when that is finite.
+    """The coset-key function of <b>: x -> (key, t) on the coordinate
+    tuples x of b's group, where key is the coordinate tuple of one
+    representative rep of x + <b>, the same for the whole coset, and
+    x = rep + t*b, with t taken mod the order of b when that is finite.
 
     When b has a nonzero free coordinate, the first one, b_i, fixes
     t = x_i // b_i. Otherwise rep is the lexicographically least point
@@ -287,8 +326,7 @@ def coset_key(b: AbelianElement):
     if pivot is not None:
         bi = bc[pivot]
 
-        def free_key(x: AbelianElement) -> tuple[tuple, int]:
-            xc = x.coords
+        def free_key(xc: tuple) -> tuple[tuple, int]:
             t = xc[pivot] // bi
             return _reduced(group, [a - t * c for a, c in zip(xc, bc)]), t
 
@@ -303,8 +341,7 @@ def coset_key(b: AbelianElement):
             m *= n // d
     order = m
 
-    def torsion_key(x: AbelianElement) -> tuple[tuple, int]:
-        xc = x.coords
+    def torsion_key(xc: tuple) -> tuple[tuple, int]:
         s = 0
         for j, bj, n, d, inv, nd, mj in steps:
             c = (xc[j] + s * bj) % n
@@ -316,56 +353,53 @@ def coset_key(b: AbelianElement):
     return torsion_key
 
 
-def _keyed_classes(points, key) -> list[list[tuple[AbelianElement, int]]]:
-    """The points grouped by coset, each as (point, t) pairs: points in
-    coordinate order within a class, classes by their least point."""
+def _keyed_classes(points, key) -> list[list[tuple[tuple, int]]]:
+    """The points (coordinate tuples) grouped by coset, each as (point,
+    t) pairs: points in coordinate order within a class, classes by
+    their least point."""
     classes: dict = {}
-    for p in sorted(points, key=_coords):
+    for p in sorted(points):
         rep, t = key(p)
         classes.setdefault(rep, []).append((p, t))
     return list(classes.values())
 
 
-def _coords(p: AbelianElement) -> tuple:
-    return p.coords
-
-
-def _coset_classes(points, b: AbelianElement) -> list[list[AbelianElement]]:
-    return [[p for p, _ in cls] for cls in _keyed_classes(points, coset_key(b))]
-
-
-def _solve_twist(d: dict, b: AbelianElement, zero_lamp) -> Optional[dict]:
-    """h with h - b.h = d, or None when some coset sum is nonzero."""
-    support = [k for k, v in d.items() if not v.is_zero()]
+def _solve_twist(d: dict, b: AbelianElement, lamp: AbelianGroup) -> Optional[dict]:
+    """h with h - b.h = d, or None when some coset sum is nonzero; d
+    and h map key coordinates to reduced value coordinates."""
+    support = [k for k, v in d.items() if any(v)]
     order = element_order(b)
-    h: dict[AbelianElement, AbelianElement] = {}
+    h: dict = {}
     for cls in _keyed_classes(support, coset_key(b)):
-        pairs, total = _running_sums([(t, p, d[p]) for p, t in cls], b, order, zero_lamp)
-        if not total.is_zero():
+        pairs, total = _running_sums([(t, p, d[p]) for p, t in cls], b, order, lamp)
+        if any(total):
             return None
         h.update(pairs)
     return h
 
 
-def _running_sums(walk: list, b: AbelianElement, order, zero_lamp) -> tuple:
-    """The pairs of h with h - b.h = d on one coset of <b>, and the sum
-    of d over it (h exists iff that is 0), from walk = [(t, p, d(p))]
-    for p = rep + t*b in coordinate order. h is the running sum of d
-    along the coset; when b has finite order it starts at the first
-    point of the walk where d is nonzero."""
+def _running_sums(walk: list, b: AbelianElement, order, lamp: AbelianGroup) -> tuple:
+    """The pairs (coordinate tuples) of h with h - b.h = d on one coset
+    of <b>, and the sum of d over it (h exists iff that is 0), from
+    walk = [(t, p, d(p))] for p = rep + t*b in coordinate order, with
+    d(p) a value tuple that is all zeros iff d(p) = 0 (reduced, or a
+    difference of two reduced tuples). h is the running sum of d along
+    the coset, each sum reduced once; when b has finite order it starts
+    at the first point of the walk where d is nonzero."""
     if order is not None:
-        start = next(t for t, _, dv in walk if not dv.is_zero())
+        start = next(t for t, _, dv in walk if any(dv))
         walk = [((t - start) % order, p, dv) for t, p, dv in walk]
     walk.sort(key=_first)
+    base, bc = b.group, b.coords
     out = []
-    acc = zero_lamp
+    acc = (0,) * lamp.rank
     for (t, p, dv), (t_next, _, _) in zip(walk, walk[1:]):
-        acc = acc + dv
-        if not acc.is_zero():
+        acc = _reduced(lamp, map(add, acc, dv))
+        if any(acc):
             for _ in range(t_next - t):
                 out.append((p, acc))
-                p = p + b
-    return out, acc + walk[-1][2]
+                p = _reduced(base, map(add, p, bc))
+    return out, _reduced(lamp, map(add, acc, walk[-1][2]))
 
 
 def _first(item):
@@ -373,11 +407,13 @@ def _first(item):
 
 
 def _f_difference(f2: dict, f1_shifted: dict, lamp: AbelianGroup) -> dict:
+    """f2 - f1_shifted on key coordinates, values reduced, zeros dropped."""
     out = dict(f2)
-    zero = lamp.zero()
     for k, v in f1_shifted.items():
-        out[k] = out.get(k, zero) - v
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        old = out.get(k)
+        out[k] = tuple(map(neg, v)) if old is None else tuple(map(sub, old, v))
+    out = {k: _reduced(lamp, v) for k, v in out.items()}
+    return {k: v for k, v in out.items() if any(v)}
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +421,8 @@ def _f_difference(f2: dict, f1_shifted: dict, lamp: AbelianGroup) -> dict:
 
 
 def is_reduced(g: WreathElement) -> bool:
-    return all(len(cls) == 1 for cls in _coset_classes(g.support(), g.b))
+    key = coset_key(g.b)
+    return len({key(k.coords)[0] for k, _ in g.pairs}) == len(g.pairs)
 
 
 def reduce(g: WreathElement) -> tuple[WreathElement, WreathElement]:
@@ -393,33 +430,41 @@ def reduce(g: WreathElement) -> tuple[WreathElement, WreathElement]:
 
     All lamp values inside one coset of <b> are accumulated onto the
     coset's least support point. Each support point is keyed once
-    (`coset_key`); a coset of one point keeps its pair and adds nothing
-    to z. Otherwise z = (h, 0) with h - b.h = d, d the reduced minus the
-    given lamp values, by running sums along each coset over the offsets
-    the key returned (`_running_sums`).
+    (`coset_key`); a coset of one point keeps its pair, as the same
+    elements, and adds nothing to z. Otherwise z = (h, 0) with
+    h - b.h = d, d the reduced minus the given lamp values, by running
+    sums along each coset over the offsets the key returned
+    (`_running_sums`), on coordinate tuples; elements are built for the
+    coset sums and the pairs of h only.
     """
     b = g.b
     group = g.group
+    lamp = group.lamp
     key = coset_key(b)
     classes: dict = {}
     for p, v in g.pairs:
-        rep, t = key(p)
-        classes.setdefault(rep, []).append((t, p, v))
+        rep, t = key(p.coords)
+        cls = classes.get(rep)
+        if cls is None:
+            classes[rep] = [(t, p, v)]
+        else:
+            cls.append((t, p, v))
     target, h = [], []
     # the pairs are in coordinate order, so the classes come in the
     # order of their least points and target needs no sort
     for cls in classes.values():
         t0, p0, v0 = cls[0]
-        total = v0
-        for _, _, v in cls[1:]:
-            total = total + v
-        if not total.is_zero():
-            target.append((p0, total))
-        if len(cls) > 1:
-            walk = [(t0, p0, total - v0)] + [(t, p, -v) for t, p, v in cls[1:]]
-            h += _running_sums(walk, b, element_order(b), group.lamp.zero())[0]
-    h.sort(key=_key_coords)
-    z = _wreath(group, tuple(h), group.base.zero())
+        if len(cls) == 1:
+            target.append((p0, v0))
+            continue
+        total = _reduced(lamp, map(sum, zip(*[v.coords for _, _, v in cls])))
+        if any(total):
+            target.append((p0, _element(lamp, total)))
+        walk = [(t0, p0.coords, tuple(map(sub, total, v0.coords)))]
+        walk += [(t, p.coords, tuple(map(neg, v.coords))) for t, p, v in cls[1:]]
+        h += _running_sums(walk, b, element_order(b), lamp)[0]
+    h.sort()
+    z = _wreath(group, _elements(group, h), group.base.zero())
     reduced = _wreath(group, tuple(target), b)
     if conjugate(z, g) != reduced:
         raise ContractError("reduced conjugate fails its own check")
@@ -484,7 +529,9 @@ def conjugate_reduced(
     g1: WreathElement, g2: WreathElement, red1, red2
 ) -> Optional[WreathElement]:
     """`conjugate_test(g1, g2)` from `red1 = reduce(g1)` and
-    `red2 = reduce(g2)`, for callers that need the reduced forms too."""
+    `red2 = reduce(g2)`, for callers that need the reduced forms too.
+    Candidate translations are matched on coordinate tuples; elements
+    are built only for a translation that passes the match."""
     _check_same_group(g1, g2)
     if g1.b != g2.b:
         return None
@@ -498,28 +545,30 @@ def conjugate_reduced(
         if conjugate(w, g1) != g2:
             raise ContractError("conjugator fails its own check")
         return w
+    f1 = [(k.coords, v.coords) for k, v in r1.pairs]
+    f2 = {k.coords: v.coords for k, v in r2.pairs}
     # a conjugating translation matches the reduced points one to one,
     # value for value, so the value multisets must agree
-    if sorted(v.coords for _, v in r1.pairs) != sorted(v.coords for _, v in r2.pairs):
+    if sorted(v for _, v in f1) != sorted(f2.values()):
         return None
     # both configurations are reduced: one support point per coset, so a
     # point of the translated r1 can only match the r2 point of its coset
+    group = g1.group
+    base, lamp = group.base, group.lamp
     key = coset_key(b)
-    f2 = r2.f_map()
     at = {key(y)[0]: y for y in f2}
-    x0 = r1.pairs[0][0]
+    x0 = f1[0][0]
     for y in f2:
-        c = y - x0
-        shifted = {k + c: v for k, v in r1.pairs}
+        c = _reduced(base, map(sub, y, x0))
+        shifted = {_reduced(base, map(add, x, c)): v for x, v in f1}
         for x, v in shifted.items():
             match = at.get(key(x)[0])
             if match is None or f2[match] != v:
                 break
         else:
-            d = _f_difference(f2, shifted, g1.group.lamp)
-            h = _solve_twist(d, b, g1.group.lamp.zero())
+            h = _solve_twist(_f_difference(f2, shifted, lamp), b, lamp)
             if h is not None:
-                inner = WreathElement(g1.group, tuple(h.items()), c)
+                inner = _wreath(group, _elements(group, sorted(h.items())), _element(base, c))
                 w = multiply(inverse(z2), multiply(inner, z1))
                 if conjugate(w, g1) == g2:
                     return w
@@ -558,21 +607,32 @@ def brute_force_conjugate(
 
 
 def extend_quotient_acting(g: WreathElement, pi) -> WreathElement:
-    """Apply a base-group quotient to keys and acting part, summing fibers."""
+    """Apply a base-group quotient to keys and acting part, summing
+    fibers on coordinate tuples."""
+    acting = pi(g.b)  # checks that g's base is pi's source
     target = WreathGroup(g.group.lamp, pi.target)
-    acc: dict[AbelianElement, AbelianElement] = {}
+    image = pi.image_coords
+    merged: dict = {}
     for k, v in g.pairs:
-        kk = pi(k)
-        acc[kk] = acc[kk] + v if kk in acc else v
-    return WreathElement(target, tuple(acc.items()), pi(g.b))
+        kc = image(k.coords)
+        old = merged.get(kc)
+        merged[kc] = v.coords if old is None else tuple(map(add, old, v.coords))
+    return _wreath(target, _pairs_from(target, merged), acting)
 
 
 def extend_quotient_base(g: WreathElement, pi) -> WreathElement:
-    """Apply a lamp-group quotient to every value."""
+    """Apply a lamp-group quotient to every value; the keys are kept."""
+    lamp = g.group.lamp
+    if lamp is not pi.source and lamp != pi.source:
+        raise GroupMismatchError("element does not belong to the source group")
     target = WreathGroup(pi.target, g.group.base)
-    return WreathElement(
-        target, tuple((k, pi(v)) for k, v in g.pairs), g.b
-    )
+    image = pi.image_coords
+    pairs = []
+    for k, v in g.pairs:
+        vc = image(v.coords)
+        if any(vc):
+            pairs.append((k, _element(pi.target, vc)))
+    return _wreath(target, tuple(pairs), g.b)
 
 
 # ---------------------------------------------------------------------------

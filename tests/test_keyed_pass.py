@@ -4,7 +4,10 @@ self-check, the count of modulus verifications, and `_verify_modulus`
 against the `solve_multiple` oracle."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -96,6 +99,71 @@ def test_reduce_checks_reduced_input(monkeypatch):
             reduce(g)
 
 
+# nonreduced inputs over torsion in the acting group, in the lamps and in
+# neither, as (A, B, f, b); the running sums give each a conjugator with
+# pairs
+NONREDUCED = [
+    ("Z", "Z/8", *ZERO_START),
+    ("Z/6", "Z/4 x Z/6", {(0, 0): (2,), (0, 2): (1,), (3, 0): (5,)}, (1, 2)),
+    ("Z", "Z", {(-2,): (1,), (1,): (3,), (4,): (-1,)}, (3,)),
+    ("Z/3", "Z^2", {(0, 0): (1,), (2, 2): (2,), (1, 2): (1,)}, (1, 1)),
+]
+
+def test_reduce_check_reaches_the_running_sums():
+    # a conjugator corrupted where the running sums build it (the last
+    # pair of each coset's dropped), on inputs that are not reduced,
+    # fails reduce's check; python -O keeps it
+    for A, B, f, b in NONREDUCED:
+        g = WreathGroup(parse_group(A), parse_group(B)).element(f, b)
+        assert not wreath.is_reduced(g) and reduce(g)[1].pairs
+    code = (
+        "from wreathconj import wreath\n"
+        "from wreathconj.abelian import parse_group\n"
+        "sums = wreath._running_sums\n"
+        "def dropped(*args):\n"
+        "    out, total = sums(*args)\n"
+        "    return out[:-1], total\n"
+        "wreath._running_sums = dropped\n"
+        f"for A, B, f, b in {NONREDUCED!r}:\n"
+        "    g = wreath.WreathGroup(parse_group(A), parse_group(B)).element(f, b)\n"
+        "    try:\n"
+        "        wreath.reduce(g)\n"
+        "        print('unchecked')\n"
+        "    except wreath.ContractError as exc:\n"
+        "        print(exc)\n"
+    )
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.splitlines() == ["reduced conjugate fails its own check"] * len(NONREDUCED)
+
+
+def test_reduce_checks_nonreduced_input(monkeypatch):
+    # seeded nonreduced inputs, the running sums corrupted in process
+    rng = random.Random(4404)
+    inputs = []
+    for text in REDUCE_GROUPS:
+        A, B = (parse_group(s) for s in text.split(" wr "))
+        W = WreathGroup(A, B)
+        for _ in range(12):
+            g = _random_element(rng, W, rng.randint(2, 7), 1)
+            if reduce(g)[1].pairs:
+                inputs.append(g)
+    assert len(inputs) >= 30
+    sums = wreath._running_sums
+
+    def dropped(*args):
+        out, total = sums(*args)
+        return out[:-1], total
+
+    monkeypatch.setattr(wreath, "_running_sums", dropped)
+    for g in inputs:
+        with pytest.raises(ContractError):
+            reduce(g)
+
+
 # ---------------------------------------------------------------------------
 # acting moduli: each verified once, by coset keys
 
@@ -167,6 +235,7 @@ def test_verify_modulus_matches_solve_multiple_oracle():
                 expected = True
             except AssertionError:
                 expected = False
+            diffs = [d.coords for d in diffs]
             assert _verify_modulus(quotient_mod(B, m), b, diffs) == expected, (B, b, points, m)
             agree[expected] += 1
     assert min(agree.values()) > 50

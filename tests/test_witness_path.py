@@ -1,6 +1,8 @@
 """The witness path: coset keys against `solve_multiple`, the keyed
 coset classes, twist solver and candidate match against the pairwise
-versions they replaced, and a frozen digest of the path's outputs."""
+versions they replaced, the coordinate-tuple arithmetic against the
+element-level versions it replaced, and a frozen digest of the path's
+outputs."""
 
 import hashlib
 import itertools
@@ -13,19 +15,21 @@ from wreathconj.abelian import (
     AbelianGroup,
     element_order,
     parse_group,
+    quotient_mod,
     solve_multiple,
 )
 from wreathconj.witness import WitnessContractError, full_witness
 from wreathconj.wreath import (
     WreathElement,
     WreathGroup,
-    _coset_classes,
-    _f_difference,
+    _keyed_classes,
     _solve_twist,
     conjugate,
     conjugate_test,
     coset_key,
     element_to_json,
+    extend_quotient_acting,
+    extend_quotient_base,
     inverse,
     multiply,
     reduce,
@@ -129,7 +133,7 @@ def test_coset_key_matches_solve_multiple(group, acting, radius):
         b = AbelianElement(group, coords)
         key = coset_key(b)
         order = element_order(b)
-        keyed = [key(x) for x in points]
+        keyed = [key(x.coords) for x in points]
         for x, (rep, t) in zip(points, keyed):
             r = AbelianElement(group, rep)
             assert r.coords == rep and r + t * b == x
@@ -143,6 +147,16 @@ def test_coset_key_matches_solve_multiple(group, acting, radius):
 
 # ---------------------------------------------------------------------------
 # the pairwise versions the keyed ones replaced, kept as oracles
+
+
+def _keyed_coset_classes(points, b):
+    """`_keyed_classes` on the points' coordinates, read back as elements."""
+    classes = _keyed_classes([p.coords for p in points], coset_key(b))
+    return [[AbelianElement(b.group, p) for p, _ in cls] for cls in classes]
+
+
+def _coords_map(d):
+    return {k.coords: v.coords for k, v in d.items()}
 
 
 def _pairwise_coset_classes(points, b):
@@ -185,6 +199,14 @@ def _pairwise_solve_twist(d, b, zero_lamp):
     return h
 
 
+def _pairwise_f_difference(f2, f1_shifted, lamp):
+    out = dict(f2)
+    zero = lamp.zero()
+    for k, v in f1_shifted.items():
+        out[k] = out.get(k, zero) - v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
 def _pairwise_match(g1, g2):
     """conjugate_test's candidate match loop with a pairwise coset test."""
     if g1.b != g2.b:
@@ -213,7 +235,7 @@ def _pairwise_match(g1, g2):
                 break
             used.add(match)
         else:
-            d = _f_difference(f2, shifted, g1.group.lamp)
+            d = _pairwise_f_difference(f2, shifted, g1.group.lamp)
             h = _pairwise_solve_twist(d, b, g1.group.lamp.zero())
             if h is not None:
                 inner = WreathElement(g1.group, tuple(h.items()), c)
@@ -239,10 +261,10 @@ def test_keyed_classes_and_twist_match_pairwise():
             points = {_random_base(rng, W.base, 4) for _ in range(rng.randint(1, 8))}
             points = [AbelianElement(W.base, p) for p in points]
             b = AbelianElement(W.base, _random_base(rng, W.base, 3))
-            assert _coset_classes(points, b) == _pairwise_coset_classes(points, b)
+            assert _keyed_coset_classes(points, b) == _pairwise_coset_classes(points, b)
             d = {p: AbelianElement(W.lamp, _random_lamp(rng, W.lamp)) for p in points}
             # with every coset sum cancelled, the twist exists
-            for cls in _coset_classes(points, b):
+            for cls in _keyed_coset_classes(points, b):
                 total = W.lamp.zero()
                 for p in cls[:-1]:
                     total = total + d[p]
@@ -251,10 +273,12 @@ def test_keyed_classes_and_twist_match_pairwise():
             bumped = dict(d)
             bumped[points[0]] = d[points[0]] + AbelianElement(W.lamp, _random_lamp(rng, W.lamp))
             zero = W.lamp.zero()
-            assert _solve_twist(d, b, zero) is not None
-            assert _solve_twist(bumped, b, zero) is None
+            assert _solve_twist(_coords_map(d), b, W.lamp) is not None
+            assert _solve_twist(_coords_map(bumped), b, W.lamp) is None
             for dd in (d, bumped):
-                assert _solve_twist(dd, b, zero) == _pairwise_solve_twist(dd, b, zero)
+                h = _pairwise_solve_twist(dd, b, zero)
+                expected = None if h is None else _coords_map(h)
+                assert _solve_twist(_coords_map(dd), b, W.lamp) == expected
 
 
 def test_conjugate_test_matches_pairwise_match():
@@ -267,3 +291,75 @@ def test_conjugate_test_matches_pairwise_match():
             near = multiply(h, W.delta(_random_base(rng, B, 3), _random_lamp(rng, W.lamp)))
             for y in (h, near, W.element({}, g.b.coords)):
                 assert conjugate_test(g, y) == _pairwise_match(g, y)
+
+
+# ---------------------------------------------------------------------------
+# the element-level arithmetic the coordinate-tuple versions replaced,
+# kept as oracles: each merges with AbelianElement arithmetic and leaves
+# merging, dropping zeros and sorting to the checking constructor
+
+
+def _element_multiply(g1, g2):
+    merged = dict(g1.pairs)
+    for k, v in g2.pairs:
+        k = k + g1.b
+        merged[k] = merged[k] + v if k in merged else v
+    return WreathElement(g1.group, tuple(merged.items()), g1.b + g2.b)
+
+
+def _element_inverse(g):
+    nb = -g.b
+    return WreathElement(g.group, tuple((k + nb, -v) for k, v in g.pairs), nb)
+
+
+def _element_conjugate(z, g):
+    c, b = z.b, g.b
+    merged = dict(z.pairs)
+    for k, v in g.pairs:
+        k = k + c
+        merged[k] = merged[k] + v if k in merged else v
+    for k, v in z.pairs:
+        k = k + b
+        merged[k] = merged[k] - v if k in merged else -v
+    return WreathElement(z.group, tuple(merged.items()), b)
+
+
+def _element_extend_quotient_acting(g, pi):
+    target = WreathGroup(g.group.lamp, pi.target)
+    acc = {}
+    for k, v in g.pairs:
+        kk = pi(k)
+        acc[kk] = acc[kk] + v if kk in acc else v
+    return WreathElement(target, tuple(acc.items()), pi(g.b))
+
+
+def _element_extend_quotient_base(g, pi):
+    target = WreathGroup(pi.target, g.group.base)
+    return WreathElement(target, tuple((k, pi(v)) for k, v in g.pairs), g.b)
+
+
+# torsion in the lamps, in the acting group or in both, so that sums
+# wrap, cancel to zero and merge keys
+TUPLE_ORACLE_GROUPS = ["Z/6 wr Z/4 x Z/6", "Z x Z/4 wr Z x Z/2", "Z/2 wr Z^3"]
+
+
+def test_tuple_arithmetic_matches_element_oracles():
+    rng = random.Random("tuple-arithmetic")
+    for text in TUPLE_ORACLE_GROUPS:
+        A, B = (parse_group(s) for s in text.split(" wr "))
+        W = WreathGroup(A, B)
+        for _ in range(120):
+            g, h, z = (_random_element(rng, W, rng.randint(0, 6), 2) for _ in range(3))
+            # a conjugator with no acting part, and factors without pairs
+            unshifted = WreathElement(W, z.pairs, B.zero())
+            for x, y in [(g, h), (z, g), (unshifted, g), (g, W.identity()), (W.element({}, h.b.coords), g)]:
+                assert multiply(x, y) == _element_multiply(x, y)
+                assert conjugate(x, y) == _element_conjugate(x, y)
+            assert multiply(g, inverse(g)) == W.identity()
+            for x in (g, h, unshifted):
+                assert inverse(x) == _element_inverse(x)
+            for m in (1, 2, 3, rng.randint(4, 12)):
+                pi = quotient_mod(B, m)
+                assert extend_quotient_acting(g, pi) == _element_extend_quotient_acting(g, pi)
+                pi = quotient_mod(A, m)
+                assert extend_quotient_base(g, pi) == _element_extend_quotient_base(g, pi)
