@@ -15,7 +15,6 @@ import functools
 import heapq
 import itertools
 import math
-import random
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -309,9 +308,10 @@ def _dmulmod(a, b, tail, p) -> tuple:
 
 
 def _dpowmod(a, e: int, tail, p) -> tuple:
-    """The residue of a^e, by square-and-multiply from the top bit."""
-    result = (1,) + (0,) * (len(tail) - 1)
-    for bit in bin(e)[2:]:
+    """The residue of a^e, e >= 1, by square-and-multiply below the top
+    bit."""
+    result = a
+    for bit in bin(e)[3:]:
         result = _dmulmod(result, result, tail, p)
         if bit == "1":
             result = _dmulmod(result, a, tail, p)
@@ -914,33 +914,31 @@ def _orders(p: int, n: int, d: int, bound: int) -> list[int]:
     return sorted(e for e in _divisors(m, bound) if e <= bound and all(q % e for q in lower))
 
 
-def _split_equal_degree(f, d: int, p: int, rng) -> list:
+def _split_equal_degree(f, d: int, p: int, k: int = 1) -> list:
     """The irreducible factors of a monic squarefree f over F_p whose
-    irreducible factors all have degree d (Cantor and Zassenhaus; von zur
-    Gathen and Gerhard, Modern Computer Algebra, 14.3). For a random
-    residue a mod f, b = a^((p^d - 1)/2) - 1, or over F_2 the trace
-    a + a^2 + ... + a^(2^(d-1)), is 0 modulo some factors and a unit
-    modulo others with probability at least 1/2, and then gcd(f, b)
-    splits f."""
-    n = len(f) - 1
-    if n == d:
+    irreducible factors all have degree d, split by the traces T_k =
+    x^k + x^(kp) + ... + x^(k p^(d-1)) mod f. Modulo a factor with root
+    b, T_k is Tr(b^k) in F_p, so f is the product of the gcd(f, T_k - c),
+    c in F_p. The sequence k -> Tr(b^k) has the factor as its minimal
+    polynomial, and two factors' sequences both satisfy the recurrence of
+    their product, of degree 2d, so two factors whose traces agree for
+    k = 1..2d are equal (Lidl and Niederreiter, Finite Fields, 2.47 and
+    ch. 8); Tr(b^(pk)) = Tr(b^k), so the k that p divides are skipped.
+    Each part is split from k + 1 on, as its factors agree up to k."""
+    if len(f) - 1 == d:
         return [f]
     tail = _dtail(f, p)
-    while True:
-        a = tuple(rng.randrange(p) for _ in range(n))
-        if p == 2:
-            b = s = a
+    x = (0, 1) + (0,) * (len(tail) - 2)
+    for k in range(k, 2 * d + 1):
+        if k % p:
+            trace = power = _dpowmod(x, k, tail, p)
             for _ in range(d - 1):
-                s = _dmulmod(s, s, tail, p)
-                b = tuple(u ^ v for u, v in zip(b, s))
-        else:
-            b = _dpowmod(a, (p**d - 1) // 2, tail, p)
-            b = (b[0] - 1, *b[1:])
-        h = _dgcd(f, b, p)
-        if 1 < len(h) < len(f):
-            return _split_equal_degree(h, d, p, rng) + _split_equal_degree(
-                _ddivmod(f, h, p)[0], d, p, rng
-            )
+                power = _dpowmod(power, p, tail, p)
+                trace = tuple([(a + b) % p for a, b in zip(trace, power)])
+            parts = [h for c in range(p) if len(h := _dgcd(f, (trace[0] - c, *trace[1:]), p)) > 1]
+            if len(parts) > 1:
+                return [g for h in parts for g in _split_equal_degree(h, d, p, k + 1)]
+    raise ContractError(f"no trace of x^k, k <= {2 * d}, splits f of degree {len(f) - 1} over F{p}")
 
 
 def _at_power(cs: list, k: int) -> list:
@@ -965,19 +963,19 @@ def _cyclotomic(p: int, e: int) -> list:
 
 def _cyclotomic_factors(p: int, e: int, deg: int) -> list:
     """The irreducible factors of Phi_e over F_p, p not dividing e,
-    sorted; each has degree deg = ord_e(p). Phi_e is split by
-    `_split_equal_degree` unless it is irreducible, with a fixed seed,
-    so every call returns the same list, and the factors are multiplied
-    back to Phi_e as a check. Any other deg raises at once, as the
-    splitting would never end: ord_e(p) is the deg with e | p^deg - 1
-    and e dividing no p^(deg/r) - 1, r a prime factor of deg."""
+    sorted; each has degree deg = ord_e(p). Phi_e is kept whole when it
+    is irreducible, and otherwise split deterministically by the traces
+    of x^k, k <= 2 deg, in `_split_equal_degree`; the factors are
+    multiplied back to Phi_e as a check. Any other deg raises at once:
+    ord_e(p) is the deg with e | p^deg - 1 and e dividing no
+    p^(deg/r) - 1, r a prime factor of deg."""
     lower = (pow(p, deg // r, e) for r in _prime_factors(deg))
     if deg < 1 or pow(p, deg, e) != 1 % e or 1 % e in lower:
         raise ContractError(f"Phi_{e} over F{p} has no factors of degree {deg}")
     phi = _cyclotomic(p, e)
     if len(phi) - 1 == deg:
         return [phi]
-    factors = sorted(_split_equal_degree(phi, deg, p, random.Random(e)))
+    factors = sorted(_split_equal_degree(phi, deg, p))
     product = [1]
     for f in factors:
         product = _dmul(product, f, p)
@@ -1003,8 +1001,10 @@ def _fp_stream(p: int, g: int, max_index: int, units):
     index at least L(e) = e * p^d. The orders are listed by degree, by
     `_orders`: those of degree d once the stream reaches p^d, a lower
     bound on their L(e), and for g != 0 no further than ord_g'(p). Phi_e
-    is split only when the stream reaches L(e), before anything of index
-    L(e) or more is read.
+    is split, by `_cyclotomic_factors` and deterministically, only when
+    the stream reaches L(e), before anything of index L(e) or more is
+    read, so the factors and the stream's order are the same on every
+    run.
 
     The subgroups wait on one heap, keyed by (index, t, deg D, the
     coefficients of D), the order of the enumeration. The factors are

@@ -270,17 +270,9 @@ def witness_acting_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuot
         )
 
     transcript.append("lamp group infinite; composing lamp quotient")
-    base_stage = witness_base_quotient(h1, h2)
+    base_map, h1, h2 = _lamp_stage(h1, h2, transcript)
     return WitnessQuotient(
-        g1,
-        g2,
-        acting_map,
-        base_stage.base_map,
-        base_stage.target,
-        base_stage.image1,
-        base_stage.image2,
-        kind,
-        tuple(transcript) + base_stage.transcript,
+        g1, g2, acting_map, base_map, h1.group, h1, h2, kind, tuple(transcript)
     )
 
 
@@ -403,17 +395,26 @@ def witness_base_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuotie
     """
     if g1.group != g2.group:
         raise ValueError("elements must share a group")
-    B = g1.group.base
-    A = g1.group.lamp
-    if B.order() is None:
+    if g1.group.base.order() is None:
         raise ValueError("acting group must be finite here")
-    if not (is_reduced(g1) and is_reduced(g2)):
-        raise ValueError("inputs must be reduced")
     if g1.b != g2.b:
         raise ValueError("acting parts differ; use full_witness")
-    kind = _certificate_kind(g1, g2)
     transcript: list[str] = []
+    base_map, h1, h2 = _lamp_stage(g1, g2, transcript)
+    kind = _certificate_kind(g1, g2)
+    return WitnessQuotient(
+        g1, g2, None, base_map, h1.group, h1, h2, kind, tuple(transcript)
+    )
 
+
+def _lamp_stage(g1: WreathElement, g2: WreathElement, transcript: list):
+    """The lamp quotient of `witness_base_quotient` for a pair over a
+    finite acting group with a shared acting part, its steps appended to
+    the transcript: (base_map, h1, h2), the images verified
+    nonconjugate. The inputs must be reduced."""
+    if not (is_reduced(g1) and is_reduced(g2)):
+        raise ValueError("inputs must be reduced")
+    A = g1.group.lamp
     moduli = [_rf_modulus(A, v.coords) for _, v in g1.pairs + g2.pairs]
     transcript.append(f"range values kept alive by moduli {sorted(set(moduli))}")
     moduli += _coset_value_mismatch_moduli(g1, g2, transcript)
@@ -425,9 +426,7 @@ def witness_base_quotient(g1: WreathElement, g2: WreathElement) -> WitnessQuotie
     if conjugate_test(h1, h2) is not None:
         raise WitnessContractError("lamp quotient failed to separate")
     transcript.append(f"images verified nonconjugate in {h1.group}")
-    return WitnessQuotient(
-        g1, g2, None, base_map, h1.group, h1, h2, kind, tuple(transcript)
-    )
+    return base_map, h1, h2
 
 
 def full_witness(g1: WreathElement, g2: WreathElement) -> WitnessQuotient:

@@ -515,7 +515,7 @@ def test_irreducibles_of_order():
                     continue
                 of_e = _irreducibles_of_order(p, e)
                 if e in (7, 21, 31):
-                    # the seeded splitting gives the same list on every call
+                    # the deterministic splitting gives the same list on every call
                     assert _irreducibles_of_order(p, e) == of_e
                 order = next(d for d in range(1, e + 1) if pow(p, d, e) == 1 % e)
                 phi = sum(1 for r in range(1, e + 1) if math.gcd(r, e) == 1)
@@ -531,6 +531,36 @@ def test_irreducibles_of_order():
             assert product == xt_minus_1(p, g)
     # Phi_7 over F_2 is the product of the two irreducible cubics
     assert _irreducibles_of_order(2, 7) == [[1, 0, 1, 1], [1, 1, 0, 1]]
+
+
+def test_cyclotomic_factors_match_irreducibles_of_order():
+    # oracle: for every reducible Phi_e of degree-d factors with
+    # p^d <= 1024, the factors are the monic irreducibles of degree d
+    # and order exactly e, found by testing every monic polynomial
+    checked = 0
+    for p in (2, 3, 5):
+        for d in itertools.takewhile(lambda d: p**d <= 1024, itertools.count(1)):
+            by_order = {}
+            for tail in itertools.product(range(p), repeat=d):
+                f = [*tail, 1]
+                if f[0] and _dirreducible(f, p):
+                    e = min(e for e in _divisors(p**d - 1, p**d) if _dpow_x(e, f, p) == [1])
+                    by_order.setdefault(e, []).append(f)
+            for e, irreducibles in by_order.items():
+                if len(irreducibles) > 1:
+                    assert _cyclotomic_factors(p, e, d) == sorted(irreducibles), (p, e)
+                    checked += 1
+    assert checked == 54
+
+
+def test_split_equal_degree_refuses_a_square():
+    # the square g^2 of a cubic factor g of Phi_7 over F2 is not
+    # squarefree: T_k - c is a unit mod g for all but one c, so each k
+    # gives at most one nontrivial gcd, nothing splits, and the loop
+    # ends at k = 2d
+    f = [1, 0, 1, 1]
+    with pytest.raises(ContractError):
+        laurent._split_equal_degree(_dmul(f, f, 2), 3, 2)
 
 
 def test_pair_split_subgroups_fp_power_caps():
@@ -586,7 +616,7 @@ def test_pair_split_subgroups_fp_check_raises(monkeypatch):
     # a factor list that does not multiply back to Phi_e is refused when
     # the stream reaches it; Phi_7 over F2 is reducible, so its factors
     # come from the splitter
-    monkeypatch.setattr(laurent, "_split_equal_degree", lambda f, d, p, rng: [f, f])
+    monkeypatch.setattr(laurent, "_split_equal_degree", lambda f, d, p, k=1: [f, f])
     stream = split_subgroup_stream(2, NO_BOUND, (7, 7), 7)
     assert [N.index for N in itertools.islice(stream, 1)] == [2]
     with pytest.raises(ContractError):
@@ -596,12 +626,17 @@ def test_pair_split_subgroups_fp_check_raises(monkeypatch):
 def test_pair_split_subgroups_fp_seed_only_reducible(monkeypatch):
     # x^15 - 1 over F2: Phi_1, Phi_3 and Phi_5 are irreducible and kept
     # whole; only Phi_15 (degree 8, factors of degree ord_15(2) = 4) is
-    # split, with a generator seeded by 15
-    seeds = []
-    make = random.Random
-    monkeypatch.setattr(laurent.random, "Random", lambda e: seeds.append(e) or make(e))
+    # handed to the splitter, whose recursive calls pass k
+    calls = []
+    split = laurent._split_equal_degree
+    monkeypatch.setattr(
+        laurent,
+        "_split_equal_degree",
+        lambda f, d, p, *k: calls.append((f, d, k)) or split(f, d, p, *k),
+    )
     subs = list(split_subgroup_stream(2, NO_BOUND, (15, 15), 15))
-    assert seeds == [15]
+    assert [(f, d) for f, d, k in calls if not k] == [([1, 1, 0, 1, 1, 1, 0, 1, 1], 4)]
+    assert all(len(f) == 5 for f, _, k in calls if k)
     factors = [(N.t, N.gen.degree) for N in subs if N.gen.degree and is_irreducible_fp(N.gen)]
     assert factors == [(1, 1), (3, 2), (5, 4), (15, 4), (15, 4)]
 
@@ -1114,19 +1149,34 @@ def test_stream_builds_only_what_is_read(monkeypatch):
 def test_streams_yield_each_subgroup_once_in_key_order():
     # each subgroup's enumeration key is strictly above the last one's:
     # a divisor built both when its parent is read and when its last
-    # factor is split would show up as a repeated key
-    for stream, count in (
-        (enumerate_split_subgroups_fp(2, 4096), 8040),
-        (split_subgroup_stream(2, 4096, (), 0), 91),
-        (split_subgroup_stream(2, 4096, range(-12, 13), 0), 95),
-        (split_subgroup_stream(2, 2**20, (0, 0), 0), 2484),
-        (enumerate_split_subgroups_z(96), 894),
-        (split_subgroup_stream(0, 96, (), 0), 335),
-        (split_subgroup_stream(0, 96, range(-6, 7), 0), 339),
+    # factor is split would show up as a repeated key; the two F2 lists
+    # that split the most Phi_e are also frozen by the SHA-256 of
+    # [(t, gen.coeffs), ...] as the seeded Cantor-Zassenhaus splitter
+    # produced them
+    for stream, count, digest in (
+        (
+            enumerate_split_subgroups_fp(2, 4096),
+            8040,
+            "0693473f805b2fedea7c6433ce3f6855cf118c1b503780b20492e2c15b51869d",
+        ),
+        (split_subgroup_stream(2, 4096, (), 0), 91, None),
+        (split_subgroup_stream(2, 4096, range(-12, 13), 0), 95, None),
+        (
+            split_subgroup_stream(2, 2**20, (0, 0), 0),
+            2484,
+            "3024859dfc13b673952a4809bd1acc4cb6f5009e95ff708963c9261422d07a87",
+        ),
+        (enumerate_split_subgroups_z(96), 894, None),
+        (split_subgroup_stream(0, 96, (), 0), 335, None),
+        (split_subgroup_stream(0, 96, range(-6, 7), 0), 339, None),
     ):
-        keys = [N.listing_key for N in stream]
+        subs = list(stream)
+        keys = [N.listing_key for N in subs]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert len(keys) == count
+        if digest:
+            listed = repr([(N.t, N.gen.coeffs) for N in subs]).encode()
+            assert hashlib.sha256(listed).hexdigest() == digest
 
 
 def test_depth_cost_follows_the_answer(monkeypatch):

@@ -310,6 +310,8 @@ def test_witness_base_quotient_validation():
     assert not is_reduced(unreduced)
     with pytest.raises(ValueError):
         witness_base_quotient(unreduced, g)
+    with pytest.raises(ValueError, match="reduced"):
+        witness_base_quotient(unreduced, W.element({(0,): (3,)}, (1,)))
     WZ = WreathGroup(Z, Z)
     with pytest.raises(ValueError):
         witness_base_quotient(WZ.element({}, (1,)), WZ.element({(0,): (1,)}, (1,)))
