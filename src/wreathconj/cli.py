@@ -98,8 +98,9 @@ def _format_element(g: WreathElement, ring) -> str:
 
 
 def _default_budget(ring: int) -> int:
-    # Z-side enumeration at 24 takes tens of milliseconds; a larger Z
-    # default would change the answer of queries that 24 reports as
+    # a Z query at 24 reads at most the full Z listing at 24, about 2.4
+    # ms in one process (the enum_z rows of BENCH_depth.json); a larger
+    # Z default would change the answer of queries that 24 reports as
     # exceeding the budget
     return 24 if ring == 0 else 64
 

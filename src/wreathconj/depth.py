@@ -25,6 +25,7 @@ from .laurent import (
     SemidirectElement,
     ZSplitSubgroup,
     _check_ring,
+    _rotation,
     conjugate_in_split_quotient,
     # not called here; bound so that callers tracing or timing the
     # enumerators as this module's names find them
@@ -215,7 +216,11 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     over F_p, Phi_e is split only when it reaches e * p^ord_e(p), the
     least index of a divisor holding one of its factors, so the query
     factors x^g - 1 only as far as its answer; over Z, the lattices of
-    period t0 | g are built only when it reaches t0 (t0 + 1)."""
+    period t0 | g are built only when it reaches t0 (t0 + 1), and only
+    if the pair is not conjugate mod x^t0 - 1: both shifts are 0 mod t0,
+    so otherwise the pair is conjugate modulo the normal subgroup
+    (x^t0 - 1) x| t0Z, which lies in every J x| t0Z of least period t0,
+    and no such J separates it."""
     if budget < 1:
         raise ValueError("budget must be positive")
     s1, s2 = _as_semidirect(g1), _as_semidirect(g2)
@@ -224,7 +229,14 @@ def split_conjugacy_depth(g1, g2, budget: int) -> DepthResult:
     if same_conjugacy_class(s1, s2) is not None:
         raise ValueError("inputs are conjugate; depth undefined")
     shifts = (s1.shift, s2.shift)
-    for N in split_subgroup_stream(s1.poly.ring, budget, shifts, math.gcd(*shifts)):
+    stream = split_subgroup_stream(
+        s1.poly.ring,
+        budget,
+        shifts,
+        math.gcd(*shifts),
+        lambda t0: _rotation(s1.poly, s2.poly, t0) is None,
+    )
+    for N in stream:
         if not conjugate_in_split_quotient(s1, s2, N):
             return DepthResult((s1, s2), N.index, N)
     return DepthResult((s1, s2), EXCEEDS_BUDGET, None)

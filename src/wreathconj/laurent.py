@@ -17,7 +17,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .abelian import AbelianGroup, _xgcd2
 from .wreath import ContractError, WreathElement, WreathGroup
@@ -527,26 +527,32 @@ def same_conjugacy_class(
             return a2 - a1, zero_poly(ring)
         return None
     # x^l P1 and P2 differ by a multiple of x^m - 1 exactly when they
-    # agree mod x^M - 1, M = |m|, that is, when the coefficients of P1
-    # summed by exponent mod M, rotated by l, are those of P2
-    M = abs(m)
-    f1, f2 = _fold(g1.poly, M), _fold(g2.poly, M)
-    if len(f1) != len(f2):
+    # agree mod x^|m| - 1
+    ell = _rotation(g1.poly, g2.poly, abs(m))
+    if ell is None:
         return None
-    ell = 0
-    if f1:
-        e1 = min(f1)
-        # a rotation maps P1's least folded exponent onto one of P2's
-        for ell in sorted((e2 - e1) % M for e2, c2 in f2.items() if c2 == f1[e1]):
-            if all(f2.get((e + ell) % M) == c for e, c in f1.items()):
-                break
-        else:
-            return None
     E = xt_minus_1(ring, m)
     Q = _laurent_div(poly_sub(g2.poly, poly_shift(g1.poly, ell)), E)
     if Q is None or poly_add(poly_shift(g1.poly, ell), poly_mul(E, Q)) != g2.poly:
         raise ContractError("conjugacy certificate fails its own check")
     return ell, Q
+
+
+def _rotation(P1: LaurentPoly, P2: LaurentPoly, M: int) -> Optional[int]:
+    """The least l in [0, M) with x^l P1 = P2 mod x^M - 1, or None: the
+    coefficients of P1 summed by exponent mod M, rotated by l, are those
+    of P2."""
+    f1, f2 = _fold(P1, M), _fold(P2, M)
+    if len(f1) != len(f2):
+        return None
+    if not f1:
+        return 0
+    e1 = min(f1)
+    # a rotation maps P1's least folded exponent onto one of P2's
+    for ell in sorted((e2 - e1) % M for e2, c2 in f2.items() if c2 == f1[e1]):
+        if all(f2.get((e + ell) % M) == c for e, c in f1.items()):
+            return ell
+    return None
 
 
 def _fold(P: LaurentPoly, M: int) -> dict:
@@ -839,7 +845,13 @@ def first_unit_shifts(shifts) -> list[int]:
     return sorted({next(t for t in itertools.count(2) if d % t) for d in gaps})
 
 
-def split_subgroup_stream(ring: int, max_index: int, shifts, g: int):
+def split_subgroup_stream(
+    ring: int,
+    max_index: int,
+    shifts,
+    g: int,
+    may_separate: Optional[Callable[[int], bool]] = None,
+):
     """The split subgroups of index <= max_index over F_p (ring p) or Z
     (ring 0) that can be the first to separate two classes whose shifts
     lie in shifts, in the order `enumerate_split_subgroups_fp` and
@@ -867,12 +879,23 @@ def split_subgroup_stream(ring: int, max_index: int, shifts, g: int):
     read without being yielded. New ideals are generated only when the
     stream reaches a lower bound on their index, so every entry filed
     lies above each index read, and the heap yields the listing's order.
-    Reading a unit ideal files the one at the next shift."""
+    Reading a unit ideal files the one at the next shift.
+
+    may_separate, if given, is a predicate on periods t0 > 1: over Z the
+    ideals of least period t0 are built and yielded only where it holds;
+    over F_p it is not read. A depth query passes "the pair is not
+    conjugate mod x^t0 - 1", which drops no separator: for t0 | g both
+    shifts are 0 mod t0, so a pair conjugate mod x^t0 - 1 is conjugate
+    modulo the normal subgroup (x^t0 - 1) x| t0Z, which lies in every
+    J x| t0Z of least period t0, and so modulo each of those. Sweeps
+    and the full listings pass none."""
     if max_index < 1:
         raise ValueError("max_index must be positive")
     _check_ring(ring)
     units = iter(first_unit_shifts(shifts))
-    return _fp_stream(ring, g, max_index, units) if ring else _z_stream(g, max_index, units)
+    if ring:
+        return _fp_stream(ring, g, max_index, units)
+    return _z_stream(g, max_index, units, may_separate)
 
 
 def enumerate_split_subgroups_fp(p: int, max_index: int) -> list[FpSplitSubgroup]:
@@ -1282,13 +1305,14 @@ def enumerate_split_subgroups_z(max_index: int) -> list[ZSplitSubgroup]:
     return sorted(subs, key=lambda N: N.listing_key)
 
 
-def _z_stream(g: int, max_index: int, units):
+def _z_stream(g: int, max_index: int, units, may_separate):
     """The Z split subgroups of `split_subgroup_stream`, in the order of
     `enumerate_split_subgroups_z`, off one heap keyed by the
     `listing_key` of the subgroup each entry builds: every ideal J != Z
-    at its least period t0, if t0 divides g (every J when g = 0), and
-    the unit ideal at each t of units, an increasing iterator of shifts
-    above 1.
+    at its least period t0, if t0 divides g (every J when g = 0) and
+    t0 = 1 or may_separate is None or holds at t0, and the unit ideal at
+    each t of units, an increasing iterator of shifts above 1. A period
+    the predicate rejects costs one call of it and builds no lattice.
 
     Each ideal is built as a lattice in Hermite normal form, with t0 its
     least period and d its characteristic, and only if its co-index c is
@@ -1309,7 +1333,7 @@ def _z_stream(g: int, max_index: int, units):
     t0 = 2
     while heap:
         while t0 * (t0 + 1) <= heap[0][0]:
-            if g % t0 == 0:
+            if g % t0 == 0 and (may_separate is None or may_separate(t0)):
                 for H in _lattices_of_period(t0, max_index // t0):
                     heapq.heappush(heap, (t0 * _coindex(H), H[-1][-1], t0, t0, H[::-1]))
             t0 += 1

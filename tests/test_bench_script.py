@@ -1,15 +1,15 @@
-"""The benchmark script's sweep, Z- and F_p-enumeration, F_p-depth and
-witness rows still run.
+"""The benchmark script's sweep, Z- and F_p-enumeration, Z- and F_p-depth
+and witness rows still run.
 
 `benchmarks/bench_depth.py` times `depth_sweep` by wrapping functions
 as `wreathconj.depth` binds them, looked up by name, calls both
-enumerators the same way, and reads the `fp_depth` pool of the
-benchmark, and counts the witness path's calls by wrapping
+enumerators the same way, and reads the `z_depth` and `fp_depth` pools
+of the benchmark, and counts the witness path's calls by wrapping
 functions as `wreathconj.wreath` and `wreathconj.witness` bind them, so
 renaming one of them would break the script without failing any library
 test. This test loads the script and measures one small sweep, one
-small enumeration of each kind, the F_p depth rows and one witness
-group."""
+small enumeration of each kind, the Z and F_p depth rows and one
+witness group."""
 
 import importlib.util
 from pathlib import Path
@@ -43,6 +43,22 @@ def test_measure_enum_fp_runs():
     row = _bench().measure_enum_fp(2, 8, 1)
     assert (row["section"], row["p"]) == ("enum_fp", 2)
     assert row["subgroups"] == 13
+
+
+def test_measure_depth_z_runs():
+    bench = _bench()
+    row = bench.measure_depth_pool("z_depth", 1)
+    assert (row["section"], row["ops"], row["budget"]) == ("depth_z", "s8", 18)
+    assert row["queries"] == 340
+    for budget, want in ((18, "exceeds budget"), (24, 21)):
+        row = bench.measure_depth_pair(0, bench.DEEP_PAIR, budget, 1)
+        assert (row["section"], row["split_depth"]) == ("depth_z", want)
+    pair = bench.depth.family_zwrz(3).semidirect()
+    zwrz = tuple(bench.laurent.format_semidirect(s) for s in pair)
+    for budget in (300, 1000):
+        row = bench.measure_depth_pair(0, zwrz, budget, 1)
+        assert (row["section"], row["split_depth"]) == ("depth_z", 272)
+    assert (bench.DEEP_BUDGETS, bench.ZWRZ_BUDGETS) == ([18, 24], [300, 1000])
 
 
 def test_measure_depth_fp_runs():

@@ -37,6 +37,7 @@ from wreathconj.laurent import (
     format_semidirect,
     from_wreath,
     poly_add,
+    poly_mul,
     poly_sub,
     same_conjugacy_class,
     split_subgroup_stream,
@@ -146,12 +147,13 @@ def test_pair_aware_depth_against_full_enumeration(monkeypatch):
     # shift-only quotient), every divisor when both shifts are 0; the
     # answer and the subgroup must be the first separator in the full
     # enumeration's order, and every F_p query reads the stream once,
-    # with g = gcd(a1, a2)
+    # with g = gcd(a1, a2). The period predicate is forwarded; the F_p
+    # stream does not read it
     reads = []
 
-    def recorded(ring, max_index, shifts, g):
+    def recorded(ring, max_index, shifts, g, may_separate=None):
         reads.append((tuple(shifts), g))
-        return split_subgroup_stream(ring, max_index, shifts, g)
+        return split_subgroup_stream(ring, max_index, shifts, g, may_separate)
 
     def rand_poly(rng, p):
         P = zero_poly(p)
@@ -233,19 +235,23 @@ def _record_periods(monkeypatch) -> list:
 
 def test_z_depth_is_the_first_separator_of_the_full_enumeration(monkeypatch):
     # a Z query reads only the least-period stream for g = gcd(a1, a2),
-    # building lattices of period t0 only for t0 | g; its answer and
-    # subgroup must be the first separator in the full enumeration, and
-    # an exhausting query must exhaust it. The enumeration is derived
-    # from that stream, so it is pinned by the SHA-256 of its listing as
-    # the stream of every split subgroup produced it
+    # building lattices of period t0 only for t0 | g at which the pair
+    # is not conjugate mod x^t0 - 1, each period the stream reaches; its
+    # answer and subgroup must be the first separator in the full
+    # enumeration, and an exhausting query must exhaust it. The
+    # enumeration is derived from that stream, so it is pinned by the
+    # SHA-256 of its listing as the stream of every split subgroup
+    # produced it
     frozen = {
         18: "b0ee129192865381cf208a68fc714975969c17d324116c037087bc1d72e86b92",
         24: "216c81a8578cc6ca64f8fac6470b8205c2c11700a3aa76aae57591f7446622cb",
         48: "dafe7b4b26f41e34dd8e52e0225c80219a4d6e57eec7575169708f0cc84a9619",
     }
     rng, unit_rng, gcd_rng = random.Random(0), random.Random(1), random.Random(2)
+    skip_rng = random.Random(3)
     deep = (sdep(0, 0, (0, 1), (-1, -1)), sdep(0, 0, (0, -1), (-1, 1)))  # depth 21
-    seen, units, built = set(), set(), set()
+    seen, units, skipped = set(), set(), set()
+    built = {False: set(), True: set()}  # by whether a P + R (x^k - 1) pair
     periods = _record_periods(monkeypatch)
     for budget in (18, 24, 48):
         full = enumerate_split_subgroups_z(budget)
@@ -276,15 +282,35 @@ def test_z_depth_is_the_first_separator_of_the_full_enumeration(monkeypatch):
             s1 = SemidirectElement(P, a1)
             pairs += [(s1, SemidirectElement(rand_semidirect(gcd_rng, 0).poly, a2)),
                       (s1, SemidirectElement(poly_add(P, delta), a2))]
-        for s1, s2 in pairs:
+        plain = len(pairs)
+        # lamps P and P + R (x^k - 1), conjugate mod x^k - 1 and so mod
+        # x^t0 - 1 for every t0 | k: no lattice of such a period is
+        # built. Shifts a != k, as P + R (x^a - 1) is conjugate to P
+        for k, a in ((2, 0), (3, 0), (4, 0), (2, 4), (2, -6), (3, 6), (2, 8), (4, -8)):
+            for _ in range(4):
+                P, R = rand_semidirect(skip_rng, 0).poly, rand_semidirect(skip_rng, 0).poly
+                lamp = poly_add(P, poly_mul(R, xt_minus_1(0, k)))
+                pairs.append((SemidirectElement(P, a), SemidirectElement(lamp, a)))
+        for n, (s1, s2) in enumerate(pairs):
             if same_conjugacy_class(s1, s2) is not None:
                 continue
             first = next((N for N in full if not conjugate_in_split_quotient(s1, s2, N)), None)
             periods.clear()
             res = split_conjugacy_depth(s1, s2, budget)
             g = math.gcd(s1.shift, s2.shift)
-            assert all(g % t0 == 0 for t0 in periods), (g, periods)
-            built |= {(g, t0) for t0 in periods}
+            # the stream reaches t0 when its next index is t0 (t0 + 1) or
+            # more; an exhausting query reaches the budget
+            reach = res.split_depth if res.found() else budget
+            reached = [t0 for t0 in range(2, budget) if t0 * (t0 + 1) <= reach and g % t0 == 0]
+            apart = [
+                t0 for t0 in reached
+                if same_conjugacy_class(
+                    SemidirectElement(s1.poly, t0), SemidirectElement(s2.poly, t0)
+                ) is None
+            ]
+            assert periods == apart, (g, s1, s2, periods, apart)
+            built[n >= plain] |= {(g, t0) for t0 in periods}
+            skipped |= {(g, t0) for t0 in reached if t0 not in apart}
             want = (first.index, first) if first else (EXCEEDS_BUDGET, None)
             assert (res.split_depth, res.subgroup) == want, (budget, s1, s2)
             seen.add((budget, res.found()))
@@ -292,11 +318,12 @@ def test_z_depth_is_the_first_separator_of_the_full_enumeration(monkeypatch):
                 units.add((budget, res.subgroup.t, s1.poly == s2.poly))
     assert seen == {(b, found) for b in (18, 24, 48) for found in (True, False)}
     assert {(b, t, True) for b in (18, 24, 48) for t in (2, 3, 4, 5)} <= units
-    # lattices of every period the queries reached for g = 0; for g != 0,
-    # only the divisors of g
-    assert {(g, t0) for g, t0 in built} == {
-        (0, 2), (0, 3), (0, 4), (2, 2), (3, 3), (4, 2), (4, 4), (5, 5), (6, 2), (6, 3)
-    }
+    # the (g, t0) built and those reached but skipped, t0 | g (every t0
+    # for g = 0); the pairs before the P + R (x^k - 1) ones no longer
+    # build (6, 2) or (6, 3)
+    assert built[False] == {(0, 2), (0, 3), (0, 4), (2, 2), (3, 3), (4, 2), (4, 4), (5, 5)}
+    assert built[True] == {(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (4, 4), (6, 2), (6, 3), (8, 4)}
+    assert skipped == {(0, 2), (0, 3), (0, 4), (4, 2), (6, 2), (6, 3), (8, 2), (8, 4)}
 
 
 def test_lamplighter_conjugate_below_lower_bound():
@@ -351,13 +378,27 @@ def test_zwrz_depth_q3_exact():
 
 
 def test_zwrz_depth_q5_at_300(monkeypatch):
-    # shifts 16 and 16: only lattices of period 2, 4, 8 and 16 are built,
-    # and the first separator has period 16 and co-index 17
+    # shifts 16 and 16: of the periods 2, 4, 8 and 16 dividing g, only
+    # 16 is built, as both lamp polynomials vanish mod x^8 - 1; the
+    # first separator has period 16 and co-index 17
     periods = _record_periods(monkeypatch)
     res = family_depth(family_zwrz(3), budget=300)
     assert res.split_depth == 272
     assert describe_subgroup(res.subgroup) == "Z: d=17, t0=16, |V|=2862423051509815793, t=16"
-    assert set(periods) == {2, 4, 8, 16}
+    assert periods == [16]
+
+
+def test_z_depth_skips_periods_the_pair_is_conjugate_at(monkeypatch):
+    # 1 - x^-1 and its negative are conjugate mod x^2 - 1 (both fold to
+    # 1 - x and -1 + x = x (1 - x) mod x^2 - 1), not mod x^3 - 1: period
+    # 2 is never built, period 3 is, and the answer is unchanged
+    deep = (sdep(0, 0, (0, 1), (-1, -1)), sdep(0, 0, (0, -1), (-1, 1)))
+    periods = _record_periods(monkeypatch)
+    assert split_conjugacy_depth(*deep, 18).split_depth == EXCEEDS_BUDGET
+    assert periods == [3]
+    res = split_conjugacy_depth(*deep, 24)
+    assert res.split_depth == 21
+    assert describe_subgroup(res.subgroup) == "Z: d=7, t0=3, |V|=49, t=3"
 
 
 def test_zwrz_conjugate_below_six():
