@@ -1,12 +1,20 @@
 """Time lamplighter depths, depth sweeps, Z enumeration and the witness path.
 
+Looped timing: every row below but the witness rows times a call by a
+loop of `loops` calls, the least power of 2 of them that takes at least
+20 ms, and keeps the best of `--runs` such loops, each after a
+`gc.collect()`, divided by `loops`. Lamplighter, sweep and enumeration
+rows recorded before the `loops` column came in hold instead the median
+of single calls, which moved by up to half between runs of the same
+code.
+
 Depth rows: for each (p, i) the script builds `family_lamplighter(p, i)`
 and times `family_depth` on it at the family's default budget, its upper
 bound q * p^(q - 1), in this process (the pair's construction is not
 timed). It counts the quotient tests each query runs by wrapping
 `conjugate_in_split_quotient` as `wreathconj.depth` binds it. Each row
-holds p, i, q, the depth, the separating subgroup, the median seconds
-over the runs and the candidates tested.
+holds p, i, q, the depth, the separating subgroup, the looped seconds
+per query and the candidates tested.
 
 Sweep rows (marked "section": "sweep"): for each (ring, n, budget) the
 script times `depth_sweep` in this process, wrapping three functions as
@@ -16,17 +24,18 @@ refinement (reading the subgroup stream and keying the classes) and the
 subgroups it reads, and `quotient_class_key` for the class keys
 computed. The seconds from the refinement's end to the sweep's return
 are those of reading the rows. Each row holds ring (0 for Z), n,
-budget, the rows' max depths, the median seconds over the runs of the
-whole sweep, of its classes, of its refinement and of reading its rows
-(`rows_seconds`; rows recorded before that column came in lack it),
-and the counts of one run. The first four are the sweeps of the
-benchmark's `sweep` workload; the last, F2 n = 20 at 2^26, reads the
-F_p stream far enough to list orders of degree 26.
+budget, the rows' max depths, the looped seconds of the whole sweep,
+the least seconds over the looped sweeps of its classes, of its
+refinement and of reading its rows (`rows_seconds`; rows recorded
+before that column came in lack it), and the counts of one sweep. The
+first four are the sweeps of the benchmark's `sweep` workload; the
+last, F2 n = 20 at 2^26, reads the F_p stream far enough to list orders
+of degree 26.
 
 Z-enumeration rows (marked "section": "enum_z"): for each budget the
 script times `enumerate_split_subgroups_z` in this process. Each row
-holds the budget, the number of subgroups listed and the median seconds
-over the runs. Budget 18 is the budget of the benchmark's `z_depth`
+holds the budget, the number of subgroups listed and the looped
+seconds. Budget 18 is the budget of the benchmark's `z_depth`
 queries. F_p-enumeration rows (marked "section": "enum_fp") time
 `enumerate_split_subgroups_fp` the same way, F2 at 4096 and F3 at 2187,
 and also hold p.
@@ -34,21 +43,19 @@ and also hold p.
 Z-depth rows (marked "section": "depth_z"): the script times
 `split_conjugacy_depth` in this process on Z pairs. The "s8" row runs
 every op of the `z_depth` pool (`perfbench/pool/z_depth.json`) whose
-answer lies at index 8 or below, at the pool's budget, as one loop over
-the list; it holds the best of the runs of that loop, each after a
-`gc.collect()`, divided by the number of queries. s8 rows recorded
-before the "seconds" column came in hold instead the median and total
-over the ops of each op's median single query (`seconds_median`,
-`seconds_total`), which moved by up to a quarter between runs of the
-same code. The "pair" rows run the pair (1 - x^-1, 0), (-1 + x^-1,
+answer lies at index 8 or below, at the pool's budget, as one call
+looping over the list; it holds the looped seconds divided by the
+number of queries. s8 rows recorded before the "seconds" column came
+in hold instead the median and total over the ops of each op's median
+single query (`seconds_median`, `seconds_total`), which moved by up to
+a quarter between runs of the same code. The "pair" rows run the pair (1 - x^-1, 0), (-1 + x^-1,
 0), whose depth is 21, at budgets 18 (the query reads every subgroup
 and exceeds the budget) and 24, and the pair of `family_zwrz(3)`
 (shifts 16), whose depth is 272, at budgets 300 and 1000; they hold
-the ring, the depth and the seconds per query. Those are the best over
-the runs of a loop of `loops` queries, the least power of 2 of them
-that takes at least 20 ms, divided by `loops`; pair rows recorded
-before the `loops` column came in hold the median of single queries,
-which moved by tens of per cent between runs of the same code.
+the ring, the depth and the looped seconds per query; pair rows
+recorded before the `loops` column came in hold the median of single
+queries, which moved by tens of per cent between runs of the same
+code.
 
 F_p-depth rows (marked "section": "depth_fp"): the same over F_p. The
 "s8" row runs every op of the `fp_depth` pool
@@ -59,6 +66,13 @@ and 9699690 (the product of the primes up to 19) at 2^30. Three more run
 pairs whose shifts are both 0, so every divisor of every x^t - 1 is a
 candidate: (x^60 - 1, 0), (0, 0) over F2 at 4096 and at 10^12, depth
 56 at both, and (x^24 - 1, 0), (0, 0) over F3 at 2187, depth 351.
+
+The witness-parse row (marked "section": "witness_parse") parses the
+2,400 element documents of the benchmark's `witness` pool
+(`perfbench/pool/witness.json`, two per op, built as its child process
+builds them) with `element_from_json`, as one call looping over the
+list. It holds the number of documents and the looped seconds divided
+by it.
 
 Witness rows (marked "section": "witness"): for each of the five groups
 of the benchmark's `witness` workload the script draws, from a seed fixed
@@ -146,18 +160,6 @@ def checkout() -> dict:
     }
 
 
-def _timed(fn, runs: int) -> tuple:
-    """(the last result of fn(), median seconds of its runs), each run
-    after a gc.collect()."""
-    seconds = []
-    for _ in range(runs):
-        gc.collect()
-        start = time.perf_counter()
-        result = fn()
-        seconds.append(time.perf_counter() - start)
-    return result, statistics.median(seconds)
-
-
 def measure(p: int, i: int, runs: int) -> dict:
     tests = 0
     test = depth.conjugate_in_split_quotient
@@ -175,7 +177,7 @@ def measure(p: int, i: int, runs: int) -> dict:
     pair = depth.family_lamplighter(p, i)
     depth.conjugate_in_split_quotient = counted
     try:
-        res, seconds = _timed(run, runs)
+        res, seconds, loops = _looped(run, runs)
     finally:
         depth.conjugate_in_split_quotient = test
     return {
@@ -184,7 +186,8 @@ def measure(p: int, i: int, runs: int) -> dict:
         "q": pair.q,
         "split_depth": res.split_depth,
         "subgroup": depth.describe_subgroup(res.subgroup) if res.found() else None,
-        "seconds": round(seconds, 6),
+        "seconds": round(seconds, 9),
+        "loops": loops,
         "runs": runs,
         "candidates_tested": tests,
     }
@@ -220,7 +223,17 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
         seen["refine_s"] = seen["refined_at"] - start
         return out
 
-    seconds, classes_s, refine_s, rows_s = [], [], [], []
+    # each phase's least seconds over every sweep the loops make
+    phases = {"classes_s": [], "refine_s": [], "rows_s": []}
+
+    def sweep():
+        seen.update(class_keys=0, subgroups_read=0)
+        rows = depth.depth_sweep(ring, n, budget)
+        phases["rows_s"].append(time.perf_counter() - seen["refined_at"])
+        phases["classes_s"].append(seen["classes_s"])
+        phases["refine_s"].append(seen["refine_s"])
+        return rows
+
     for name, fn in [
         ("quotient_class_key", keyed),
         ("conjugacy_classes", classes),
@@ -228,16 +241,7 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
     ]:
         setattr(depth, name, fn)
     try:
-        for _ in range(runs):
-            seen.update(class_keys=0, subgroups_read=0)
-            gc.collect()
-            start = time.perf_counter()
-            rows = depth.depth_sweep(ring, n, budget)
-            end = time.perf_counter()
-            seconds.append(end - start)
-            classes_s.append(seen["classes_s"])
-            refine_s.append(seen["refine_s"])
-            rows_s.append(end - seen["refined_at"])
+        rows, seconds, loops = _looped(sweep, runs)
     finally:
         for name, fn in bound.items():
             setattr(depth, name, fn)
@@ -247,10 +251,11 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
         "n": n,
         "budget": budget,
         "max_depths": [r.max_split_depth for r in rows],
-        "seconds": round(statistics.median(seconds), 6),
-        "classes_seconds": round(statistics.median(classes_s), 6),
-        "refine_seconds": round(statistics.median(refine_s), 6),
-        "rows_seconds": round(statistics.median(rows_s), 6),
+        "seconds": round(seconds, 9),
+        "classes_seconds": round(min(phases["classes_s"]), 9),
+        "refine_seconds": round(min(phases["refine_s"]), 9),
+        "rows_seconds": round(min(phases["rows_s"]), 9),
+        "loops": loops,
         "runs": runs,
         "classes": seen["classes"],
         "subgroups_read": seen["subgroups_read"],
@@ -259,24 +264,26 @@ def measure_sweep(ring: int, n: int, budget: int, runs: int) -> dict:
 
 
 def measure_enum_z(budget: int, runs: int) -> dict:
-    subs, seconds = _timed(lambda: depth.enumerate_split_subgroups_z(budget), runs)
+    subs, seconds, loops = _looped(lambda: depth.enumerate_split_subgroups_z(budget), runs)
     return {
         "section": "enum_z",
         "budget": budget,
         "subgroups": len(subs),
-        "seconds": round(seconds, 6),
+        "seconds": round(seconds, 9),
+        "loops": loops,
         "runs": runs,
     }
 
 
 def measure_enum_fp(p: int, budget: int, runs: int) -> dict:
-    subs, seconds = _timed(lambda: depth.enumerate_split_subgroups_fp(p, budget), runs)
+    subs, seconds, loops = _looped(lambda: depth.enumerate_split_subgroups_fp(p, budget), runs)
     return {
         "section": "enum_fp",
         "p": p,
         "budget": budget,
         "subgroups": len(subs),
-        "seconds": round(seconds, 6),
+        "seconds": round(seconds, 9),
+        "loops": loops,
         "runs": runs,
     }
 
@@ -421,6 +428,30 @@ def _counted_witness_run(phases: dict) -> dict:
     return out
 
 
+def measure_witness_parse(runs: int) -> dict:
+    # the element documents of the `witness` pool, two per op, built as
+    # `perfbench/child.py` builds them
+    pool = json.loads((ROOT / "perfbench" / "pool" / "witness.json").read_text())
+    docs = []
+    for op in pool["ops"]:
+        spec = op["spec"]
+        lamp, base = (part.strip() for part in spec["group"].split(" wr "))
+        docs += [{"A": lamp, "B": base, "f": f, "b": b} for f, b in (spec["x"], spec["y"])]
+
+    def parse_all():
+        for doc in docs:
+            wreath.element_from_json(doc)
+
+    _, seconds, loops = _looped(parse_all, runs)
+    return {
+        "section": "witness_parse",
+        "documents": len(docs),
+        "seconds": round(seconds / len(docs), 9),
+        "loops": loops,
+        "runs": runs,
+    }
+
+
 def measure_witness(text: str, runs: int) -> dict:
     elements, pairs = _witness_inputs(text)
     apart = []
@@ -483,6 +514,7 @@ def main() -> None:
     results += [measure_depth_pair(0, zwrz, budget, args.runs) for budget in ZWRZ_BUDGETS]
     results.append(measure_depth_pool("fp_depth", args.runs))
     results += [measure_depth_pair(ring, pair, budget, args.runs) for ring, pair, budget in SHIFT_FP]
+    results.append(measure_witness_parse(args.runs))
     results += [measure_witness(text, args.runs) for text in WITNESS_GROUPS]
     for result in results:
         row = {**result, **env}

@@ -75,25 +75,7 @@ class AbelianElement:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        g = self.group
-        if not isinstance(self.coords, tuple):
-            try:
-                object.__setattr__(self, "coords", tuple(self.coords))
-            except TypeError:
-                raise ValueError(f"coordinates {self.coords!r} are not a list") from None
-        for c in self.coords:
-            if type(c) is not int:  # also rejects bool
-                raise ValueError(f"coordinate {c!r} is not an integer")
-        if len(self.coords) != g.rank:
-            raise ValueError(
-                f"expected {g.rank} coordinates, got {len(self.coords)}"
-            )
-        k = g.free_rank
-        reduced = self.coords[:k] + tuple(
-            c % n for c, n in zip(self.coords[k:], g.torsion)
-        )
-        if reduced != self.coords:
-            object.__setattr__(self, "coords", reduced)
+        object.__setattr__(self, "coords", _checked_coords(self.group, self.coords))
 
     # Equality and hashing: an element is its group and its coordinates,
     # and the hash uses the coordinates only, so sets and dicts of one
@@ -161,6 +143,25 @@ def _element(group: AbelianGroup, coords: tuple) -> AbelianElement:
     _set(x, "group", group)
     _set(x, "coords", coords)
     return x
+
+
+def _checked_coords(group: AbelianGroup, raw) -> tuple:
+    """The coordinates `raw` of an element of `group` as a tuple of ints
+    of the group's rank, torsion coordinates reduced into [0, n): what
+    `_element` takes. Raises ValueError if `raw` is not iterable, then if
+    a coordinate is not an int (bool included), then if the count is wrong."""
+    coords = raw
+    if not isinstance(coords, tuple):
+        try:
+            coords = tuple(raw)
+        except TypeError:
+            raise ValueError(f"coordinates {raw!r} are not a list") from None
+    for c in coords:
+        if type(c) is not int:  # also rejects bool
+            raise ValueError(f"coordinate {c!r} is not an integer")
+    if len(coords) != group.rank:
+        raise ValueError(f"expected {group.rank} coordinates, got {len(coords)}")
+    return _reduced(group, coords) if group.torsion else coords
 
 
 def _reduced(group: AbelianGroup, values) -> tuple:
@@ -319,11 +320,29 @@ def element_order(b: AbelianElement) -> Optional[int]:
     return order
 
 
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 _FACTOR_RE = re.compile(r"^(?:1|Z(?:\^(\d+))?|Z/(\d+)|F(\d+))$")
 
 
 def parse_group(text: str) -> AbelianGroup:
-    """Parse descriptors like "Z", "Z^2 x Z/4", "Z/3", "F2", "1"."""
+    """Parse descriptors like "Z", "Z^2 x Z/4", "Z/3", "F2", "1".
+
+    `Fp` is shorthand for `Z/p` with `p` prime; any other `F<n>` (`F0`,
+    `F1`, `F4`, ...) raises ValueError."""
     free = 0
     torsion: list[int] = []
     for raw in re.split(r"\s*x\s*", text.strip()):
@@ -340,8 +359,10 @@ def parse_group(text: str) -> AbelianGroup:
         elif m.group(2) is not None:
             torsion.append(int(m.group(2)))
         else:
-            # F<p> is shorthand for the cyclic group Z/p
-            torsion.append(int(m.group(3)))
+            p = int(m.group(3))
+            if p > 1 and not is_prime(p):  # AbelianGroup rejects F0 and F1
+                raise ValueError(f"group factor {tok!r} is not a prime field; use Fp with p prime")
+            torsion.append(p)
     return AbelianGroup(free, tuple(torsion))
 
 

@@ -19,23 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .abelian import AbelianGroup, _xgcd2
+from .abelian import AbelianGroup, _xgcd2, is_prime
 from .wreath import ContractError, WreathElement, WreathGroup
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _prime_factors(n: int, bound: Optional[int] = None) -> list[int]:

@@ -23,9 +23,11 @@ from .abelian import (
     AbelianElement,
     AbelianGroup,
     GroupMismatchError,
+    _checked_coords,
     _element,
     _reduced,
     element_order,
+    format_element,
     format_group,
     parse_group,
     solve_multiple,
@@ -650,6 +652,15 @@ def element_to_json(g: WreathElement) -> str:
 
 
 def element_from_json(text: str | dict) -> WreathElement:
+    """The element of a JSON document (a dict, or a str to parse) with
+    fields "A", "B", "f", "b". Checks, in this order, raising ValueError at
+    the first that fails: the document is an object with the four fields,
+    "A" and "B" are strings and "f" a list; both groups parse; each entry
+    of "f" is a [key, value] pair whose key, then value, are coordinates
+    (`_checked_coords`), whose key repeats no earlier key and whose value
+    is nonzero, both after torsion reduction; last, "b" are coordinates.
+    The element is built once, unchecked, from the checked coordinates,
+    its pairs sorted by key."""
     doc = json.loads(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
         raise ValueError("an element is a JSON object")
@@ -663,18 +674,17 @@ def element_from_json(text: str | dict) -> WreathElement:
         raise ValueError("field 'f' must be a list of [key, value] pairs")
     lamp = parse_group(doc["A"])
     base = parse_group(doc["B"])
-    group = WreathGroup(lamp, base)
-    seen = set()
-    pairs = []
+    f = {}
     for entry in doc["f"]:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError("support entries must be [key, value] pairs")
-        k = AbelianElement(base, entry[0])
-        v = AbelianElement(lamp, entry[1])
-        if k in seen:
-            raise ValueError(f"duplicate support key {k}")
-        if v.is_zero():
-            raise ValueError(f"zero lamp value at {k}")
-        seen.add(k)
-        pairs.append((k, v))
-    return WreathElement(group, tuple(pairs), AbelianElement(base, doc["b"]))
+        k = _checked_coords(base, entry[0])
+        v = _checked_coords(lamp, entry[1])
+        if k in f:
+            raise ValueError(f"duplicate support key {format_element(_element(base, k))}")
+        if not any(v):
+            raise ValueError(f"zero lamp value at {format_element(_element(base, k))}")
+        f[k] = v
+    b = _checked_coords(base, doc["b"])
+    pairs = tuple((_element(base, k), _element(lamp, v)) for k, v in sorted(f.items()))
+    return _wreath(WreathGroup(lamp, base), pairs, _element(base, b))

@@ -1,15 +1,15 @@
-"""The benchmark script's sweep, Z- and F_p-enumeration, Z- and F_p-depth
-and witness rows still run.
+"""The benchmark script's sweep, Z- and F_p-enumeration, Z- and F_p-depth,
+witness-parse and witness rows still run.
 
 `benchmarks/bench_depth.py` times `depth_sweep` by wrapping functions
 as `wreathconj.depth` binds them, looked up by name, calls both
-enumerators the same way, and reads the `z_depth` and `fp_depth` pools
+enumerators the same way, reads the `z_depth`, `fp_depth` and `witness` pools
 of the benchmark, and counts the witness path's calls by wrapping
 functions as `wreathconj.wreath` and `wreathconj.witness` bind them, so
 renaming one of them would break the script without failing any library
 test. This test loads the script and measures one small sweep, one
-small enumeration of each kind, the Z and F_p depth rows and one
-witness group."""
+small enumeration of each kind, the Z and F_p depth rows, the parse of
+the `witness` pool's element documents and one witness group."""
 
 import importlib.util
 from pathlib import Path
@@ -80,3 +80,6 @@ def test_measure_witness_runs():
     assert row["conjugate_test_reduce_calls"] == 80
     assert row["full_witness_verify_modulus"] > 0
     assert row["contract_failures"] == 0
+    row = bench.measure_witness_parse(1)
+    assert (row["section"], row["documents"], row["runs"]) == ("witness_parse", 2400, 1)
+    assert row["seconds"] > 0 and row["loops"] >= 1

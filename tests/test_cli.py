@@ -406,6 +406,10 @@ def test_bad_group_and_element_exit_1(capsys):
     assert rc == 1 and "x^^3" in err
     rc, _, err = run(capsys, "conj-test", "--group", "F2 wr Z", "--x", "(0,0)")
     assert rc == 1 and "--y" in err
+    # F<n> means F_p only: F4 is not read as Z/4
+    doc = '{"A":"F4","B":"Z","f":[[[0],[1]]],"b":[1]}'
+    rc, out, err = run(capsys, "conj-test", "--group", "F4 wr Z", "--x", doc, "--y", doc)
+    assert rc == 1 and out == "" and "F4" in err
 
 
 @pytest.mark.parametrize(

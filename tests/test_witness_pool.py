@@ -7,14 +7,19 @@ it and checks the answer the way the benchmark does. An entry recorded
 `ok` must answer with its recorded digest (`expect`) and a passing
 check. The `*/near/contract` entries were recorded while the acting
 stage's bound still failed them, so they carry no digest; each must now
-answer with a passing check and the digest frozen below. This test only
-reads `perfbench`."""
+answer with a passing check and the digest frozen below. Each of the
+2,400 parsed elements must also equal the element the checking
+constructors build from the same document, since `element_from_json`
+builds its elements unchecked. This test only reads `perfbench`."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from wreathconj.abelian import AbelianElement, parse_group
+from wreathconj.wreath import WreathElement, WreathGroup
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,6 +55,19 @@ CONTRACT_DIGESTS = {
 }
 
 
+def _checked_elements(spec):
+    """The spec's two elements, built through the checking constructors."""
+    A, B = (parse_group(part.strip()) for part in spec["group"].split(" wr "))
+    return tuple(
+        WreathElement(
+            WreathGroup(A, B),
+            tuple((AbelianElement(B, k), AbelianElement(A, v)) for k, v in f),
+            AbelianElement(B, b),
+        )
+        for f, b in (spec["x"], spec["y"])
+    )
+
+
 def _load(name):
     spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -80,6 +98,7 @@ def test_every_witness_pool_entry_answers_as_recorded(perfbench_modules):
     contract = {}
     for entry in pool:
         parsed = kind.parse(entry["spec"])
+        assert parsed == _checked_elements(entry["spec"]), entry["id"]
         doc, check, _ = kind.answer(parsed, kind.call(parsed)())
         digest = workloads.answer_digest(doc)
         assert check, entry["id"]

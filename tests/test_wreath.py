@@ -382,13 +382,28 @@ def test_extend_quotient_base_example_and_homomorphism():
         ) * extend_quotient_base(b, pi)
 
 
+def checked_element_from_doc(doc: dict) -> WreathElement:
+    """The element of a JSON element document, built through the checking
+    constructors: `element_from_json` builds its elements unchecked."""
+    A, B = parse_group(doc["A"]), parse_group(doc["B"])
+    pairs = tuple((AbelianElement(B, k), AbelianElement(A, v)) for k, v in doc["f"])
+    return WreathElement(WreathGroup(A, B), pairs, AbelianElement(B, doc["b"]))
+
+
 def test_json_round_trip():
     rng = random.Random(20008)
     for _ in range(100):
         W = rng.choice(SAMPLE_GROUPS)
         g = random_wreath(rng, W)
         text = element_to_json(g)
-        assert element_from_json(text) == g
+        # the parser sorts the pairs: read them in reverse too
+        doc = json.loads(text)
+        doc["f"].reverse()
+        for parsed in (element_from_json(text), element_from_json(doc)):
+            assert parsed == g
+            assert parsed == checked_element_from_doc(doc)
+            keys = [k.coords for k, _ in parsed.pairs]
+            assert keys == sorted(set(keys))
     doc = json.loads(element_to_json(MIXED.delta((2, 1), (3,), (0, 1))))
     assert doc["A"] == "Z/4" and doc["B"] == "Z x Z/2"
 
@@ -404,20 +419,26 @@ def test_json_rejects_malformed_documents():
     bad["f"] = [[0], [1]]
     with pytest.raises(ValueError):
         element_from_json(bad)
-    bad = dict(good)
-    bad["f"] = [[[0], [1]], [[0], [1]]]
-    with pytest.raises(ValueError):
-        element_from_json(bad)
-    bad = dict(good)
-    bad["f"] = [[[0], [0]]]
-    with pytest.raises(ValueError):
-        element_from_json(bad)
+    # duplicate keys and zero values, also those that only torsion
+    # reduction makes so, with the messages the command line prints
+    for doc, message in [
+        ({**good, "f": [[[0], [1]], [[0], [1]]]}, "duplicate support key [0]"),
+        ({**good, "f": [[[0], [0]]]}, "zero lamp value at [0]"),
+        ({**good, "B": "Z/4", "f": [[[1], [1]], [[5], [1]]], "b": [1]}, "duplicate support key [1]"),
+        ({**good, "A": "Z/3", "f": [[[1], [3]]]}, "zero lamp value at [1]"),
+        ({**good, "b": [True]}, "coordinate True is not an integer"),
+        ({**good, "b": [1, 2]}, "expected 1 coordinates, got 2"),
+        ({**good, "b": 3}, "coordinates 3 are not a list"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            element_from_json(doc)
+        assert str(exc.value) == message
     # coordinates other than lists of integers (bool included), and a
     # non-list "f"
     for field, value in [
         ("f", 3), ("f", None), ("b", 3), ("b", "1"), ("b", [1.5]), ("b", [True]), ("b", {"1": 1}),
         ("f", [[0, [1]]]), ("f", [[[0], 1]]), ("f", [[[0], ["a"]]]), ("f", [[[1.0], [1]]]),
-        ("f", [[[0], [False]]]), ("A", 2), ("B", None),
+        ("f", [[[0], [False]]]), ("A", 2), ("B", None), ("A", "F4"), ("B", "F9"),
     ]:
         with pytest.raises(ValueError):
             element_from_json({**good, field: value})
